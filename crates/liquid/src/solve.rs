@@ -208,6 +208,9 @@ pub fn solve_with(cs: &ConstraintSet, smt: &mut Solver, opts: SolveOptions) -> L
 
     let mut queries = 0u64;
     let mut discharged = 0u64;
+    // Read once per solve: the lookup sits on the per-dropped-candidate
+    // path, which runs thousands of times per corpus check.
+    let debug = std::env::var("RSC_DEBUG").is_ok();
 
     // --- Fixpoint: weaken κ-headed constraints ------------------------------
     let kvar_headed: Vec<usize> = cs
@@ -299,7 +302,7 @@ pub fn solve_with(cs: &ConstraintSet, smt: &mut Solver, opts: SolveOptions) -> L
                 if valid {
                     kept.push(q);
                 } else {
-                    if std::env::var("RSC_DEBUG").is_ok() {
+                    if debug {
                         eprintln!(
                             "[liquid] drop {q} from {k} at `{}`; hyps={:?}",
                             c.blame.message(),

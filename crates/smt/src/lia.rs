@@ -4,10 +4,40 @@
 //! disequalities.
 //!
 //! Soundness contract: [`LiaResult::Infeasible`] is only returned when the
-//! constraints genuinely have no **rational** solution or an integrality
-//! contradiction is explicit (GCD test). Because verification treats only
-//! UNSAT answers as proof, every shortcut in this module errs toward
-//! [`LiaResult::Feasible`].
+//! constraints have no **integer** solution — either no rational one, or an
+//! explicit integrality contradiction (GCD test, tightening). Because
+//! verification treats only UNSAT answers as proof, every shortcut in this
+//! module errs toward [`LiaResult::Feasible`]: the resource caps, and i128
+//! overflow anywhere in the row arithmetic (scaling, addition, the FM
+//! combination step, back-substitution), which answers Feasible instead
+//! of wrapping.
+//!
+//! # Models
+//!
+//! `LiaProblem::feasible_with_model` runs the same elimination but also
+//! records it: each Gaussian substitution `x = image`, and each FM step's
+//! variable with its upper rows (positive coefficient) and lower rows as
+//! they stood when it was eliminated. On a Feasible answer the record is
+//! back-substituted into an integer model, in reverse:
+//!
+//! - FM steps: every eliminated variable gets an integer from the interval
+//!   its recorded rows leave under the values already chosen. FM keeps
+//!   that interval non-empty over the rationals only, so an empty
+//!   *integer* interval gives no model.
+//! - A variable first met with no value yet (no later row constrains it)
+//!   and a variable with an unbounded side take values spread
+//!   deterministically by variable id, so distinct free variables get
+//!   distinct values.
+//! - Gaussian substitutions: `x` takes the value of its image.
+//!
+//! The candidate is then checked, in checked i128 arithmetic, against every
+//! original row (`≤`, `=`, `≠`). The model is `None` whenever an integer
+//! interval is empty, a cap or an overflow cut the elimination short, or
+//! the check fails — so a returned model is a genuine integer solution.
+//! Nelson–Oppen uses this: a model with `x ≠ y` already satisfies one of
+//! the strict separations [`LiaProblem::entails_eq`] would try, and since
+//! Infeasible means "no integer point", that probe could only answer "not
+//! entailed" (see [`crate::theory`]).
 
 use std::collections::BTreeMap;
 
@@ -36,39 +66,42 @@ impl LinExp {
         LinExp { coeffs, konst: 0 }
     }
 
-    /// Adds `c·x` to the expression.
-    pub fn add_term(&mut self, x: u32, c: i128) {
-        let e = self.coeffs.entry(x).or_insert(0);
-        *e += c;
-        if *e == 0 {
+    /// Adds `c·x` to the expression; `None` (expression unchanged) on
+    /// i128 overflow.
+    #[must_use]
+    pub fn add_term(&mut self, x: u32, c: i128) -> Option<()> {
+        let sum = self.coeff(x).checked_add(c)?;
+        if sum == 0 {
             self.coeffs.remove(&x);
+        } else {
+            self.coeffs.insert(x, sum);
         }
+        Some(())
     }
 
-    /// `self + other`.
-    pub fn add(&self, other: &LinExp) -> LinExp {
+    /// `self + other`; `None` on i128 overflow.
+    pub fn add(&self, other: &LinExp) -> Option<LinExp> {
         let mut out = self.clone();
         for (&x, &c) in &other.coeffs {
-            out.add_term(x, c);
+            out.add_term(x, c)?;
         }
-        out.konst += other.konst;
-        out
+        out.konst = out.konst.checked_add(other.konst)?;
+        Some(out)
     }
 
-    /// `self - other`.
-    pub fn sub(&self, other: &LinExp) -> LinExp {
-        self.add(&other.scale(-1))
-    }
-
-    /// `k · self`.
-    pub fn scale(&self, k: i128) -> LinExp {
+    /// `k · self`; `None` on i128 overflow.
+    pub fn scale(&self, k: i128) -> Option<LinExp> {
         if k == 0 {
-            return LinExp::konst(0);
+            return Some(LinExp::konst(0));
         }
-        LinExp {
-            coeffs: self.coeffs.iter().map(|(&x, &c)| (x, c * k)).collect(),
-            konst: self.konst * k,
-        }
+        Some(LinExp {
+            coeffs: self
+                .coeffs
+                .iter()
+                .map(|(&x, &c)| Some((x, c.checked_mul(k)?)))
+                .collect::<Option<_>>()?,
+            konst: self.konst.checked_mul(k)?,
+        })
     }
 
     /// True if the expression has no variables.
@@ -81,14 +114,23 @@ impl LinExp {
         self.coeffs.get(&x).copied().unwrap_or(0)
     }
 
+    /// The value of the expression under `model`; `None` when a variable
+    /// is unassigned or the arithmetic overflows.
+    pub(crate) fn eval(&self, model: &Model) -> Option<i128> {
+        self.coeffs.iter().try_fold(self.konst, |acc, (x, &c)| {
+            acc.checked_add(c.checked_mul(*model.get(x)?)?)
+        })
+    }
+
     /// Integer tightening for `self ≤ 0`: divides by the GCD of the
     /// variable coefficients and rounds the constant up (`Σcᵢxᵢ ≤ -c`
-    /// becomes `Σ(cᵢ/g)xᵢ ≤ ⌊-c/g⌋`).
+    /// becomes `Σ(cᵢ/g)xᵢ ≤ ⌊-c/g⌋`). Division only shrinks magnitudes,
+    /// so this cannot overflow.
     pub fn tighten_le(&self) -> LinExp {
         if self.coeffs.is_empty() {
             return self.clone();
         }
-        let g = self.coeffs.values().fold(0i128, |g, &c| gcd(g, c.abs()));
+        let g = self.coeffs.values().fold(0i128, |g, &c| gcd(g, c));
         if g <= 1 {
             return self.clone();
         }
@@ -99,34 +141,56 @@ impl LinExp {
     }
 }
 
+/// `gcd(|a|, |b|)`, computed on magnitudes so `i128::MIN` cannot
+/// overflow. The one result that does not fit, 2¹²⁷, is reported as 1:
+/// every caller only divides or tests divisibility when the GCD exceeds
+/// 1, so skipping that step is always sound.
 fn gcd(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
     while b != 0 {
         let t = a % b;
         a = b;
         b = t;
     }
-    a
+    i128::try_from(a).unwrap_or(1)
 }
 
+/// `⌈a / b⌉` for `b > 0`. Cannot overflow: the quotient is only rounded
+/// when `b ≥ 2`, which halves its magnitude first.
 fn ceil_div(a: i128, b: i128) -> i128 {
     debug_assert!(b > 0);
-    if a >= 0 {
-        (a + b - 1) / b
+    let q = a / b;
+    if a % b > 0 {
+        q + 1
     } else {
-        -((-a) / b)
+        q
+    }
+}
+
+/// `⌊a / b⌋` for `b > 0`; cannot overflow, as for [`ceil_div`].
+fn floor_div(a: i128, b: i128) -> i128 {
+    debug_assert!(b > 0);
+    let q = a / b;
+    if a % b < 0 {
+        q - 1
+    } else {
+        q
     }
 }
 
 /// The answer of the LIA feasibility check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LiaResult {
-    /// A rational solution exists (and no explicit integrality conflict was
-    /// found); treated as satisfiable.
+    /// No integer infeasibility was proven: a rational solution exists and
+    /// no explicit integrality conflict was found, or a cap or an i128
+    /// overflow stopped the search. Treated as satisfiable.
     Feasible,
     /// No solution exists.
     Infeasible,
 }
+
+/// An integer assignment to the variables of a [`LiaProblem`].
+pub(crate) type Model = BTreeMap<u32, i128>;
 
 /// A conjunction of linear constraints.
 #[derive(Clone, Debug, Default)]
@@ -145,57 +209,105 @@ const MAX_ROWS: usize = 6000;
 const MAX_DISEQ_SPLITS: usize = 14;
 const MAX_ABS_COEFF: i128 = i64::MAX as i128;
 
+/// A verdict plus, for a model-building run, the unchecked candidate model.
+type Outcome = (LiaResult, Option<Model>);
+
+/// The answer when a cap or an overflow stops the elimination.
+const GAVE_UP: Outcome = (LiaResult::Feasible, None);
+const INFEASIBLE: Outcome = (LiaResult::Infeasible, None);
+
+/// One recorded FM step: the eliminated variable with its upper rows
+/// (`pos`, positive coefficient) and lower rows (`neg`).
+struct Elimination {
+    var: u32,
+    pos: Vec<LinExp>,
+    neg: Vec<LinExp>,
+}
+
 impl LiaProblem {
     /// Checks feasibility of the conjunction.
     pub fn feasible(&self) -> LiaResult {
-        self.feasible_depth(0)
+        self.solve(0, false).0
     }
 
-    fn feasible_depth(&self, depth: usize) -> LiaResult {
+    /// [`LiaProblem::feasible`], plus an integer model when the answer is
+    /// Feasible and back-substitution finds one that satisfies every row
+    /// (see the module docs). The verdict is the one `feasible` returns.
+    pub(crate) fn feasible_with_model(&self) -> (LiaResult, Option<Model>) {
+        let (result, model) = self.solve(0, true);
+        (result, model.filter(|m| self.satisfied_by(m)))
+    }
+
+    /// True if `model` satisfies every row.
+    fn satisfied_by(&self, model: &Model) -> bool {
+        let value = |e: &LinExp| e.eval(model);
+        self.les
+            .iter()
+            .all(|e| matches!(value(e), Some(v) if v <= 0))
+            && self.eqs.iter().all(|e| value(e) == Some(0))
+            && self
+                .diseqs
+                .iter()
+                .all(|e| matches!(value(e), Some(v) if v != 0))
+    }
+
+    fn solve(&self, depth: usize, want_model: bool) -> Outcome {
         // Disequality case splitting: e ≠ 0 ⇔ e ≤ -1 ∨ -e ≤ -1.
         if let Some((d, rest)) = self.diseqs.split_first() {
             if depth >= MAX_DISEQ_SPLITS {
-                return LiaResult::Feasible;
+                return GAVE_UP;
             }
             if d.is_const() {
                 if d.konst == 0 {
-                    return LiaResult::Infeasible;
+                    return INFEASIBLE;
                 }
                 let sub = LiaProblem {
                     les: self.les.clone(),
                     eqs: self.eqs.clone(),
                     diseqs: rest.to_vec(),
                 };
-                return sub.feasible_depth(depth);
+                return sub.solve(depth, want_model);
             }
-            for signed in [d.clone(), d.scale(-1)] {
+            let Some(negated) = d.scale(-1) else {
+                return GAVE_UP;
+            };
+            for signed in [d, &negated] {
+                // e + 1 ≤ 0  i.e.  e ≤ -1
+                let Some(e) = signed.add(&LinExp::konst(1)) else {
+                    return GAVE_UP;
+                };
                 let mut sub = LiaProblem {
                     les: self.les.clone(),
                     eqs: self.eqs.clone(),
                     diseqs: rest.to_vec(),
                 };
-                let mut e = signed;
-                e.konst += 1; // e + 1 ≤ 0  i.e.  e ≤ -1
                 sub.les.push(e);
-                if sub.feasible_depth(depth + 1) == LiaResult::Feasible {
-                    return LiaResult::Feasible;
+                let outcome = sub.solve(depth + 1, want_model);
+                if outcome.0 == LiaResult::Feasible {
+                    return outcome;
                 }
             }
-            return LiaResult::Infeasible;
+            return INFEASIBLE;
         }
-        self.feasible_no_diseqs()
+        self.eliminate(want_model)
     }
 
-    fn feasible_no_diseqs(&self) -> LiaResult {
+    /// Gaussian substitution, then Fourier–Motzkin elimination, over a
+    /// problem without disequalities. With `want_model`, the steps are
+    /// recorded and a Feasible answer carries the back-substituted
+    /// (not yet row-checked) candidate model.
+    fn eliminate(&self, want_model: bool) -> Outcome {
         let mut les: Vec<LinExp> = self.les.iter().map(LinExp::tighten_le).collect();
         let mut eqs: Vec<LinExp> = self.eqs.clone();
+        let mut substitutions: Vec<(u32, LinExp)> = Vec::new();
+        let mut eliminations: Vec<Elimination> = Vec::new();
 
         // Gaussian substitution using equalities.
         while let Some(pos) = eqs.iter().position(|e| !e.is_const()) {
             let e = eqs.swap_remove(pos);
-            let g = e.coeffs.values().fold(0i128, |g, &c| gcd(g, c.abs()));
+            let g = e.coeffs.values().fold(0i128, |g, &c| gcd(g, c));
             if g > 1 && e.konst % g != 0 {
-                return LiaResult::Infeasible; // e.g. 2x = 1
+                return INFEASIBLE; // e.g. 2x = 1
             }
             let e = if g > 1 {
                 LinExp {
@@ -212,20 +324,32 @@ impl LiaProblem {
                     // c·x + rest = 0  =>  x = -rest/c
                     let mut rest = e.clone();
                     rest.coeffs.remove(&x);
-                    let image = rest.scale(-c); // c in {1,-1}: x = -c·rest
-                    substitute(&mut les, x, &image);
-                    substitute(&mut eqs, x, &image);
+                    // c in {1,-1}: x = -c·rest
+                    let Some(image) = rest.scale(-c) else {
+                        return GAVE_UP;
+                    };
+                    if substitute(&mut les, x, &image).is_none()
+                        || substitute(&mut eqs, x, &image).is_none()
+                    {
+                        return GAVE_UP;
+                    }
+                    if want_model {
+                        substitutions.push((x, image));
+                    }
                 }
                 None => {
                     // No unit coefficient: fall back to a pair of inequalities.
-                    les.push(e.clone());
-                    les.push(e.scale(-1));
+                    let Some(negated) = e.scale(-1) else {
+                        return GAVE_UP;
+                    };
+                    les.push(e);
+                    les.push(negated);
                 }
             }
         }
         for e in &eqs {
             if e.konst != 0 {
-                return LiaResult::Infeasible;
+                return INFEASIBLE;
             }
         }
 
@@ -234,15 +358,20 @@ impl LiaProblem {
             // Constant rows first.
             for e in &les {
                 if e.is_const() && e.konst > 0 {
-                    return LiaResult::Infeasible;
+                    return INFEASIBLE;
                 }
             }
             les.retain(|e| !e.is_const());
             if les.is_empty() {
-                return LiaResult::Feasible;
+                let model = if want_model {
+                    back_substitute(&substitutions, &eliminations)
+                } else {
+                    None
+                };
+                return (LiaResult::Feasible, model);
             }
             if les.len() > MAX_ROWS {
-                return LiaResult::Feasible; // resource cap: conservative
+                return GAVE_UP; // resource cap: conservative
             }
             // Pick the variable minimizing |pos|·|neg| fill-in.
             let mut counts: BTreeMap<u32, (usize, usize)> = BTreeMap::new();
@@ -277,16 +406,22 @@ impl LiaProblem {
                 for n in &neg {
                     let a = p.coeff(x); // > 0
                     let b = -n.coeff(x); // > 0
-                    if a.abs() > MAX_ABS_COEFF / (b.abs().max(1)) {
-                        return LiaResult::Feasible; // overflow guard
+                    if a > MAX_ABS_COEFF / b {
+                        return GAVE_UP; // coefficient guard
                     }
-                    let combo = p.scale(b).add(&n.scale(a));
+                    let Some(combo) = p.scale(b).zip(n.scale(a)).and_then(|(pb, na)| pb.add(&na))
+                    else {
+                        return GAVE_UP;
+                    };
                     debug_assert_eq!(combo.coeff(x), 0);
                     rest.push(combo.tighten_le());
                 }
             }
             if rest.len() > MAX_ROWS {
-                return LiaResult::Feasible;
+                return GAVE_UP;
+            }
+            if want_model {
+                eliminations.push(Elimination { var: x, pos, neg });
             }
             les = rest;
         }
@@ -303,7 +438,7 @@ impl LiaProblem {
         for (lo, hi) in [(x, y), (y, x)] {
             // lo < hi  i.e.  lo - hi + 1 ≤ 0
             let mut e = LinExp::var(lo);
-            e.add_term(hi, -1);
+            e.add_term(hi, -1).expect("unit coefficients");
             e.konst += 1;
             self.les.push(e);
             let feasible = self.feasible() == LiaResult::Feasible;
@@ -317,24 +452,87 @@ impl LiaProblem {
     }
 }
 
-fn substitute(rows: &mut [LinExp], x: u32, image: &LinExp) {
+/// `rows[i] := rows[i][x := image]`; `None` on i128 overflow.
+fn substitute(rows: &mut [LinExp], x: u32, image: &LinExp) -> Option<()> {
     for e in rows.iter_mut() {
         let c = e.coeff(x);
         if c != 0 {
             e.coeffs.remove(&x);
-            *e = e.add(&image.scale(c));
+            *e = e.add(&image.scale(c)?)?;
         }
     }
+    Some(())
+}
+
+/// The value a variable takes where nothing pins it: distinct, small and
+/// positive per id, so free variables are pairwise separated.
+fn spread(x: u32) -> i128 {
+    i128::from(x) + 1
+}
+
+/// `row` without its `skip` term, evaluated under `model`; a variable
+/// without a value gets its [`spread`] value first.
+fn eval_assigning(row: &LinExp, skip: u32, model: &mut Model) -> Option<i128> {
+    let mut acc = row.konst;
+    for (&y, &c) in &row.coeffs {
+        if y != skip {
+            let v = *model.entry(y).or_insert_with(|| spread(y));
+            acc = acc.checked_add(c.checked_mul(v)?)?;
+        }
+    }
+    Some(acc)
+}
+
+/// Replays the recorded elimination backwards into a candidate model
+/// (module docs); `None` when an integer interval is empty or the
+/// arithmetic overflows.
+fn back_substitute(substitutions: &[(u32, LinExp)], eliminations: &[Elimination]) -> Option<Model> {
+    let mut model = Model::new();
+    for step in eliminations.iter().rev() {
+        let (mut lo, mut hi): (Option<i128>, Option<i128>) = (None, None);
+        for row in &step.pos {
+            // a·x + r ≤ 0 with a > 0:  x ≤ ⌊-r / a⌋
+            let r = eval_assigning(row, step.var, &mut model)?;
+            let bound = floor_div(r.checked_neg()?, row.coeff(step.var));
+            hi = Some(hi.map_or(bound, |h| h.min(bound)));
+        }
+        for row in &step.neg {
+            // -b·x + r ≤ 0 with b > 0:  x ≥ ⌈r / b⌉
+            let r = eval_assigning(row, step.var, &mut model)?;
+            let bound = ceil_div(r, row.coeff(step.var).checked_neg()?);
+            lo = Some(lo.map_or(bound, |l| l.max(bound)));
+        }
+        let off = spread(step.var);
+        let value = match (lo, hi) {
+            (Some(l), Some(h)) if l > h => return None,
+            // A value inside the interval, offset by id so bounded
+            // variables sharing an interval still tend to differ.
+            (Some(l), Some(h)) => match h.checked_sub(l).and_then(|w| w.checked_add(1)) {
+                Some(width) => l + off % width,
+                None => l,
+            },
+            (Some(l), None) => l.checked_add(off)?,
+            (None, Some(h)) => h.checked_sub(off)?,
+            (None, None) => off,
+        };
+        model.insert(step.var, value);
+    }
+    for (x, image) in substitutions.iter().rev() {
+        let v = eval_assigning(image, *x, &mut model)?;
+        model.insert(*x, v);
+    }
+    Some(model)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn le(pairs: &[(u32, i128)], k: i128) -> LinExp {
         let mut e = LinExp::konst(k);
         for &(x, c) in pairs {
-            e.add_term(x, c);
+            e.add_term(x, c).expect("small test coefficients");
         }
         e
     }
@@ -476,5 +674,138 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(p.feasible(), LiaResult::Infeasible);
+    }
+
+    #[test]
+    fn model_satisfies_rows_and_separates_free_variables() {
+        // 0 ≤ i ∧ i + 1 ≤ n ∧ m = n + 2, with j unconstrained but present.
+        let p = LiaProblem {
+            les: vec![
+                le(&[(0, -1)], 0),
+                le(&[(0, 1), (1, -1)], 1),
+                le(&[(3, 1), (3, -1)], 0),
+            ],
+            eqs: vec![le(&[(2, 1), (1, -1)], -2)],
+            diseqs: vec![le(&[(0, 1), (4, -1)], 0)],
+        };
+        let (result, model) = p.feasible_with_model();
+        assert_eq!(result, LiaResult::Feasible);
+        let m = model.expect("a model");
+        assert!(m[&0] >= 0 && m[&0] < m[&1]);
+        assert_eq!(m[&2], m[&1] + 2);
+        assert_ne!(m[&0], m[&4]);
+    }
+
+    #[test]
+    fn no_model_when_infeasible_or_integer_interval_empty() {
+        let p = LiaProblem {
+            les: vec![le(&[(0, 1)], 0), le(&[(0, -1)], 1)],
+            ..Default::default()
+        };
+        assert_eq!(p.feasible_with_model(), (LiaResult::Infeasible, None));
+        // 2x ≤ y ≤ 2x + 1 is feasible for every y, but for odd y the
+        // projection's integer interval for x is [⌈y/2⌉, ⌊y/2⌋], empty.
+        // Whatever the back-substitution picks, a returned model is real.
+        let q = LiaProblem {
+            les: vec![le(&[(0, 2), (1, -1)], 0), le(&[(0, -2), (1, 1)], -1)],
+            ..Default::default()
+        };
+        let (result, model) = q.feasible_with_model();
+        assert_eq!(result, LiaResult::Feasible);
+        if let Some(m) = model {
+            assert!(2 * m[&0] <= m[&1] && m[&1] <= 2 * m[&0] + 1);
+        }
+    }
+
+    #[test]
+    fn i64_range_coefficients_do_not_overflow() {
+        // The guards of `tests/corpus_regressions/r0011_fm_overflow.rsc`
+        // (a, b, c, d = 0..4) plus the negated assertion a ≥ 0. Combining
+        // them overflows i128 unless the row arithmetic is checked; a=0,
+        // b=-8, c=-10, d=100 satisfies every row, so the only correct
+        // answer is Feasible.
+        let big = 9_000_000_000_000_000_000;
+        let rows = vec![
+            le(&[(0, 2), (2, 14)], 3),
+            le(&[(0, big), (1, 1), (2, -1)], -2),
+            le(&[(2, big - 4), (3, 1)], 0),
+            le(&[(0, -1), (1, -1), (3, -6)], -3),
+            le(&[(0, 2), (1, big - 3), (2, -1)], 0),
+            le(&[(0, -1)], 0),
+        ];
+        let witness: Model = [(0, 0), (1, -8), (2, -10), (3, 100)].into();
+        assert!(rows
+            .iter()
+            .all(|e| e.eval(&witness).is_some_and(|v| v <= 0)));
+        let mut p = LiaProblem {
+            les: rows,
+            ..Default::default()
+        };
+        assert_eq!(p.feasible(), LiaResult::Feasible);
+        assert_eq!(p.feasible_with_model().0, LiaResult::Feasible);
+        for x in 0..4 {
+            for y in (x + 1)..4 {
+                assert!(!p.entails_eq(x, y));
+            }
+        }
+    }
+
+    fn arb_coeff() -> impl Strategy<Value = i64> {
+        prop_oneof![-3i64..=3, -3i64..=3, -3i64..=3, (i64::MIN + 1)..=i64::MAX]
+    }
+
+    /// One row: a coefficient per variable, a constant, and the relation
+    /// (0: `≤ 0`, 1: `= 0`, 2: `≠ 0`).
+    fn arb_row() -> impl Strategy<Value = (Vec<i64>, i64, u8)> {
+        (prop::collection::vec(arb_coeff(), 4), arb_coeff(), 0u8..3)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1500))]
+        #[test]
+        fn model_contract(nvars in 2usize..=4, rows in prop::collection::vec(arb_row(), 1..7)) {
+            let mut p = LiaProblem::default();
+            let mut relations = Vec::new();
+            for (coeffs, k, op) in &rows {
+                let mut e = LinExp::konst(i128::from(*k));
+                for (x, &c) in coeffs.iter().take(nvars).enumerate() {
+                    e.add_term(x as u32, i128::from(c)).expect("i64 coefficients fit");
+                }
+                relations.push((e.clone(), *op));
+                match op {
+                    0 => p.les.push(e),
+                    1 => p.eqs.push(e),
+                    _ => p.diseqs.push(e),
+                }
+            }
+            let (result, model) = p.feasible_with_model();
+            prop_assert_eq!(result, p.feasible());
+            if let Some(m) = &model {
+                prop_assert_eq!(result, LiaResult::Feasible);
+                // Re-evaluate every row independently of `LinExp::eval`.
+                for (e, op) in &relations {
+                    let mut v = e.konst;
+                    for (x, &c) in &e.coeffs {
+                        let term = c.checked_mul(m[x]).expect("model value in range");
+                        v = v.checked_add(term).expect("model value in range");
+                    }
+                    let holds = match op {
+                        0 => v <= 0,
+                        1 => v == 0,
+                        _ => v != 0,
+                    };
+                    prop_assert!(holds, "model {:?} violates {:?} (relation {})", m, e, op);
+                }
+            }
+            for x in 0..nvars as u32 {
+                for y in (x + 1)..nvars as u32 {
+                    let separated = model
+                        .as_ref()
+                        .is_some_and(|m| matches!((m.get(&x), m.get(&y)), (Some(a), Some(b)) if a != b));
+                    let entailed = p.entails_eq(x, y);
+                    prop_assert!(!(separated && entailed), "separated pair {} {} entailed", x, y);
+                }
+            }
+        }
     }
 }

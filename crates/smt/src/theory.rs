@@ -1,11 +1,27 @@
 //! Theory combination: congruence closure (EUF) plus linear integer
 //! arithmetic, glued by a bounded Nelson–Oppen equality-propagation loop.
+//!
+//! Each round probes candidate pairs `x = y?` with
+//! [`LiaProblem::entails_eq`], at most `MAX_EQ_PROBE_PAIRS` per round.
+//! Most probes answer "not entailed", so the round first takes an integer
+//! model from the feasibility run it already makes
+//! (`LiaProblem::feasible_with_model`) and skips every probe whose two
+//! variables the model assigns different values. The skip is exact: the
+//! model is a checked integer solution of the round's rows with `x ≠ y`,
+//! so it satisfies one of the two strict separations `entails_eq` tries,
+//! and FM answers Infeasible only when no integer point exists — the probe
+//! could only have answered "not entailed". A skipped pair still counts
+//! against the probe budget, so the probe sequence, every verdict, every
+//! conflict core (and with it every blocking clause and SAT trajectory)
+//! is exactly the one the unskipped loop produces. When no model is
+//! available (an empty integer interval, a cap, an overflow), every
+//! pair is probed.
 
 use rsc_logic::Sort;
 
 use crate::atom::{AtomData, AtomId, NLinExp};
 use crate::euf::{Euf, EufResult};
-use crate::lia::{LiaProblem, LinExp};
+use crate::lia::{LiaProblem, LiaResult, LinExp};
 use crate::node::{Arena, ConstKind, Node, NodeId};
 
 /// The verdict of a theory consistency check over a full propositional
@@ -64,10 +80,11 @@ pub fn minimize_core(
 
 /// Derives variable values implied by single-variable linear equalities,
 /// propagating until a fixpoint (e.g. `x - 5 = 0` gives `x = 5`, which may
-/// determine further equations).
-fn derive_constants(eqs: &[crate::lia::LinExp]) -> std::collections::HashMap<u32, i128> {
+/// determine further equations). A row whose substitution overflows i128
+/// is left alone: deriving fewer values is always sound.
+fn derive_constants(eqs: &[LinExp]) -> std::collections::HashMap<u32, i128> {
     let mut values: std::collections::HashMap<u32, i128> = std::collections::HashMap::new();
-    let mut work: Vec<crate::lia::LinExp> = eqs.to_vec();
+    let mut work: Vec<LinExp> = eqs.to_vec();
     loop {
         let mut changed = false;
         for e in &mut work {
@@ -75,16 +92,23 @@ fn derive_constants(eqs: &[crate::lia::LinExp]) -> std::collections::HashMap<u32
             let known: Vec<(u32, i128)> = e
                 .coeffs
                 .iter()
-                .filter_map(|(&x, &c)| values.get(&x).map(|v| (x, c * v)))
+                .filter_map(|(&x, &c)| values.get(&x).and_then(|v| Some((x, c.checked_mul(*v)?))))
                 .collect();
             for (x, add) in known {
+                let Some(k) = e.konst.checked_add(add) else {
+                    break;
+                };
                 e.coeffs.remove(&x);
-                e.konst += add;
+                e.konst = k;
             }
             if e.coeffs.len() == 1 {
                 let (&x, &c) = e.coeffs.iter().next().unwrap();
-                if c != 0 && e.konst % c == 0 {
-                    let v = -e.konst / c;
+                if let Some(v) = e
+                    .konst
+                    .checked_rem(c)
+                    .filter(|&r| r == 0)
+                    .and_then(|_| e.konst.checked_div(c)?.checked_neg())
+                {
                     if values.insert(x, v) != Some(v) {
                         changed = true;
                     }
@@ -239,21 +263,27 @@ pub fn check_scoped(
         }
 
         // --- LIA phase -----------------------------------------------------
-        let translate = |euf: &mut Euf, l: &NLinExp| -> LinExp {
+        // A row whose translation overflows i128 is left out of the
+        // problem: that only weakens it (Infeasible stays a sound conflict,
+        // and a skipped probe's model still satisfies the probed rows).
+        let translate = |euf: &mut Euf, l: &NLinExp| -> Option<LinExp> {
             let mut out = LinExp::konst(l.konst);
             for (&n, &c) in &l.coeffs {
                 let rep = euf.find(n);
                 match arena.const_kind(rep) {
-                    Some(ConstKind::Int(v)) => out.konst += c * v as i128,
-                    _ => out.add_term(rep.0, c),
+                    Some(ConstKind::Int(v)) => {
+                        out.konst = out.konst.checked_add(c.checked_mul(v as i128)?)?;
+                    }
+                    _ => out.add_term(rep.0, c)?,
                 }
             }
-            out
+            Some(out)
         };
         let mut prob = LiaProblem::default();
         for d in defs {
-            let e = translate(&mut euf, d);
-            prob.eqs.push(e);
+            if let Some(e) = translate(&mut euf, d) {
+                prob.eqs.push(e);
+            }
         }
         for &AtomId(i) in &involved {
             let a = &atoms[i as usize];
@@ -262,18 +292,22 @@ pub fn check_scoped(
             };
             match a {
                 AtomData::LinLe(l) => {
-                    let e = translate(&mut euf, l);
+                    let Some(e) = translate(&mut euf, l) else {
+                        continue;
+                    };
                     if pol {
                         prob.les.push(e);
                     } else {
                         // ¬(e ≤ 0) over integers: -e + 1 ≤ 0.
-                        let mut neg = e.scale(-1);
-                        neg.konst += 1;
-                        prob.les.push(neg);
+                        if let Some(neg) = e.scale(-1).and_then(|n| n.add(&LinExp::konst(1))) {
+                            prob.les.push(neg);
+                        }
                     }
                 }
                 AtomData::IntEq(l, _) => {
-                    let e = translate(&mut euf, l);
+                    let Some(e) = translate(&mut euf, l) else {
+                        continue;
+                    };
                     if pol {
                         prob.eqs.push(e);
                     } else {
@@ -308,8 +342,8 @@ pub fn check_scoped(
                 };
                 let value = match op {
                     "mul" => va.checked_mul(vb),
-                    "div" if vb != 0 => Some(va / vb),
-                    "mod" if vb != 0 => Some(va % vb),
+                    "div" => va.checked_div(vb),
+                    "mod" => va.checked_rem(vb),
                     _ => None,
                 };
                 if let Some(v) = value {
@@ -321,15 +355,19 @@ pub fn check_scoped(
                             }
                             continue;
                         }
-                        _ => crate::lia::LinExp::var(rep.0),
+                        _ => LinExp::var(rep.0),
                     };
-                    e.konst = -v;
+                    let Some(k) = v.checked_neg() else {
+                        continue;
+                    };
+                    e.konst = k;
                     prob.eqs.push(e);
                 }
             }
         }
 
-        if prob.feasible() == crate::lia::LiaResult::Infeasible {
+        let (feasibility, model) = prob.feasible_with_model();
+        if feasibility == LiaResult::Infeasible {
             return TheoryVerdict::Conflict(involved);
         }
 
@@ -351,9 +389,16 @@ pub fn check_scoped(
         }
         // A probe `x = y?` can only be entailed when both variables occur
         // in some row — an unconstrained variable always admits a strict
-        // separation. Skipped probes still count against the budget, so
-        // the probe sequence (and thus the verdict) is exactly the one
-        // the unfiltered loop would produce, minus the doomed solves.
+        // separation — and when the model (if any) gives them the same
+        // value (module docs). Skipped probes still count against the
+        // budget, so the probe sequence (and thus the verdict) is exactly
+        // the one the unfiltered loop would produce, minus the doomed
+        // solves.
+        let separated = |x: u32, y: u32| {
+            model
+                .as_ref()
+                .is_some_and(|m| matches!((m.get(&x), m.get(&y)), (Some(a), Some(b)) if a != b))
+        };
         let mut bounded: std::collections::HashSet<u32> = std::collections::HashSet::new();
         for e in prob
             .les
@@ -372,7 +417,11 @@ pub fn check_scoped(
                 }
                 probes += 1;
                 let (x, y) = (candidates[i], candidates[j]);
-                if bounded.contains(&x.0) && bounded.contains(&y.0) && prob.entails_eq(x.0, y.0) {
+                if bounded.contains(&x.0)
+                    && bounded.contains(&y.0)
+                    && !separated(x.0, y.0)
+                    && prob.entails_eq(x.0, y.0)
+                {
                     found = Some((x, y));
                     break 'outer;
                 }

@@ -16,6 +16,7 @@
 use rsc_bench::{benchmark_names, load_benchmark};
 use rsc_core::{check_program, CheckResult, CheckerOptions};
 use rsc_incr::CheckSession;
+use rsc_smt::SolverStats;
 
 fn options(incremental: bool, jobs: usize) -> CheckerOptions {
     CheckerOptions {
@@ -108,4 +109,61 @@ fn disk_cache_warm_matches_cold_on_corpus() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The solver's deterministic work counters on the 14 `corpus-cold`
+/// inputs (7 clean programs, 7 seeded bugs) at one worker, pinned
+/// against `tests/golden/solver-counters.txt`. Solver-internal
+/// shortcuts (model-guided probe skipping, caps, core minimization)
+/// must keep every SAT trajectory identical, so these counts may only
+/// move with a deliberate change to what the solver decides.
+///
+/// Regenerate the fixture with `UPDATE_GOLDEN=1 cargo test -q --test
+/// solver_equivalence solver_counters` after an intentional change.
+#[test]
+fn solver_counters_match_golden() {
+    let inputs = corpus();
+    assert_eq!(inputs.len(), 14, "7 clean programs + 7 seeded bugs");
+    let line = |name: &str, smt: &SolverStats, queries: u64, discharged: u64| {
+        format!(
+            "{name}: queries={} valid={} sat_rounds={} theory_conflicts={} \
+             smt_queries={queries} discharged={discharged}\n",
+            smt.queries, smt.valid, smt.sat_rounds, smt.theory_conflicts,
+        )
+    };
+    let mut rendered = String::new();
+    let (mut total, mut total_queries, mut total_discharged) = (SolverStats::default(), 0, 0);
+    for (name, src) in inputs {
+        let r = check_program(&src, options(true, 1));
+        let mut smt = SolverStats::default();
+        for b in &r.bundle_reports {
+            smt.merge(&b.smt);
+        }
+        rendered.push_str(&line(
+            &name,
+            &smt,
+            r.stats.smt_queries,
+            r.stats.obligations_discharged,
+        ));
+        total.merge(&smt);
+        total_queries += r.stats.smt_queries;
+        total_discharged += r.stats.obligations_discharged;
+    }
+    rendered.push_str(&line("total", &total, total_queries, total_discharged));
+    let golden =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/solver-counters.txt");
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&golden, &rendered).expect("write golden fixture");
+        return;
+    }
+    let expected = std::fs::read_to_string(&golden).unwrap_or_else(|e| {
+        panic!(
+            "missing golden fixture {} ({e}); run with UPDATE_GOLDEN=1 to create it",
+            golden.display()
+        )
+    });
+    assert_eq!(
+        rendered, expected,
+        "solver work counters drifted from tests/golden/solver-counters.txt"
+    );
 }
