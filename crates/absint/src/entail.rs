@@ -1,10 +1,13 @@
 //! Abstract entailment over [`rsc_logic`] predicates: the discharge
 //! decision procedure of the pre-solve tier.
 //!
-//! [`FactEnv::assume`] folds a hypothesis conjunction into per-atom
+//! [`FactEnv::of_hyps`] folds a hypothesis conjunction into per-atom
 //! abstract values (atoms are variables and `len(x)` applications);
 //! [`FactEnv::entails`] then decides whether a goal predicate holds in
-//! every concrete state the abstract one describes.
+//! every concrete state the abstract one describes. `entails` never
+//! mutates the environment (union-find roots are looked up without path
+//! compression on the query side), so one fold answers every goal over
+//! the same hypotheses exactly as a fresh fold per goal would.
 //!
 //! **Soundness contract (discharge-only).** A discharge must be
 //! re-derivable by the SMT solver from the *same* hypotheses, so this
@@ -27,7 +30,9 @@
 //!
 //! Anything the module cannot track is ignored on the assumption side
 //! (weaker hypotheses can only make entailment harder) and unprovable on
-//! the goal side — both conservative directions.
+//! the goal side — both conservative directions. That includes every
+//! term whose i128 arithmetic overflows; an interval bound that
+//! overflows is unbounded.
 
 use std::collections::HashMap;
 
@@ -50,7 +55,10 @@ enum Atom {
     Len(Sym),
 }
 
-/// A linear combination `Σ cᵢ·atomᵢ + konst` (i128 to dodge overflow).
+/// A linear combination `Σ cᵢ·atomᵢ + konst` over i128. Every operation
+/// is checked: an i128 overflow yields `None`, and a combination that
+/// cannot be formed is not linearizable (ignored as a hypothesis,
+/// unprovable as a goal).
 #[derive(Clone, Debug, Default, PartialEq)]
 struct Lin {
     coeffs: Vec<(Atom, i128)>,
@@ -72,32 +80,39 @@ impl Lin {
         }
     }
 
-    fn add_term(&mut self, a: Atom, c: i128) {
+    #[must_use]
+    fn add_term(&mut self, a: Atom, c: i128) -> Option<()> {
         if let Some(e) = self.coeffs.iter_mut().find(|(b, _)| *b == a) {
-            e.1 += c;
+            e.1 = e.1.checked_add(c)?;
         } else {
             self.coeffs.push((a, c));
         }
         self.coeffs.retain(|(_, c)| *c != 0);
+        Some(())
     }
 
-    fn add(mut self, other: &Lin) -> Lin {
+    fn add(mut self, other: &Lin) -> Option<Lin> {
         for (a, c) in &other.coeffs {
-            self.add_term(a.clone(), *c);
+            self.add_term(a.clone(), *c)?;
         }
-        self.konst += other.konst;
-        self
+        self.konst = self.konst.checked_add(other.konst)?;
+        Some(self)
     }
 
-    fn scale(mut self, k: i128) -> Lin {
+    fn scale(mut self, k: i128) -> Option<Lin> {
         if k == 0 {
-            return Lin::konst(0);
+            return Some(Lin::konst(0));
         }
         for e in &mut self.coeffs {
-            e.1 *= k;
+            e.1 = e.1.checked_mul(k)?;
         }
-        self.konst *= k;
-        self
+        self.konst = self.konst.checked_mul(k)?;
+        Some(self)
+    }
+
+    /// `self − other`.
+    fn sub(self, other: Lin) -> Option<Lin> {
+        self.add(&other.scale(-1)?)
     }
 }
 
@@ -163,6 +178,50 @@ impl FactEnv {
         }
     }
 
+    /// Folds a hypothesis conjunction into one environment, to a local
+    /// fixpoint: relational chains like `x = y ∧ 0 ≤ x` need a second
+    /// pass to reach `y`. `None` when the hypotheses carry more than
+    /// [`MAX_INT_DISEQS`] integer disequalities — such a list never
+    /// discharges anything. The result answers any number of goals
+    /// through the read-only [`FactEnv::entails`].
+    pub fn of_hyps(binders: &[(Sym, Sort)], hyps: &[Pred]) -> Option<FactEnv> {
+        let mut env = FactEnv::new(binders);
+        // Up to three passes over the hypotheses: assume-order
+        // independence for short chains, deterministic by construction.
+        for _ in 0..3 {
+            let before = (
+                env.itvs.clone(),
+                env.rows.len(),
+                env.substs.len(),
+                env.truths.len(),
+                env.nulls.len(),
+                env.bottom,
+            );
+            env.int_diseqs = 0;
+            for h in hyps {
+                env.assume(h);
+            }
+            if env.int_diseqs > MAX_INT_DISEQS {
+                return None;
+            }
+            if env.bottom {
+                break;
+            }
+            let after = (
+                env.itvs.clone(),
+                env.rows.len(),
+                env.substs.len(),
+                env.truths.len(),
+                env.nulls.len(),
+                env.bottom,
+            );
+            if after == before {
+                break;
+            }
+        }
+        Some(env)
+    }
+
     /// True when the hypotheses were found contradictory (the program
     /// point is unreachable; every goal is entailed).
     pub fn is_bottom(&self) -> bool {
@@ -174,24 +233,16 @@ impl FactEnv {
         self.int_diseqs
     }
 
+    /// The union-find root of `x`, without path compression: the query
+    /// side never mutates the environment, so one folded environment
+    /// answers any number of goals exactly as a fresh one would.
+    fn find(&self, x: &Sym) -> Sym {
+        find_root(&self.parents, x)
+    }
+
+    /// The union-find root of `x`, compressing its path (assume side).
     fn root(&mut self, x: &Sym) -> Sym {
-        let mut r = x.clone();
-        while let Some(p) = self.parents.get(&r) {
-            if p == &r {
-                break;
-            }
-            r = p.clone();
-        }
-        // Path compression.
-        let mut cur = x.clone();
-        while let Some(p) = self.parents.get(&cur).cloned() {
-            if p == r {
-                break;
-            }
-            self.parents.insert(cur.clone(), r.clone());
-            cur = p;
-        }
-        r
+        compress_root(&mut self.parents, x)
     }
 
     fn union(&mut self, x: &Sym, y: &Sym) {
@@ -241,44 +292,17 @@ impl FactEnv {
         }
     }
 
-    /// Linearizes an integer term over tracked atoms. `None` = contains
-    /// something the solver leaves uninterpreted (or untracked).
-    fn lin(&mut self, t: &Term) -> Option<Lin> {
-        match t {
-            Term::IntLit(n) => Some(Lin::konst(*n as i128)),
-            Term::Var(x) if self.sorts.get(x) == Some(&Sort::Int) => {
-                Some(Lin::atom(Atom::Var(x.clone())))
-            }
-            Term::Neg(a) => Some(self.lin(a)?.scale(-1)),
-            Term::App(f, args) if f.as_str() == "len" && args.len() == 1 => match &args[0] {
-                Term::Var(x) if self.sorts.get(x) == Some(&Sort::Ref) => {
-                    let r = self.root(x);
-                    Some(Lin::atom(Atom::Len(r)))
-                }
-                _ => None,
-            },
-            Term::Bin(op, a, b) => {
-                let la = self.lin(a)?;
-                let lb = self.lin(b)?;
-                match op {
-                    BinOp::Add => Some(la.add(&lb)),
-                    BinOp::Sub => Some(la.add(&lb.scale(-1))),
-                    BinOp::Mul => {
-                        if la.coeffs.is_empty() {
-                            Some(lb.scale(la.konst))
-                        } else if lb.coeffs.is_empty() {
-                            Some(la.scale(lb.konst))
-                        } else {
-                            None // nonlinear: uninterpreted at the SMT layer
-                        }
-                    }
-                    // `div`/`mod` are uninterpreted unless both sides are
-                    // constants, in which case `Term::bin` already folded.
-                    BinOp::Div | BinOp::Mod | BinOp::BvAnd | BinOp::BvOr => None,
-                }
-            }
-            _ => None,
-        }
+    /// Linearizes an integer term for the query side (`len` arguments
+    /// resolved without path compression).
+    fn lin(&self, t: &Term) -> Option<Lin> {
+        lin_over(&self.sorts, t, &mut |x| self.find(x))
+    }
+
+    /// Linearizes an integer term for the assume side, compressing the
+    /// union-find path of every `len` argument it resolves.
+    fn lin_mut(&mut self, t: &Term) -> Option<Lin> {
+        let FactEnv { sorts, parents, .. } = self;
+        lin_over(sorts, t, &mut |x| compress_root(parents, x))
     }
 
     fn itv_of(&self, a: &Atom) -> Interval {
@@ -288,21 +312,30 @@ impl FactEnv {
     /// Rewrites a combination through the equality substitutions until
     /// no substituted variable remains. Terminates because the
     /// substitution graph is acyclic; the iteration cap is a backstop.
-    fn expand(&self, mut l: Lin) -> Lin {
+    /// `None` on i128 overflow.
+    fn expand(&self, mut l: Lin) -> Option<Lin> {
         for _ in 0..64 {
             let Some(pos) = l
                 .coeffs
                 .iter()
                 .position(|(a, _)| matches!(a, Atom::Var(x) if self.substs.contains_key(x)))
             else {
-                return l;
+                return Some(l);
             };
             let (atom, c) = l.coeffs.remove(pos);
             let Atom::Var(x) = atom else { unreachable!() };
             let rhs = self.substs[&x].clone();
-            l = l.add(&rhs.scale(c));
+            l = l.add(&rhs.scale(c)?)?;
         }
-        l
+        Some(l)
+    }
+
+    /// The expanded difference `a − b` of two integer terms (assume
+    /// side); `None` when either side is not linearizable.
+    fn diff_mut(&mut self, a: &Term, b: &Term) -> Option<Lin> {
+        let la = self.lin_mut(a)?;
+        let lb = self.lin_mut(b)?;
+        self.expand(la.sub(lb)?)
     }
 
     /// Records `l ≤ 0` as a known row and refines atom intervals from
@@ -331,14 +364,18 @@ impl FactEnv {
         // c·x + rest = 0  ⇒  x = rest·(−1/c).
         let mut rest = d.clone();
         rest.coeffs.retain(|(a, _)| *a != Atom::Var(x.clone()));
-        let rhs = rest.scale(-c);
+        let Some(rhs) = rest.scale(-c) else { return };
         self.substs.insert(x, rhs);
     }
 
-    /// Interval bounds of a linear combination.
+    /// Interval bounds of a linear combination; a bound whose arithmetic
+    /// overflows i128 is unbounded (`None`).
     fn eval(&self, l: &Lin) -> (Option<i128>, Option<i128>) {
         let mut lo = Some(l.konst);
         let mut hi = Some(l.konst);
+        let step = |acc: Option<i128>, c: i128, b: Option<i64>| {
+            acc?.checked_add(c.checked_mul(i128::from(b?))?)
+        };
         for (a, c) in &l.coeffs {
             let itv = self.itv_of(a);
             let (alo, ahi) = if *c >= 0 {
@@ -346,14 +383,8 @@ impl FactEnv {
             } else {
                 (itv.hi, itv.lo)
             };
-            lo = match (lo, alo) {
-                (Some(acc), Some(b)) => Some(acc + c * b as i128),
-                _ => None,
-            };
-            hi = match (hi, ahi) {
-                (Some(acc), Some(b)) => Some(acc + c * b as i128),
-                _ => None,
-            };
+            lo = step(lo, *c, alo);
+            hi = step(hi, *c, ahi);
         }
         (lo, hi)
     }
@@ -372,7 +403,8 @@ impl FactEnv {
     /// the row has a single variable (the solver tightens input rows
     /// with the identical `⌊b/c⌋`); otherwise the fractional bound is
     /// relaxed outward to the enclosing integer, which every rational
-    /// derivation also admits.
+    /// derivation also admits. A bound whose arithmetic overflows i128
+    /// is treated as unbounded.
     fn refine_le(&mut self, l: &Lin) {
         if l.coeffs.is_empty() {
             if l.konst > 0 {
@@ -384,7 +416,7 @@ impl FactEnv {
         for i in 0..l.coeffs.len() {
             let (atom, c) = l.coeffs[i].clone();
             // c·x ≤ -konst - Σ_{j≠i} min(c_j·x_j)
-            let mut bound = Some(-l.konst);
+            let mut bound = l.konst.checked_neg();
             for (j, (a, cj)) in l.coeffs.iter().enumerate() {
                 if j == i {
                     continue;
@@ -392,25 +424,39 @@ impl FactEnv {
                 let itv = self.itv_of(a);
                 let contrib = if *cj >= 0 { itv.lo } else { itv.hi };
                 bound = match (bound, contrib) {
-                    (Some(b), Some(v)) => Some(b - cj * v as i128),
+                    (Some(b), Some(v)) => {
+                        cj.checked_mul(i128::from(v)).and_then(|m| b.checked_sub(m))
+                    }
                     _ => None,
                 };
             }
-            let Some(b) = bound else { continue };
-            let exact = b.rem_euclid(c.abs()) == 0;
+            let (Some(b), Some(m)) = (bound, c.checked_abs()) else {
+                continue;
+            };
+            let exact = b.rem_euclid(m) == 0;
             let refined = if c > 0 {
                 let q = b.div_euclid(c);
                 Interval {
                     lo: None,
                     // Non-exact multi-var division: relax to ⌈b/c⌉.
-                    hi: to_i64(if exact || single_var { q } else { q + 1 }),
+                    hi: if exact || single_var {
+                        Some(q)
+                    } else {
+                        q.checked_add(1)
+                    }
+                    .and_then(to_i64),
                 }
             } else {
                 // c < 0: x ≥ ⌈b/c⌉ = -⌊b/(-c)⌋; non-exact multi-var
                 // division relaxes to ⌊b/c⌋ = -⌊b/(-c)⌋ - 1.
-                let q = -b.div_euclid(-c);
+                let q = b.div_euclid(m).checked_neg();
                 Interval {
-                    lo: to_i64(if exact || single_var { q } else { q - 1 }),
+                    lo: if exact || single_var {
+                        q
+                    } else {
+                        q.and_then(|q| q.checked_sub(1))
+                    }
+                    .and_then(to_i64),
                     hi: None,
                 }
             };
@@ -426,18 +472,34 @@ impl FactEnv {
         }
     }
 
+    /// Assumes an integer comparison. A comparison that is not
+    /// linearizable (including one whose arithmetic overflows i128) is
+    /// ignored.
     fn assume_int_cmp(&mut self, op: CmpOp, a: &Term, b: &Term) {
-        let Some(la) = self.lin(a) else { return };
-        let Some(lb) = self.lin(b) else { return };
-        let d = self.expand(la.add(&lb.clone().scale(-1)));
+        let Some(d) = self.diff_mut(a, b) else { return };
         match op {
             CmpOp::Le => self.assume_le_row(d),
-            CmpOp::Lt => self.assume_le_row(d.add(&Lin::konst(1))),
-            CmpOp::Ge => self.assume_le_row(d.scale(-1)),
-            CmpOp::Gt => self.assume_le_row(d.scale(-1).add(&Lin::konst(1))),
+            CmpOp::Lt => {
+                if let Some(r) = d.add(&Lin::konst(1)) {
+                    self.assume_le_row(r);
+                }
+            }
+            CmpOp::Ge => {
+                if let Some(r) = d.scale(-1) {
+                    self.assume_le_row(r);
+                }
+            }
+            CmpOp::Gt => {
+                if let Some(r) = d.scale(-1).and_then(|r| r.add(&Lin::konst(1))) {
+                    self.assume_le_row(r);
+                }
+            }
             CmpOp::Eq => {
+                let Some(neg) = d.clone().scale(-1) else {
+                    return;
+                };
                 self.assume_le_row(d.clone());
-                self.assume_le_row(d.clone().scale(-1));
+                self.assume_le_row(neg);
                 self.record_subst(&d);
             }
             CmpOp::Ne => {
@@ -446,8 +508,12 @@ impl FactEnv {
                 // [k+1, h] (one disequality split for the solver).
                 if d.coeffs.len() == 1 {
                     let (atom, c) = d.coeffs[0].clone();
-                    if (c == 1 || c == -1) && d.konst % c == 0 {
-                        let k = to_i64(-d.konst / c);
+                    if (c == 1 || c == -1) && d.konst.checked_rem(c) == Some(0) {
+                        let k = d
+                            .konst
+                            .checked_neg()
+                            .and_then(|n| n.checked_div(c))
+                            .and_then(to_i64);
                         if let Some(k) = k {
                             let e = self.itvs.entry(atom).or_insert(Interval::TOP);
                             if e.lo == Some(k) {
@@ -649,10 +715,9 @@ impl FactEnv {
             .iter()
             .map(|(a, b)| (a.clone(), b.clone()))
             .collect();
-        let mut o = other.clone();
         self.parents = pairs
             .into_iter()
-            .filter(|(a, b)| o.root(a) == o.root(b))
+            .filter(|(a, b)| other.find(a) == other.find(b))
             .collect();
         // Rows and substitutions survive only when both branches assumed
         // the identical fact.
@@ -662,8 +727,10 @@ impl FactEnv {
     }
 
     /// Decides whether the hypotheses entail `goal`. `false` means
-    /// "unproven", never "refuted".
-    pub fn entails(&mut self, goal: &Pred) -> bool {
+    /// "unproven", never "refuted". Read-only, so one environment from
+    /// [`FactEnv::of_hyps`] answers any number of goals, in any order,
+    /// exactly as [`entailed_by`] answers each on a fresh one.
+    pub fn entails(&self, goal: &Pred) -> bool {
         if self.bottom {
             return true;
         }
@@ -719,50 +786,54 @@ impl FactEnv {
     /// Proves `d ≤ 0`: directly by interval evaluation, or by
     /// subsumption against a known row (`d − r` bounded by 0 — a
     /// positive Farkas combination the solver's Fourier–Motzkin core
-    /// also derives).
-    fn proves_le(&mut self, d: &Lin) -> bool {
-        if matches!(self.eval(d).1, Some(h) if h <= 0) {
-            return true;
-        }
-        for i in 0..self.rows.len() {
-            let row = self.rows[i].clone();
-            let diff = self.expand(d.clone().add(&row.scale(-1)));
-            if matches!(self.eval(&diff).1, Some(h) if h <= 0) {
-                return true;
-            }
-        }
-        false
+    /// also derives). A combination that overflowed (`None`) is
+    /// unprovable.
+    fn proves_le(&self, d: Option<Lin>) -> bool {
+        let Some(d) = d else { return false };
+        let le_zero = |l: &Lin| matches!(self.eval(l).1, Some(h) if h <= 0);
+        le_zero(&d)
+            || self.rows.iter().any(|row| {
+                row.clone()
+                    .scale(-1)
+                    .and_then(|r| self.expand(d.clone().add(&r)?))
+                    .is_some_and(|diff| le_zero(&diff))
+            })
     }
 
-    fn entails_int_cmp(&mut self, op: CmpOp, a: &Term, b: &Term) -> bool {
-        let Some(la) = self.lin(a) else { return false };
-        let Some(lb) = self.lin(b) else { return false };
-        let d = self.expand(la.add(&lb.scale(-1)));
+    fn entails_int_cmp(&self, op: CmpOp, a: &Term, b: &Term) -> bool {
+        let Some(d) = self
+            .lin(a)
+            .zip(self.lin(b))
+            .and_then(|(la, lb)| self.expand(la.sub(lb)?))
+        else {
+            return false;
+        };
+        let one = Lin::konst(1);
         match op {
-            CmpOp::Le => self.proves_le(&d),
-            CmpOp::Lt => self.proves_le(&d.clone().add(&Lin::konst(1))),
-            CmpOp::Ge => self.proves_le(&d.clone().scale(-1)),
-            CmpOp::Gt => self.proves_le(&d.clone().scale(-1).add(&Lin::konst(1))),
-            CmpOp::Eq => self.proves_le(&d.clone()) && self.proves_le(&d.scale(-1)),
+            CmpOp::Le => self.proves_le(Some(d)),
+            CmpOp::Lt => self.proves_le(d.add(&one)),
+            CmpOp::Ge => self.proves_le(d.scale(-1)),
+            CmpOp::Gt => self.proves_le(d.scale(-1).and_then(|n| n.add(&one))),
+            CmpOp::Eq => self.proves_le(Some(d.clone())) && self.proves_le(d.scale(-1)),
             CmpOp::Ne => {
-                self.proves_le(&d.clone().add(&Lin::konst(1)))
-                    || self.proves_le(&d.scale(-1).add(&Lin::konst(1)))
+                self.proves_le(d.clone().add(&one))
+                    || self.proves_le(d.scale(-1).and_then(|n| n.add(&one)))
             }
         }
     }
 
-    fn entails_ref_cmp(&mut self, op: CmpOp, a: &Term, b: &Term) -> bool {
+    fn entails_ref_cmp(&self, op: CmpOp, a: &Term, b: &Term) -> bool {
         let null_kind = |t: &Term| match t {
             Term::App(f, args) if is_null_const(f, args) => Some(f.as_str() == "nullv"),
             _ => None,
         };
         match (a, b) {
             (Term::Var(x), Term::Var(y)) => match op {
-                CmpOp::Eq => self.root(x) == self.root(y),
+                CmpOp::Eq => self.find(x) == self.find(y),
                 CmpOp::Ne => {
                     // x = c, y ≠ c for the same null constant c.
-                    let rx = self.root(x);
-                    let ry = self.root(y);
+                    let rx = self.find(x);
+                    let ry = self.find(y);
                     let fx = self.nulls.get(&rx).copied().unwrap_or_default();
                     let fy = self.nulls.get(&ry).copied().unwrap_or_default();
                     matches!((fx.eq_null, fy.eq_null), (Some(true), Some(false)))
@@ -774,7 +845,7 @@ impl FactEnv {
             },
             (Term::Var(x), t) | (t, Term::Var(x)) if null_kind(t).is_some() => {
                 let is_null = null_kind(t).unwrap();
-                let r = self.root(x);
+                let r = self.find(x);
                 let f = self.nulls.get(&r).copied().unwrap_or_default();
                 let known = if is_null { f.eq_null } else { f.eq_undef };
                 match op {
@@ -796,46 +867,80 @@ fn to_i64(v: i128) -> Option<i64> {
     i64::try_from(v).ok()
 }
 
-/// The discharge decision: do `hyps` abstractly entail `goal`, within
-/// the solver-replayable fragment? Runs the hypothesis conjunction to a
-/// local fixpoint (relational chains like `x = y ∧ 0 ≤ x` need a second
-/// pass to reach `y`), then asks for the goal.
-pub fn entailed_by(binders: &[(Sym, Sort)], hyps: &[Pred], goal: &Pred) -> bool {
-    let mut env = FactEnv::new(binders);
-    // Up to three passes over the hypotheses: assume-order independence
-    // for short chains, deterministic by construction.
-    for _ in 0..3 {
-        let before = (
-            env.itvs.clone(),
-            env.rows.len(),
-            env.substs.len(),
-            env.truths.len(),
-            env.nulls.len(),
-            env.bottom,
-        );
-        env.int_diseqs = 0;
-        for h in hyps {
-            env.assume(h);
-        }
-        if env.int_diseqs > MAX_INT_DISEQS {
-            return false;
-        }
-        if env.bottom {
+/// The union-find root of `x` in `parents`.
+fn find_root(parents: &HashMap<Sym, Sym>, x: &Sym) -> Sym {
+    let mut r = x;
+    while let Some(p) = parents.get(r) {
+        if p == r {
             break;
         }
-        let after = (
-            env.itvs.clone(),
-            env.rows.len(),
-            env.substs.len(),
-            env.truths.len(),
-            env.nulls.len(),
-            env.bottom,
-        );
-        if after == before {
-            break;
-        }
+        r = p;
     }
-    env.entails(goal)
+    r.clone()
+}
+
+/// The union-find root of `x`, pointing every node on its path straight
+/// at the root.
+fn compress_root(parents: &mut HashMap<Sym, Sym>, x: &Sym) -> Sym {
+    let r = find_root(parents, x);
+    let mut cur = x.clone();
+    while let Some(p) = parents.get(&cur).cloned() {
+        if p == r {
+            break;
+        }
+        parents.insert(cur.clone(), r.clone());
+        cur = p;
+    }
+    r
+}
+
+/// Linearizes an integer term over tracked atoms, resolving each
+/// `len(x)` to the union-find root `root` gives for `x`. `None` = contains
+/// something the solver leaves uninterpreted (or untracked), or
+/// overflows i128.
+fn lin_over(
+    sorts: &HashMap<Sym, Sort>,
+    t: &Term,
+    root: &mut dyn FnMut(&Sym) -> Sym,
+) -> Option<Lin> {
+    match t {
+        Term::IntLit(n) => Some(Lin::konst(i128::from(*n))),
+        Term::Var(x) if sorts.get(x) == Some(&Sort::Int) => Some(Lin::atom(Atom::Var(x.clone()))),
+        Term::Neg(a) => lin_over(sorts, a, root)?.scale(-1),
+        Term::App(f, args) if f.as_str() == "len" && args.len() == 1 => match &args[0] {
+            Term::Var(x) if sorts.get(x) == Some(&Sort::Ref) => Some(Lin::atom(Atom::Len(root(x)))),
+            _ => None,
+        },
+        Term::Bin(op, a, b) => {
+            let la = lin_over(sorts, a, root)?;
+            let lb = lin_over(sorts, b, root)?;
+            match op {
+                BinOp::Add => la.add(&lb),
+                BinOp::Sub => la.sub(lb),
+                BinOp::Mul => {
+                    if la.coeffs.is_empty() {
+                        lb.scale(la.konst)
+                    } else if lb.coeffs.is_empty() {
+                        la.scale(lb.konst)
+                    } else {
+                        None // nonlinear: uninterpreted at the SMT layer
+                    }
+                }
+                // `div`/`mod` are uninterpreted unless both sides are
+                // constants, in which case `Term::bin` already folded.
+                BinOp::Div | BinOp::Mod | BinOp::BvAnd | BinOp::BvOr => None,
+            }
+        }
+        _ => None,
+    }
+}
+
+/// The discharge decision: do `hyps` abstractly entail `goal`, within
+/// the solver-replayable fragment? [`FactEnv::of_hyps`] then
+/// [`FactEnv::entails`]; callers asking several goals of one hypothesis
+/// list fold it once and ask the environment directly.
+pub fn entailed_by(binders: &[(Sym, Sort)], hyps: &[Pred], goal: &Pred) -> bool {
+    FactEnv::of_hyps(binders, hyps).is_some_and(|env| env.entails(goal))
 }
 
 #[cfg(test)]
@@ -971,6 +1076,49 @@ mod tests {
         ));
     }
 
+    /// i64-range coefficients whose products leave i128 — in a
+    /// hypothesis, in a goal, and in interval evaluation — must neither
+    /// panic nor wrap into a discharge.
+    #[test]
+    fn i128_overflow_is_never_linearized() {
+        let b = int_binders();
+        let big = || T::int(9_000_000_000_000_000_000);
+        let huge = |t: Term| T::mul(big(), T::mul(big(), T::mul(big(), t)));
+        // The overflowing guard is ignored, so nothing proves x < 0.
+        let hyps = vec![Pred::cmp(CmpOp::Le, huge(T::var("x")), T::int(0))];
+        assert!(!entailed_by(
+            &b,
+            &hyps,
+            &Pred::cmp(CmpOp::Lt, T::var("x"), T::int(0))
+        ));
+        // An overflowing goal is unprovable, whatever the hypotheses.
+        let hyps = vec![Pred::cmp(CmpOp::Lt, T::int(0), T::var("x"))];
+        assert!(!entailed_by(
+            &b,
+            &hyps,
+            &Pred::cmp(CmpOp::Lt, huge(T::var("x")), T::int(0))
+        ));
+        // Bounds whose arithmetic overflows are unbounded, not wrapped:
+        // 81e36·x at x = ±3 leaves i128 when refining y from the row
+        // and when evaluating the goal.
+        let wide = T::mul(big(), T::mul(big(), T::var("x")));
+        let hyps = vec![
+            Pred::cmp(CmpOp::Le, T::int(3), T::var("x")),
+            Pred::cmp(CmpOp::Le, T::add(wide.clone(), T::var("y")), T::int(0)),
+        ];
+        assert!(!entailed_by(
+            &b,
+            &hyps,
+            &Pred::cmp(CmpOp::Lt, T::var("y"), T::int(0))
+        ));
+        let hyps = vec![Pred::cmp(CmpOp::Le, T::var("x"), T::int(-3))];
+        assert!(!entailed_by(
+            &b,
+            &hyps,
+            &Pred::cmp(CmpOp::Lt, wide, T::int(0))
+        ));
+    }
+
     #[test]
     fn too_many_disequalities_bail_out() {
         let b = int_binders();
@@ -985,5 +1133,129 @@ mod tests {
             &hyps,
             &Pred::cmp(CmpOp::Le, T::int(0), T::vv())
         ));
+    }
+
+    /// The shared-environment contract of the per-check discharge: one
+    /// [`FactEnv::of_hyps`] fold answers every goal exactly as
+    /// [`entailed_by`] does on a fresh environment, whatever order the
+    /// goals are asked in, and no input panics (i64-range coefficients
+    /// drive the checked arithmetic past i128).
+    mod shared_env {
+        use super::*;
+        use proptest::prelude::*;
+        use rsc_logic::Subst;
+
+        const BIG: i64 = 9_000_000_000_000_000_000;
+
+        /// Small three times in four, i64-range otherwise.
+        fn coeff() -> BoxedStrategy<i64> {
+            prop_oneof![-3i64..=3, -3i64..=3, -3i64..=3, -BIG..=BIG].boxed()
+        }
+
+        fn leaf() -> BoxedStrategy<Term> {
+            prop_oneof![
+                Just(T::var("x")),
+                Just(T::var("y")),
+                Just(T::var("z")),
+                Just(T::len_of(T::var("a"))),
+                coeff().prop_map(T::int),
+            ]
+            .boxed()
+        }
+
+        /// Scaled sums, weighted toward nested scaling: products of
+        /// i64-range coefficients reach past i128 in the terms
+        /// themselves and in the interval bounds they are evaluated at.
+        fn term() -> BoxedStrategy<Term> {
+            leaf().prop_recursive(3, 16, 2, |inner| {
+                prop_oneof![
+                    (inner.clone(), inner.clone()).prop_map(|(a, b)| T::add(a, b)),
+                    (inner.clone(), inner.clone()).prop_map(|(a, b)| T::sub(a, b)),
+                    (coeff(), inner.clone()).prop_map(|(c, a)| T::mul(T::int(c), a)),
+                    (coeff(), inner).prop_map(|(c, a)| T::mul(a, T::int(c))),
+                ]
+            })
+        }
+
+        fn cmp_op() -> BoxedStrategy<CmpOp> {
+            prop_oneof![
+                Just(CmpOp::Le),
+                Just(CmpOp::Lt),
+                Just(CmpOp::Eq),
+                Just(CmpOp::Ne),
+            ]
+            .boxed()
+        }
+
+        fn literal() -> BoxedStrategy<Pred> {
+            let null = |eq: bool| {
+                let op = if eq { CmpOp::Eq } else { CmpOp::Ne };
+                Pred::cmp(op, T::var("a"), T::app("nullv", vec![]))
+            };
+            prop_oneof![
+                (cmp_op(), term(), term()).prop_map(|(op, a, b)| Pred::cmp(op, a, b)),
+                (cmp_op(), term(), term()).prop_map(|(op, a, b)| Pred::cmp(op, a, b)),
+                (0u8..2).prop_map(move |eq| null(eq == 1)),
+            ]
+            .boxed()
+        }
+
+        fn hyp() -> BoxedStrategy<Pred> {
+            prop_oneof![
+                literal(),
+                literal(),
+                (literal(), literal()).prop_map(|(a, b)| Pred::Or(vec![a, b])),
+                literal().prop_map(|a| Pred::Not(Box::new(a))),
+            ]
+            .boxed()
+        }
+
+        fn goal() -> BoxedStrategy<Pred> {
+            prop_oneof![
+                literal(),
+                literal(),
+                (literal(), literal()).prop_map(|(a, b)| Pred::Imp(Box::new(a), Box::new(b))),
+                (literal(), literal()).prop_map(|(a, b)| Pred::Or(vec![a, b])),
+                literal().prop_map(|a| Pred::Not(Box::new(a))),
+            ]
+            .boxed()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1000))]
+            #[test]
+            fn one_fold_answers_like_fresh_folds(
+                three_ints in 0u8..2,
+                hyps in prop::collection::vec(hyp(), 1..7),
+                goals in prop::collection::vec(goal(), 4..9),
+            ) {
+                let mut binders = vec![
+                    (Sym::from("x"), Sort::Int),
+                    (Sym::from("y"), Sort::Int),
+                    (Sym::from("a"), Sort::Ref),
+                ];
+                let (hyps, goals) = if three_ints == 1 {
+                    binders.push((Sym::from("z"), Sort::Int));
+                    (hyps, goals)
+                } else {
+                    let two = Subst::one("z", T::var("x"));
+                    let rename = |ps: Vec<Pred>| -> Vec<Pred> {
+                        ps.iter().map(|p| two.apply_pred(p)).collect()
+                    };
+                    (rename(hyps), rename(goals))
+                };
+                let shared = FactEnv::of_hyps(&binders, &hyps);
+                for g in goals.iter().chain(goals.iter().rev()) {
+                    let once = shared.as_ref().is_some_and(|env| env.entails(g));
+                    prop_assert_eq!(
+                        once,
+                        entailed_by(&binders, &hyps, g),
+                        "goal {} under {:?}",
+                        g,
+                        hyps.iter().map(|h| h.to_string()).collect::<Vec<_>>()
+                    );
+                }
+            }
+        }
     }
 }

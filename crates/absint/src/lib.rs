@@ -23,7 +23,11 @@
 //!    provable fragment (linear arithmetic with integer tightening,
 //!    ground EUF equalities) and the congruence domain is excluded.
 //!    The `rsc fuzz` differential oracle replays discharged obligations
-//!    through the solver to enforce the contract.
+//!    through the solver to enforce the contract. A caller with many
+//!    goals over one hypothesis list (the fixpoint's candidate
+//!    qualifiers) folds the list once with [`FactEnv::of_hyps`] and asks
+//!    each goal with the read-only [`FactEnv::entails`], which answers
+//!    exactly as [`entailed_by`] does on a fresh fold.
 //! 2. **Lints** ([`lint_program`]): advisory warnings with stable codes
 //!    L0001–L0004 (unreachable branch, tautological guard, dead
 //!    refinement, always-out-of-bounds index). Lints may use the full

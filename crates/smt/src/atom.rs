@@ -33,39 +33,46 @@ impl NLinExp {
         NLinExp { coeffs, konst: 0 }
     }
 
-    /// Adds `c·n`.
-    pub fn add_term(&mut self, n: NodeId, c: i128) {
-        let e = self.coeffs.entry(n).or_insert(0);
-        *e += c;
-        if *e == 0 {
+    /// Adds `c·n`; `None` (expression unchanged) on i128 overflow.
+    #[must_use]
+    pub fn add_term(&mut self, n: NodeId, c: i128) -> Option<()> {
+        let sum = self.coeffs.get(&n).copied().unwrap_or(0).checked_add(c)?;
+        if sum == 0 {
             self.coeffs.remove(&n);
+        } else {
+            self.coeffs.insert(n, sum);
         }
+        Some(())
     }
 
-    /// `self + other`.
-    pub fn add(&self, other: &NLinExp) -> NLinExp {
+    /// `self + other`; `None` on i128 overflow.
+    pub fn add(&self, other: &NLinExp) -> Option<NLinExp> {
         let mut out = self.clone();
         for (&n, &c) in &other.coeffs {
-            out.add_term(n, c);
+            out.add_term(n, c)?;
         }
-        out.konst += other.konst;
-        out
+        out.konst = out.konst.checked_add(other.konst)?;
+        Some(out)
     }
 
-    /// `k·self`.
-    pub fn scale(&self, k: i128) -> NLinExp {
+    /// `k·self`; `None` on i128 overflow.
+    pub fn scale(&self, k: i128) -> Option<NLinExp> {
         if k == 0 {
-            return NLinExp::konst(0);
+            return Some(NLinExp::konst(0));
         }
-        NLinExp {
-            coeffs: self.coeffs.iter().map(|(&n, &c)| (n, c * k)).collect(),
-            konst: self.konst * k,
-        }
+        Some(NLinExp {
+            coeffs: self
+                .coeffs
+                .iter()
+                .map(|(&n, &c)| Some((n, c.checked_mul(k)?)))
+                .collect::<Option<_>>()?,
+            konst: self.konst.checked_mul(k)?,
+        })
     }
 
-    /// `self - other`.
-    pub fn sub(&self, other: &NLinExp) -> NLinExp {
-        self.add(&other.scale(-1))
+    /// `self - other`; `None` on i128 overflow.
+    pub fn sub(&self, other: &NLinExp) -> Option<NLinExp> {
+        self.add(&other.scale(-1)?)
     }
 
     /// If the expression is exactly one node with coefficient 1 and no
@@ -183,19 +190,31 @@ mod tests {
         let n0 = NodeId(0);
         let n1 = NodeId(1);
         let mut a = NLinExp::node(n0);
-        a.add_term(n1, 2);
-        let b = a.scale(3);
+        a.add_term(n1, 2).unwrap();
+        let b = a.scale(3).unwrap();
         assert_eq!(b.coeffs[&n0], 3);
         assert_eq!(b.coeffs[&n1], 6);
-        let c = a.sub(&a);
+        let c = a.sub(&a).unwrap();
         assert!(c.is_const() && c.konst == 0);
+    }
+
+    #[test]
+    fn linexp_overflow_is_none() {
+        let n0 = NodeId(0);
+        let big = NLinExp::node(n0).scale(i128::MAX).unwrap();
+        assert_eq!(big.scale(2), None);
+        assert_eq!(big.add(&big), None);
+        assert_eq!(NLinExp::konst(i128::MIN).sub(&NLinExp::konst(1)), None);
+        let mut e = big.clone();
+        assert_eq!(e.add_term(n0, 1), None);
+        assert_eq!(e, big, "a failed add_term leaves the expression unchanged");
     }
 
     #[test]
     fn single_node_detection() {
         let n0 = NodeId(0);
         assert_eq!(NLinExp::node(n0).as_single_node(), Some(n0));
-        assert_eq!(NLinExp::node(n0).scale(2).as_single_node(), None);
+        assert_eq!(NLinExp::node(n0).scale(2).unwrap().as_single_node(), None);
     }
 
     #[test]

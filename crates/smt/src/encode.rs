@@ -23,6 +23,13 @@ impl std::fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
+/// The error for integer arithmetic that leaves i128 (or, for an
+/// interned constant, i64): the query answers Unknown rather than
+/// encoding a wrapped constraint.
+fn overflow() -> EncodeError {
+    EncodeError("integer constant overflow".into())
+}
+
 /// Owned encoder state: arena, atom table, and the defining equations of
 /// lifted nodes (compound integer expressions in uninterpreted argument
 /// position). Separate from the [`Encoder`] view so a persistent
@@ -196,28 +203,29 @@ impl<'a> Encoder<'a> {
             Sort::Int => {
                 let la = self.lin(a)?;
                 let lb = self.lin(b)?;
-                let d = la.sub(&lb);
+                let d = la.sub(&lb).ok_or_else(overflow)?;
                 let atom_le = |enc: &mut Self, mut e: NLinExp, strict: bool| {
                     if strict {
-                        e.konst += 1;
+                        e.konst = e.konst.checked_add(1).ok_or_else(overflow)?;
                     }
-                    if e.is_const() {
+                    Ok(if e.is_const() {
                         Formula::Const(e.konst <= 0)
                     } else {
                         let id = enc.atom(AtomData::LinLe(e));
                         Formula::Lit(id, true)
-                    }
+                    })
                 };
                 let lit = |f: Formula, pol: bool| match (f, pol) {
                     (Formula::Const(c), p) => Formula::Const(c == p),
                     (Formula::Lit(i, q), p) => Formula::Lit(i, q == p),
                     _ => unreachable!(),
                 };
+                let neg = |d: &NLinExp| d.scale(-1).ok_or_else(overflow);
                 match op {
-                    CmpOp::Le => Ok(lit(atom_le(self, d, false), pol)),
-                    CmpOp::Lt => Ok(lit(atom_le(self, d, true), pol)),
-                    CmpOp::Ge => Ok(lit(atom_le(self, d.scale(-1), false), pol)),
-                    CmpOp::Gt => Ok(lit(atom_le(self, d.scale(-1), true), pol)),
+                    CmpOp::Le => Ok(lit(atom_le(self, d, false)?, pol)),
+                    CmpOp::Lt => Ok(lit(atom_le(self, d, true)?, pol)),
+                    CmpOp::Ge => Ok(lit(atom_le(self, neg(&d)?, false)?, pol)),
+                    CmpOp::Gt => Ok(lit(atom_le(self, neg(&d)?, true)?, pol)),
                     CmpOp::Eq | CmpOp::Ne => {
                         if d.is_const() {
                             let truth = d.konst == 0;
@@ -323,18 +331,18 @@ impl<'a> Encoder<'a> {
                 let n = self.node_of(t)?;
                 Ok(NLinExp::node(n))
             }
-            Term::Neg(a) => Ok(self.lin(a)?.scale(-1)),
+            Term::Neg(a) => self.lin(a)?.scale(-1).ok_or_else(overflow),
             Term::Bin(op, a, b) => {
                 let la = self.lin(a)?;
                 let lb = self.lin(b)?;
                 match op {
-                    BinOp::Add => Ok(la.add(&lb)),
-                    BinOp::Sub => Ok(la.sub(&lb)),
+                    BinOp::Add => la.add(&lb).ok_or_else(overflow),
+                    BinOp::Sub => la.sub(&lb).ok_or_else(overflow),
                     BinOp::Mul => {
                         if la.is_const() {
-                            Ok(lb.scale(la.konst))
+                            lb.scale(la.konst).ok_or_else(overflow)
                         } else if lb.is_const() {
-                            Ok(la.scale(lb.konst))
+                            la.scale(lb.konst).ok_or_else(overflow)
                         } else {
                             // Nonlinear: uninterpreted `mul`, commutatively
                             // normalized.
@@ -352,11 +360,11 @@ impl<'a> Encoder<'a> {
                     BinOp::Div | BinOp::Mod => {
                         if la.is_const() && lb.is_const() && lb.konst != 0 {
                             let v = if *op == BinOp::Div {
-                                la.konst / lb.konst
+                                la.konst.checked_div(lb.konst)
                             } else {
-                                la.konst % lb.konst
+                                la.konst.checked_rem(lb.konst)
                             };
-                            return Ok(NLinExp::konst(v));
+                            return v.map(NLinExp::konst).ok_or_else(overflow);
                         }
                         let na = self.node_of_lin(la)?;
                         let nb = self.node_of_lin(lb)?;
@@ -384,8 +392,7 @@ impl<'a> Encoder<'a> {
             return Ok(n);
         }
         if l.is_const() {
-            let v = i64::try_from(l.konst)
-                .map_err(|_| EncodeError("integer constant overflow".into()))?;
+            let v = i64::try_from(l.konst).map_err(|_| overflow())?;
             return Ok(self.st.arena.intern(Node::IntConst(v)));
         }
         // Structurally identical expressions share a lifted node so that
@@ -395,7 +402,7 @@ impl<'a> Encoder<'a> {
         }
         let fresh = self.st.arena.fresh_lifted();
         let mut def = l.clone();
-        def.add_term(fresh, -1);
+        def.add_term(fresh, -1).ok_or_else(overflow)?;
         self.st.defs.push(def);
         self.st.def_nodes.push(fresh);
         self.st.lifted_cache.insert(l, fresh);
@@ -526,6 +533,23 @@ mod tests {
         let p = Pred::Cmp(CmpOp::Le, Term::var("x"), Term::var("x"));
         let f = enc.encode_pred(&p, true).unwrap().simplify();
         assert_eq!(f, Formula::Const(true));
+    }
+
+    #[test]
+    fn overflow_is_an_encode_error() {
+        let env = env();
+        let mut st = EncoderState::new();
+        let mut enc = Encoder::over(&env, &mut st);
+        // 9e18³·x leaves i128: an error (Unknown for the query), never a
+        // wrapped coefficient.
+        let big = Term::int(9_000_000_000_000_000_000);
+        let t = Term::mul(
+            Term::mul(Term::mul(big.clone(), big.clone()), big),
+            Term::var("x"),
+        );
+        assert!(enc.lin(&t).is_err());
+        let p = Pred::cmp(CmpOp::Lt, t, Term::int(0));
+        assert!(enc.encode_pred(&p, true).is_err());
     }
 
     #[test]

@@ -461,7 +461,7 @@ mod tests {
                 e
             }), // len(x) - 3 <= 0
             AtomData::LinLe({
-                let mut e = NLinExp::node(ly).scale(-1);
+                let mut e = NLinExp::node(ly).scale(-1).unwrap();
                 e.konst = 5;
                 e
             }), // 5 - len(y) <= 0
@@ -483,9 +483,9 @@ mod tests {
         let fj = arena.intern(Node::App(Sym::from("f"), vec![j], Sort::Ref));
         // i <= j, j <= i, f(i) != f(j)
         let mut le1 = NLinExp::node(i);
-        le1.add_term(j, -1);
+        le1.add_term(j, -1).unwrap();
         let mut le2 = NLinExp::node(j);
-        le2.add_term(i, -1);
+        le2.add_term(i, -1).unwrap();
         let atoms = vec![
             AtomData::LinLe(le1),
             AtomData::LinLe(le2),
