@@ -160,6 +160,10 @@ pub struct CheckStats {
     /// actually issued, so `smt_queries + obligations_discharged` is the
     /// pre-pass-off query count.
     pub obligations_discharged: u64,
+    /// Liquid queries answered "not valid" by a pooled counterexample
+    /// model without a solve (`rsc_smt::ModelPool`). Summed over the
+    /// bundle reports, retained ones included, like `smt_queries`.
+    pub model_refuted: u64,
 }
 
 impl CheckStats {
@@ -620,6 +624,7 @@ pub fn solve_artifacts(
     let mut failures: Vec<(usize, Blame)> = Vec::new();
     let mut smt_queries = 0u64;
     let mut discharged = 0u64;
+    let mut model_refuted = 0u64;
     let mut bundles_reused = 0usize;
     let mut bundle_reports = Vec::with_capacity(bundles.len());
     for (i, b) in bundles.iter().enumerate() {
@@ -667,6 +672,7 @@ pub fn solve_artifacts(
         };
         smt_queries += report.smt_queries;
         discharged += report.discharged;
+        model_refuted += report.smt.model_refuted;
         for (local, blame) in &report.failures {
             failures.push((b.members[*local], blame.clone()));
         }
@@ -687,6 +693,7 @@ pub fn solve_artifacts(
         bundles_reused,
         cache_evictions: counters.evictions - cache_before.evictions,
         obligations_discharged: discharged,
+        model_refuted,
     };
     CheckResult {
         diagnostics: diags,

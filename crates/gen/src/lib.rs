@@ -3,7 +3,7 @@
 //! Adversarial testing for the RSC checker: a typing-rule-directed
 //! generator that emits *well-refinement-typed programs by
 //! construction* ([`generate`]), a mutation mode that breaks exactly
-//! one obligation per program ([`mutate`]), and five differential
+//! one obligation per program ([`mutate`]), and six differential
 //! oracles ([`oracle`]) any violation of which is a real bug:
 //!
 //! 1. **Soundness** — verified programs run on both interpreters
@@ -19,6 +19,9 @@
 //!    every step.
 //! 5. **Workspace-merge equivalence** — a generated multi-file import
 //!    closure checks byte-identically to its concatenation.
+//! 6. **Pool-free reference** — the fixpoint's per-check pool of
+//!    counterexample models changes no diagnostic byte and no liquid
+//!    query count against the model-free fresh solving driver.
 //!
 //! The `rsc fuzz` subcommand drives [`run_fuzz`]; `rsc check
 //! --recursive` batch-checks the workspace [`workspace::emit_workspace`]
@@ -166,6 +169,16 @@ pub fn run_case(cfg: &FuzzConfig, case: u32, out: &mut FuzzSummary) {
     }
     if let Err(e) = oracle::absint(&mutant_src) {
         out.violations.push(fail("absint", e));
+    }
+
+    // Model pool: pooled refutations must be invisible against the
+    // pool-free reference driver, on the base and on the mutant.
+    if let Err(e) = oracle::model_pool(&src) {
+        out.violations
+            .push(fail("model-pool", format!("{e}\n--- program\n{src}")));
+    }
+    if let Err(e) = oracle::model_pool(&mutant_src) {
+        out.violations.push(fail("model-pool", e));
     }
 
     // Incremental: an edit script that introduces the mutation and

@@ -174,6 +174,62 @@ pub fn absint(src: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// **Pool-free reference**: the per-check counterexample-model pool may
+/// only drop candidates the solver would refute. The fresh solving driver
+/// (`incremental_smt: false`) never pools a model, so against it the
+/// pooled default run must give byte-identical diagnostics, the same
+/// verdict and the same liquid query count, the reference must refute
+/// nothing from a model, and on the pooled side every bundle's liquid
+/// queries must be solved, cache hits or pooled refutations.
+pub fn model_pool(src: &str) -> Result<(), String> {
+    let pooled = check_program(src, CheckerOptions::default());
+    let reference = check_program(
+        src,
+        CheckerOptions {
+            incremental_smt: false,
+            ..CheckerOptions::default()
+        },
+    );
+    let (a, b) = (render(&pooled), render(&reference));
+    if a != b {
+        return Err(format!(
+            "diagnostics differ between the pooled and the pool-free driver:\n\
+             --- pooled\n{a}\n--- pool-free\n{b}"
+        ));
+    }
+    if pooled.ok() != reference.ok() {
+        return Err(format!(
+            "verdict differs with the model pool: pooled={} pool-free={}",
+            pooled.ok(),
+            reference.ok()
+        ));
+    }
+    if pooled.stats.smt_queries != reference.stats.smt_queries {
+        return Err(format!(
+            "liquid queries differ: pooled {} vs pool-free {} — a pooled model \
+             changed the fixpoint trajectory",
+            pooled.stats.smt_queries, reference.stats.smt_queries
+        ));
+    }
+    if reference.stats.model_refuted != 0 {
+        return Err(format!(
+            "the pool-free driver refuted {} queries from a model",
+            reference.stats.model_refuted
+        ));
+    }
+    for (i, b) in pooled.bundle_reports.iter().enumerate() {
+        let accounted = b.smt.queries + b.smt.cache_hits + b.smt.model_refuted;
+        if b.smt_queries != accounted {
+            return Err(format!(
+                "bundle {i}: {} liquid queries but {} solved + {} cache hits + {} \
+                 pooled refutations",
+                b.smt_queries, b.smt.queries, b.smt.cache_hits, b.smt.model_refuted
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// **Incremental equivalence**: replaying an edit script through a
 /// persistent [`CheckSession`] produces, at every step, diagnostics
 /// byte-identical to a cold `check_program` of that step.

@@ -28,16 +28,19 @@
 //!
 //! # Format and crash tolerance
 //!
-//! After a `rsc-bundle-cache v2 {version:016x}\n` header the file is a
+//! After a `rsc-bundle-cache v3 {version:016x}\n` header the file is a
 //! sequence of fixed-layout little-endian records:
 //!
 //! ```text
 //! u128 fingerprint
 //! u64  smt_queries, u64 discharged, u64 solve_ns
-//! u64×6 solver counters (queries, valid, sat_rounds,
-//!        theory_conflicts, cache_hits, cache_misses)
+//! u64×7 solver counters (queries, valid, sat_rounds,
+//!        theory_conflicts, cache_hits, cache_misses, model_refuted)
 //! u32  failure count, then that many u32 bundle-local indices
 //! ```
+//!
+//! A file of an older layout has a different magic, so it is dropped
+//! like any other foreign file.
 //!
 //! Writes are append-only and loading is last-record-wins, so two
 //! processes appending the same fingerprint stay consistent. A torn
@@ -50,7 +53,7 @@ use std::sync::Mutex;
 use rsc_core::RetainedBundle;
 use rsc_smt::SolverStats;
 
-const MAGIC: &str = "rsc-bundle-cache v2";
+const MAGIC: &str = "rsc-bundle-cache v3";
 
 /// The bundle-verdict disk tier: a fingerprint-keyed, append-only store
 /// of [`RetainedBundle`]s for one cache version. See the module docs.
@@ -162,6 +165,7 @@ fn write_record(buf: &mut Vec<u8>, fp: u128, b: &RetainedBundle) {
         b.smt.theory_conflicts,
         b.smt.cache_hits,
         b.smt.cache_misses,
+        b.smt.model_refuted,
     ] {
         buf.extend_from_slice(&c.to_le_bytes());
     }
@@ -173,8 +177,8 @@ fn write_record(buf: &mut Vec<u8>, fp: u128, b: &RetainedBundle) {
 
 /// Parses one record off the front of `bytes`; `None` on a torn tail.
 fn read_record(bytes: &[u8]) -> Option<(u128, RetainedBundle, &[u8])> {
-    // Fixed part: 16 (fp) + 8 + 8 + 8 + 6×8 (counters) + 4 (count).
-    const FIXED: usize = 16 + 8 + 8 + 8 + 48 + 4;
+    // Fixed part: 16 (fp) + 8 + 8 + 8 + 7×8 (counters) + 4 (count).
+    const FIXED: usize = 16 + 8 + 8 + 8 + 56 + 4;
     if bytes.len() < FIXED {
         return None;
     }
@@ -190,8 +194,9 @@ fn read_record(bytes: &[u8]) -> Option<(u128, RetainedBundle, &[u8])> {
         theory_conflicts: u64_at(64),
         cache_hits: u64_at(72),
         cache_misses: u64_at(80),
+        model_refuted: u64_at(88),
     };
-    let count = u32::from_le_bytes(bytes[88..92].try_into().unwrap()) as usize;
+    let count = u32::from_le_bytes(bytes[96..100].try_into().unwrap()) as usize;
     let end = FIXED + 4 * count;
     if bytes.len() < end {
         return None;
@@ -232,6 +237,7 @@ mod tests {
                 theory_conflicts: fp + 3,
                 cache_hits: fp + 4,
                 cache_misses: fp + 5,
+                model_refuted: fp + 6,
             },
             smt_queries: fp * 10,
             discharged: fp * 7,
@@ -254,7 +260,7 @@ mod tests {
         assert_eq!(reopened.loaded(), 2);
         let got = reopened.get(10).unwrap();
         assert_eq!(got.failures, a.failures);
-        assert_eq!(got.smt.valid, a.smt.valid);
+        assert_eq!(got.smt, a.smt, "every solver counter round-trips");
         assert_eq!(got.smt_queries, a.smt_queries);
         assert_eq!(got.solve_ns, a.solve_ns);
         assert!(reopened.get(30).is_none());
@@ -280,6 +286,21 @@ mod tests {
         assert_eq!(v2.loaded(), 0);
         assert!(v2.get(5).is_none());
         assert_eq!(BundleStore::open(&dir, 1).unwrap().loaded(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A file written in the v2 layout (six counters, no
+    /// `model_refuted`) is foreign to a v3 store: dropped, never misread.
+    #[test]
+    fn older_layout_is_ignored() {
+        let dir = scratch_dir("v2");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("bundles-{:016x}.rbc", 4u64));
+        let mut bytes = format!("rsc-bundle-cache v2 {:016x}\n", 4u64).into_bytes();
+        bytes.extend_from_slice(&[0u8; 16 + 8 * 9 + 4]);
+        std::fs::write(&path, bytes).unwrap();
+        assert_eq!(BundleStore::open(&dir, 4).unwrap().loaded(), 0);
+        assert!(!path.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

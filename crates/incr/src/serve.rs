@@ -173,6 +173,8 @@ impl Serve {
                 r.outcome.result.stats.obligations_discharged,
             );
             self.registry
+                .add("model_refuted_total", r.outcome.result.stats.model_refuted);
+            self.registry
                 .add("lints_total", r.outcome.result.lints.len() as u64);
             self.registry.observe_us("check_latency", incr.total_micros);
         }

@@ -18,7 +18,9 @@
 //! * κ-variables ([`KVar`]) with pending substitutions, the unknowns of
 //!   Liquid type inference (§2.2.1),
 //! * [`Qualifier`]s, the logical templates from which Liquid inference
-//!   builds candidate refinements.
+//!   builds candidate refinements,
+//! * a three-valued evaluator ([`eval_pred`]) of predicates under a
+//!   concrete [`Interp`]retation, which checks counterexample models.
 //!
 //! # Example
 //!
@@ -37,6 +39,7 @@
 
 #![warn(missing_docs)]
 
+mod eval;
 mod kvar;
 mod pred;
 mod qualifier;
@@ -45,6 +48,7 @@ mod subst;
 mod sym;
 mod term;
 
+pub use eval::{eval_pred, eval_term, Interp, Value};
 pub use kvar::{KVar, KVarId};
 pub use pred::{CmpOp, Pred};
 pub use qualifier::{prelude_qualifiers, Qualifier};

@@ -22,6 +22,15 @@
 //!   sweeps are restricted to the query's subterm closure, so unrelated
 //!   queries sharing the context can neither consume bounded probe
 //!   budgets nor surface in each other's conflicts.
+//! - A Sat answer can carry a counterexample model
+//!   ([`IncrContext::query`]): the final theory round's
+//!   congruence classes and checked integer model over the query scope,
+//!   lifted into a [`Model`]. [`crate::Solver::is_valid_ctx`] checks it
+//!   against the query and pools it for the rest of the constraint
+//!   check, where it can refute sibling candidates without a query
+//!   ([`crate::model`]). Lifting only reads the round's state, so the
+//!   search, the retained clauses and every counter are unchanged. The
+//!   fresh driver never builds models.
 //!
 //! # Context-per-constraint invariants
 //!
@@ -43,6 +52,7 @@ use crate::atom::{AtomData, AtomId, Formula, NLinExp};
 use crate::bv::Blaster;
 use crate::cnf::{tseitin, ClauseSink};
 use crate::encode::{Encoder, EncoderState};
+use crate::model::Model;
 use crate::node::{Node, NodeId};
 use crate::sat::{Lit, SatOutcome, SatSolver};
 use crate::solver::{SatResult, SolverStats};
@@ -159,13 +169,16 @@ impl IncrContext {
                         atoms.push(AtomId(i));
                     }
                 }
+                // Every atom of the item needs its literal now, folded
+                // ones included: a query reads the SAT model of all its
+                // atoms, and a tautology may be the last item it encodes.
+                self.extend_atom_lits();
                 match f {
                     Formula::Const(true) => Slot::Tautology {
                         atoms: atoms.into(),
                     },
                     Formula::Const(false) => Slot::Contradiction,
                     g => {
-                        self.extend_atom_lits();
                         let atom_lits = &self.atom_lits;
                         let lookup = |a: AtomId, pol: bool| {
                             let l = atom_lits[a.0 as usize];
@@ -256,6 +269,12 @@ impl IncrContext {
     /// simplification short-circuits, same DPLL(T) loop, same greedy core
     /// minimization — but encoding is incremental and learnt/blocking
     /// clauses persist.
+    ///
+    /// A Sat answer also carries the counterexample model lifted from its
+    /// final theory round (see [`crate::model`]), unchecked; it is `None`
+    /// when the round hit its cap or a table is not a function. Lifting
+    /// reads the round's state and changes nothing the search depends
+    /// on.
     pub fn query(
         &mut self,
         env: &dyn SortLookup,
@@ -263,7 +282,7 @@ impl IncrContext {
         goal: &Pred,
         stats: &mut SolverStats,
         max_rounds: usize,
-    ) -> SatResult {
+    ) -> (SatResult, Option<Model>) {
         stats.queries += 1;
         let mut assumptions: Vec<Lit> = Vec::new();
         let mut relevant: Vec<AtomId> = Vec::new();
@@ -283,8 +302,8 @@ impl IncrContext {
             .chain(std::iter::once(goal_key))
         {
             match self.item(env, pred, pol) {
-                Slot::Poisoned => return SatResult::Unknown,
-                Slot::Contradiction => return SatResult::Unsat,
+                Slot::Poisoned => return (SatResult::Unknown, None),
+                Slot::Contradiction => return (SatResult::Unsat, None),
                 Slot::Tautology { atoms } => add_atoms(&mut relevant, &atoms),
                 Slot::Active { lit, atoms } => {
                     add_atoms(&mut relevant, &atoms);
@@ -299,19 +318,19 @@ impl IncrContext {
         let mut assigned_hint = relevant.clone();
         assigned_hint.sort_unstable_by_key(|a| a.0);
         if assumptions.is_empty() && defs.is_empty() {
-            return SatResult::Sat;
+            return (SatResult::Sat, None);
         }
         if self.sat.is_unsat() {
             // The clause database itself is contradictory (a hypothesis
             // set once asserted `false` at level zero — cannot happen
             // via activation literals, but stay defensive).
-            return SatResult::Unsat;
+            return (SatResult::Unsat, None);
         }
 
         for _round in 0..max_rounds {
             stats.sat_rounds += 1;
             match self.sat.solve_under(&assumptions) {
-                SatOutcome::Unsat => return SatResult::Unsat,
+                SatOutcome::Unsat => return (SatResult::Unsat, None),
                 SatOutcome::Sat(model) => {
                     let mut assign: Vec<Option<bool>> = vec![None; self.st.atoms.len()];
                     for &a in &relevant {
@@ -323,7 +342,7 @@ impl IncrContext {
                         let val = model[l.var() as usize];
                         assign[i] = Some(if l.is_neg() { !val } else { val });
                     }
-                    let run = |assign: &[Option<bool>]| {
+                    let run = |assign: &[Option<bool>], want_model: bool| {
                         theory::check_scoped(
                             &self.st.arena,
                             &self.st.atoms,
@@ -333,11 +352,12 @@ impl IncrContext {
                             self.st.false_node,
                             Some(&scope),
                             Some(&assigned_hint),
+                            want_model,
                         )
                     };
-                    match run(&assign) {
-                        TheoryVerdict::Consistent => return SatResult::Sat,
-                        TheoryVerdict::Conflict(ids) => {
+                    match run(&assign, true) {
+                        (TheoryVerdict::Consistent, model) => return (SatResult::Sat, model),
+                        (TheoryVerdict::Conflict(ids), _) => {
                             stats.theory_conflicts += 1;
                             let restrict = |core: &[AtomId]| {
                                 let mut a: Vec<Option<bool>> = vec![None; assign.len()];
@@ -348,7 +368,7 @@ impl IncrContext {
                             };
                             let mut core = ids.clone();
                             let check_core = |core: &[AtomId]| {
-                                matches!(run(&restrict(core)), TheoryVerdict::Conflict(_))
+                                matches!(run(&restrict(core), false).0, TheoryVerdict::Conflict(_))
                             };
                             // A core covering every assigned atom restricts
                             // to the assignment itself — already known to
@@ -368,7 +388,7 @@ impl IncrContext {
                                 })
                                 .collect();
                             if clause.is_empty() {
-                                return SatResult::Unsat;
+                                return (SatResult::Unsat, None);
                             }
                             // Blocking clauses are theory-valid facts about
                             // the atoms: sound to retain for every future
@@ -379,7 +399,7 @@ impl IncrContext {
                 }
             }
         }
-        SatResult::Unknown
+        (SatResult::Unknown, None)
     }
 }
 
@@ -416,19 +436,21 @@ mod tests {
         let weak = le(Term::int(-1), Term::var("x"));
         let wrong = le(Term::int(1), Term::var("x"));
         assert_eq!(
-            ctx.query(&e, std::slice::from_ref(&hyp), &weak, &mut stats, 600),
+            ctx.query(&e, std::slice::from_ref(&hyp), &weak, &mut stats, 600)
+                .0,
             SatResult::Unsat,
             "0 <= x ⊢ -1 <= x must be valid"
         );
         assert_eq!(
-            ctx.query(&e, std::slice::from_ref(&hyp), &wrong, &mut stats, 600),
+            ctx.query(&e, std::slice::from_ref(&hyp), &wrong, &mut stats, 600)
+                .0,
             SatResult::Sat,
             "0 <= x ⊬ 1 <= x"
         );
         // Re-ask the valid one: the context must still answer correctly
         // after a Sat query and its retained clauses.
         assert_eq!(
-            ctx.query(&e, &[hyp], &weak, &mut stats, 600),
+            ctx.query(&e, &[hyp], &weak, &mut stats, 600).0,
             SatResult::Unsat
         );
     }
@@ -442,13 +464,20 @@ mod tests {
         let h2 = le(Term::var("x"), Term::var("y"));
         let goal = le(Term::int(0), Term::var("y"));
         assert_eq!(
-            ctx.query(&e, &[h1.clone(), h2.clone()], &goal, &mut stats, 600),
+            ctx.query(&e, &[h1.clone(), h2.clone()], &goal, &mut stats, 600)
+                .0,
             SatResult::Unsat
         );
         // Dropping h2 invalidates the implication; its clauses must be
         // inert when its activation literal is not assumed.
-        assert_eq!(ctx.query(&e, &[h1], &goal, &mut stats, 600), SatResult::Sat);
-        assert_eq!(ctx.query(&e, &[h2], &goal, &mut stats, 600), SatResult::Sat);
+        assert_eq!(
+            ctx.query(&e, &[h1], &goal, &mut stats, 600).0,
+            SatResult::Sat
+        );
+        assert_eq!(
+            ctx.query(&e, &[h2], &goal, &mut stats, 600).0,
+            SatResult::Sat
+        );
     }
 
     #[test]
@@ -459,14 +488,30 @@ mod tests {
         let fals = Pred::cmp(CmpOp::Lt, Term::int(1), Term::int(0));
         let goal = le(Term::int(1), Term::var("x"));
         assert_eq!(
-            ctx.query(&e, &[fals], &goal, &mut stats, 600),
+            ctx.query(&e, &[fals], &goal, &mut stats, 600).0,
             SatResult::Unsat,
             "false hypothesis proves anything"
         );
         // The contradiction must not poison unrelated queries.
         let taut = le(Term::int(0), Term::int(1));
         assert_eq!(
-            ctx.query(&e, &[taut], &goal, &mut stats, 600),
+            ctx.query(&e, &[taut], &goal, &mut stats, 600).0,
+            SatResult::Sat
+        );
+    }
+
+    /// A goal whose negation folds to `true` after interning a fresh atom
+    /// (`¬(x ≤ 0 ∧ false)`) asserts nothing, but its atom still joins the
+    /// query's theory check, so it needs a SAT literal of its own.
+    #[test]
+    fn tautology_with_a_fresh_atom_is_solvable() {
+        let e = env();
+        let mut ctx = IncrContext::new();
+        let mut stats = SolverStats::default();
+        let hyp = le(Term::int(0), Term::var("y"));
+        let goal = Pred::And(vec![le(Term::var("x"), Term::int(0)), Pred::False]);
+        assert_eq!(
+            ctx.query(&e, &[hyp], &goal, &mut stats, 600).0,
             SatResult::Sat
         );
     }
@@ -482,10 +527,14 @@ mod tests {
         let h2 = Pred::vv_eq(len_a);
         let goal = le(Term::int(0), Term::vv());
         assert_eq!(
-            ctx.query(&e, &[h1.clone(), h2.clone()], &goal, &mut stats, 600),
+            ctx.query(&e, &[h1.clone(), h2.clone()], &goal, &mut stats, 600)
+                .0,
             SatResult::Unsat
         );
         // A weaker query in the same context: h1 alone does not bound v.
-        assert_eq!(ctx.query(&e, &[h1], &goal, &mut stats, 600), SatResult::Sat);
+        assert_eq!(
+            ctx.query(&e, &[h1], &goal, &mut stats, 600).0,
+            SatResult::Sat
+        );
     }
 }

@@ -352,6 +352,13 @@ impl LiaProblem {
                 return INFEASIBLE;
             }
         }
+        // Substitution can leave a row whose coefficients share a factor
+        // its constant does not (`x := 3·p` turns `x - 4 ≤ 0` into
+        // `3·p - 4 ≤ 0`); without rounding, FM would accept `p = 4/3`.
+        // Integer rounding of a single row is sound.
+        for e in &mut les {
+            *e = e.tighten_le();
+        }
 
         // Fourier–Motzkin elimination on the inequalities.
         loop {
@@ -373,21 +380,28 @@ impl LiaProblem {
             if les.len() > MAX_ROWS {
                 return GAVE_UP; // resource cap: conservative
             }
-            // Pick the variable minimizing |pos|·|neg| fill-in.
-            let mut counts: BTreeMap<u32, (usize, usize)> = BTreeMap::new();
+            // Pick the variable minimizing |pos|·|neg| fill-in, among
+            // those whose elimination is exact over the integers when
+            // there are any: every upper or every lower coefficient is a
+            // unit, so the real shadow is the integer one (Pugh's Omega
+            // test). An inexact step can admit a rational-only point, and
+            // which one a problem needs then depends on variable ids.
+            let mut counts: BTreeMap<u32, (usize, usize, bool, bool)> = BTreeMap::new();
             for e in &les {
                 for (&x, &c) in &e.coeffs {
-                    let ent = counts.entry(x).or_insert((0, 0));
+                    let ent = counts.entry(x).or_insert((0, 0, true, true));
                     if c > 0 {
                         ent.0 += 1;
+                        ent.2 &= c == 1;
                     } else {
                         ent.1 += 1;
+                        ent.3 &= c == -1;
                     }
                 }
             }
             let (&x, _) = counts
                 .iter()
-                .min_by_key(|(_, (p, n))| p * n)
+                .min_by_key(|(_, &(p, n, unit_up, unit_low))| (!(unit_up || unit_low), p * n))
                 .expect("nonempty");
             let mut pos = Vec::new();
             let mut neg = Vec::new();
@@ -657,6 +671,41 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(p.feasible(), LiaResult::Infeasible);
+    }
+
+    /// `x = 3p ∧ v = x ∧ x ≤ 4 ∧ v ≥ 4` forces `3p = 4`: no integer `p`.
+    /// The inequalities only show it once they are rounded again after
+    /// the substitutions (`p ≤ ⌊4/3⌋`, `p ≥ ⌈4/3⌉`).
+    #[test]
+    fn rows_are_tightened_after_substitution() {
+        let (x, p, v) = (0, 1, 2);
+        let prob = LiaProblem {
+            eqs: vec![le(&[(x, 1), (p, -3)], 0), le(&[(v, 1), (x, -1)], 0)],
+            les: vec![le(&[(x, 1)], -4), le(&[(v, -1)], 4)],
+            ..Default::default()
+        };
+        assert_eq!(prob.feasible(), LiaResult::Infeasible);
+    }
+
+    /// `v = 3p + 18 ∧ v + q ≤ 1 ∧ q ≥ 0 ∧ v ≥ q + 1` has rational points
+    /// only (`v` would have to be 1). Eliminating `p` first projects them
+    /// onto `q = 0`; eliminating `q` first (unit coefficients, an exact
+    /// step) leaves `3p + 17 ≤ 0 ≤ 3p + 17`, which rounding refutes. The
+    /// verdict must not depend on which ids the variables got.
+    #[test]
+    fn exact_eliminations_come_first() {
+        for (v, p, q) in [(0, 1, 2), (2, 0, 1), (1, 2, 0), (0, 2, 1)] {
+            let prob = LiaProblem {
+                eqs: vec![le(&[(v, 1), (p, -3)], -18)],
+                les: vec![
+                    le(&[(v, 1), (q, 1)], -1),
+                    le(&[(q, -1)], 0),
+                    le(&[(q, 1), (v, -1)], 1),
+                ],
+                ..Default::default()
+            };
+            assert_eq!(prob.feasible(), LiaResult::Infeasible, "ids {v} {p} {q}");
+        }
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! * [`bv`] — eager bit-blasting of 32-bit vector operations,
 //! * [`theory`] — EUF+LIA combination with bounded Nelson–Oppen equality
 //!   propagation,
-//! * [`solver`] — the lazy DPLL(T) driver exposing [`Solver::is_valid`].
+//! * [`solver`] — the lazy DPLL(T) driver exposing [`Solver::is_valid`],
+//! * [`model`] — counterexample models of refuting incremental queries,
+//!   checked by [`rsc_logic::eval_pred`] and pooled per constraint check
+//!   so one model can refute sibling candidates without a query.
 //!
 //! Soundness contract: the only answer verification relies on is
 //! [`SatResult::Unsat`], and every resource cap or incompleteness in the
@@ -33,6 +36,7 @@ pub mod encode;
 pub mod euf;
 pub mod incr;
 pub mod lia;
+pub mod model;
 pub mod node;
 pub mod sat;
 pub mod solver;
@@ -40,4 +44,5 @@ pub mod theory;
 
 pub use cache::{canonical_query, CacheCounters, CanonicalQuery, DiskCache, VcCache};
 pub use incr::IncrContext;
+pub use model::{Model, ModelPool};
 pub use solver::{SatResult, Solver, SolverStats};

@@ -10,6 +10,7 @@ use crate::bv::Blaster;
 use crate::cache::{canonical_query_refs, VcCache};
 use crate::cnf::{tseitin, CnfStore};
 use crate::encode::{Encoder, EncoderState};
+use crate::model::ModelPool;
 use crate::sat::{Lit, SatOutcome, Var};
 use crate::theory::{self, TheoryVerdict};
 
@@ -47,6 +48,9 @@ pub struct SolverStats {
     pub cache_hits: u64,
     /// Validity queries that missed the cache and ran the solver.
     pub cache_misses: u64,
+    /// Validity queries answered "not valid" by a pooled counterexample
+    /// model, without a cache probe or a solve ([`Solver::is_valid_ctx`]).
+    pub model_refuted: u64,
 }
 
 impl SolverStats {
@@ -69,6 +73,7 @@ impl SolverStats {
         self.theory_conflicts += other.theory_conflicts;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
+        self.model_refuted += other.model_refuted;
     }
 }
 
@@ -319,26 +324,56 @@ impl Solver {
     }
 
     /// Like [`Solver::is_valid`], but solving inside the persistent
-    /// incremental context `ctx` instead of a fresh encoder/CNF.
+    /// incremental context `ctx` instead of a fresh encoder/CNF, with the
+    /// counterexample models of the current constraint check in `pool`.
     ///
-    /// The context caches the encoding of every hypothesis and goal it
-    /// has seen under activation literals, so repeated queries over the
-    /// same constraint (the fixpoint weakening loop) re-solve only the
-    /// delta. With a [`VcCache`] attached, the canonical fingerprint is
-    /// probed first; on a miss the *original* query form is solved — the
-    /// canonical α-renamed form would defeat context reuse — and an
-    /// Unsat verdict is recorded under the canonical key. Both forms
-    /// refute the same conjunction, so the cached verdict is sound; they
-    /// can differ only on round-capped (`Unknown`) queries, which the
-    /// cache never stores.
+    /// The pool answers first: when one of its checked models makes every
+    /// hypothesis true and the goal false, the query is "not valid" with
+    /// no cache probe and no solve, counted in
+    /// [`SolverStats::model_refuted`]. Such a model witnesses that the
+    /// query is satisfiable, so a sound solver could only have answered
+    /// Sat or Unknown — the same decision (see [`crate::model`]). `list`
+    /// names `hyps` within the pool's check: the same id must always come
+    /// with the same list, so each list is evaluated once per model.
+    ///
+    /// Otherwise the context solves. It caches the encoding of every
+    /// hypothesis and goal it has seen under activation literals, so
+    /// repeated queries over the same constraint (the fixpoint weakening
+    /// loop) re-solve only the delta, and a Sat answer's checked model
+    /// joins the pool. With a [`VcCache`] attached, the canonical
+    /// fingerprint is probed before solving; on a miss the *original*
+    /// query form is solved — the canonical α-renamed form would defeat
+    /// context reuse — and an Unsat verdict is recorded under the
+    /// canonical key. Both forms are the same conjunction, so a cached
+    /// Unsat is sound for either; their answers can still differ where the
+    /// round cap or FM's integer reasoning depends on term order. A
+    /// refutable query is satisfiable, so it is never an Unsat cache key:
+    /// the pool moves no cache hit.
     pub fn is_valid_ctx(
         &mut self,
         ctx: &mut crate::incr::IncrContext,
+        pool: &mut ModelPool,
+        list: usize,
         env: &dyn SortLookup,
         hyps: &[Pred],
         goal: &Pred,
     ) -> bool {
         let _sp = rsc_obs::span!("smt-query");
+        if pool.refutes(list, hyps, goal) {
+            self.stats.model_refuted += 1;
+            debug_assert!(
+                !Solver::new().proves(env, hyps, goal),
+                "a checked model refutes `{goal}`, which the solver proves valid"
+            );
+            return false;
+        }
+        let mut solve = |stats: &mut SolverStats, max_rounds: usize| {
+            let (result, model) = ctx.query(env, hyps, goal, stats, max_rounds);
+            if let Some(model) = model {
+                pool.admit(model, list, hyps, goal);
+            }
+            result == SatResult::Unsat
+        };
         let r = match self.cache.clone() {
             Some(cache) => {
                 let neg_goal = Pred::not(goal.clone());
@@ -350,22 +385,28 @@ impl Solver {
                     true
                 } else {
                     self.stats.cache_misses += 1;
-                    let unsat = ctx.query(env, hyps, goal, &mut self.stats, self.max_rounds)
-                        == SatResult::Unsat;
+                    let unsat = solve(&mut self.stats, self.max_rounds);
                     if unsat {
                         cache.record_unsat(canonical.key);
                     }
                     unsat
                 }
             }
-            None => {
-                ctx.query(env, hyps, goal, &mut self.stats, self.max_rounds) == SatResult::Unsat
-            }
+            None => solve(&mut self.stats, self.max_rounds),
         };
         if r {
             self.stats.valid += 1;
         }
         r
+    }
+
+    /// Whether a fresh solve refutes `hyps ∧ ¬goal`, outside every
+    /// counter and span (the pool's debug-build soundness assertion).
+    fn proves(&mut self, env: &dyn SortLookup, hyps: &[Pred], goal: &Pred) -> bool {
+        let neg_goal = Pred::not(goal.clone());
+        let mut preds: Vec<&Pred> = hyps.iter().collect();
+        preds.push(&neg_goal);
+        self.is_sat_refs(env, &preds) == SatResult::Unsat
     }
 }
 
@@ -402,6 +443,37 @@ mod tests {
         merged.merge(&s.stats);
         assert_eq!(merged.queries, 2);
         assert_eq!(merged.valid, 2);
+    }
+
+    /// The model of one refuted candidate drops a sibling it also
+    /// falsifies without a query, and never a valid one.
+    #[test]
+    fn pooled_model_refutes_siblings_without_a_query() {
+        let mut env = SortEnv::new();
+        env.bind("x", rsc_logic::Sort::Int);
+        env.bind("a", rsc_logic::Sort::Ref);
+        let x = || Term::var("x");
+        let hyps = [
+            Pred::cmp(CmpOp::Le, Term::int(0), x()),
+            Pred::cmp(CmpOp::Le, x(), Term::len_of(Term::var("a"))),
+        ];
+        let mut s = Solver::new();
+        let mut ctx = crate::IncrContext::new();
+        let mut pool = ModelPool::new();
+        let mut ask =
+            |s: &mut Solver, goal: Pred| s.is_valid_ctx(&mut ctx, &mut pool, 0, &env, &hyps, &goal);
+        // Refuted by a solve; its model (x ≥ 1) joins the pool.
+        assert!(!ask(&mut s, Pred::cmp(CmpOp::Le, x(), Term::int(0))));
+        assert_eq!((s.stats.queries, s.stats.model_refuted), (1, 0));
+        // `x = 0` is false under that model: refuted from the pool.
+        assert!(!ask(&mut s, Pred::eq(x(), Term::int(0))));
+        assert_eq!((s.stats.queries, s.stats.model_refuted), (1, 1));
+        // Valid goals always reach the solver.
+        assert!(ask(
+            &mut s,
+            Pred::cmp(CmpOp::Le, Term::int(0), Term::len_of(Term::var("a")))
+        ));
+        assert_eq!((s.stats.queries, s.stats.model_refuted), (2, 1));
     }
 
     #[test]

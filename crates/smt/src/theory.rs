@@ -22,6 +22,7 @@ use rsc_logic::Sort;
 use crate::atom::{AtomData, AtomId, NLinExp};
 use crate::euf::{Euf, EufResult};
 use crate::lia::{LiaProblem, LiaResult, LinExp};
+use crate::model::Model;
 use crate::node::{Arena, ConstKind, Node, NodeId};
 
 /// The verdict of a theory consistency check over a full propositional
@@ -136,8 +137,9 @@ pub fn check(
     false_node: NodeId,
 ) -> TheoryVerdict {
     check_scoped(
-        arena, atoms, defs, assign, true_node, false_node, None, None,
+        arena, atoms, defs, assign, true_node, false_node, None, None, false,
     )
+    .0
 }
 
 /// [`check`] with an optional node scope. A persistent incremental
@@ -155,6 +157,11 @@ pub fn check(
 /// table. A persistent context's table holds every atom it ever encoded,
 /// and core minimization re-checks restricted assignments many times per
 /// conflict, so the full-table scans are quadratic-ish on the hot path.
+///
+/// With `want_model` and a `scope`, a Consistent verdict reached on a
+/// round that found no new equality also carries that round's
+/// counterexample model over the scope (unchecked; see
+/// [`crate::model`]). A verdict reached at the round cap carries none.
 #[allow(clippy::too_many_arguments)]
 pub fn check_scoped(
     arena: &Arena,
@@ -165,7 +172,8 @@ pub fn check_scoped(
     false_node: NodeId,
     scope: Option<&[NodeId]>,
     assigned_hint: Option<&[AtomId]>,
-) -> TheoryVerdict {
+    want_model: bool,
+) -> (TheoryVerdict, Option<Model>) {
     let app_nodes = |arena: &Arena| -> Vec<NodeId> {
         match scope {
             Some(ids) => ids
@@ -255,11 +263,12 @@ pub fn check_scoped(
             euf.merge(x, y);
         }
         if euf.close_over(&sweep, scope) == EufResult::Conflict {
-            return TheoryVerdict::Conflict(if extra_merges.is_empty() {
+            let core = if extra_merges.is_empty() {
                 euf_core.clone()
             } else {
                 involved.clone()
-            });
+            };
+            return (TheoryVerdict::Conflict(core), None);
         }
 
         // --- LIA phase -----------------------------------------------------
@@ -351,7 +360,7 @@ pub fn check_scoped(
                     let mut e = match arena.const_kind(rep) {
                         Some(ConstKind::Int(existing)) => {
                             if existing as i128 != v {
-                                return TheoryVerdict::Conflict(involved);
+                                return (TheoryVerdict::Conflict(involved), None);
                             }
                             continue;
                         }
@@ -368,7 +377,7 @@ pub fn check_scoped(
 
         let (feasibility, model) = prob.feasible_with_model();
         if feasibility == LiaResult::Infeasible {
-            return TheoryVerdict::Conflict(involved);
+            return (TheoryVerdict::Conflict(involved), None);
         }
 
         // --- Nelson–Oppen equality propagation ------------------------------
@@ -432,10 +441,16 @@ pub fn check_scoped(
                 extra_merges.push(pair);
                 continue;
             }
-            None => return TheoryVerdict::Consistent,
+            None => {
+                let model = match (want_model, &model, scope) {
+                    (true, Some(ints), Some(nodes)) => Model::lift(arena, nodes, &mut euf, ints),
+                    _ => None,
+                };
+                return (TheoryVerdict::Consistent, model);
+            }
         }
     }
-    TheoryVerdict::Consistent
+    (TheoryVerdict::Consistent, None)
 }
 
 #[cfg(test)]

@@ -9,7 +9,9 @@
 //! * if the solver claims a VC is **valid**, no finite countermodel may
 //!   exist;
 //! * cached and uncached solvers must agree on every validity verdict,
-//!   and a second probe of the same query must agree with the first.
+//!   and a second probe of the same query must agree with the first;
+//! * a goal a pooled counterexample model refutes must not be valid for
+//!   a fresh solver, and a pool never turns a fresh "valid" around.
 //!
 //! The finite domain is deliberately one-directional: a formula with no
 //! model over `x, y ∈ [-2, 2]` may still be satisfiable over ℤ, so the
@@ -19,7 +21,7 @@
 
 use proptest::prelude::*;
 use rsc_logic::{BinOp, CmpOp, FunSig, Pred, Sort, SortEnv, Sym, Term};
-use rsc_smt::{IncrContext, SatResult, Solver, VcCache};
+use rsc_smt::{IncrContext, ModelPool, SatResult, Solver, VcCache};
 
 // ------------------------------------------------------------ generator ---
 
@@ -379,7 +381,8 @@ proptest! {
         for (hyps, goal) in &queries {
             let mut fresh = Solver::new();
             let fresh_v = fresh.is_valid(&e, hyps, goal);
-            let incr_v = incr.is_valid_ctx(&mut ctx, &e, hyps, goal);
+            // A pool per query keeps this leg a pure driver comparison.
+            let incr_v = incr.is_valid_ctx(&mut ctx, &mut ModelPool::new(), 0, &e, hyps, goal);
             let incr_stats = incr.stats.take();
             let capped = fresh.stats.sat_rounds >= fresh.max_rounds() as u64
                 || incr_stats.sat_rounds >= incr.max_rounds() as u64;
@@ -403,6 +406,48 @@ proptest! {
                     "incremental context claimed valid but a finite countermodel exists for {} under {:?}",
                     goal,
                     hyps.iter().map(|p| p.to_string()).collect::<Vec<_>>()
+                );
+            }
+        }
+    }
+    /// Pool soundness: one check's goals over one hypothesis list, asked
+    /// through one [`IncrContext`] and one [`ModelPool`] as the fixpoint
+    /// asks them. A goal a pooled model refutes must not be valid for a
+    /// fresh solver (the model witnesses `hyps ∧ ¬goal`), and a goal the
+    /// fresh solver proves valid must come back valid unless a side hit
+    /// the round cap.
+    #[test]
+    fn pooled_refutations_are_never_valid(
+        hyps in prop::collection::vec(pred(), 0..3),
+        goals in prop::collection::vec(pred(), 4..9),
+    ) {
+        let e = env();
+        let mut ctx = IncrContext::new();
+        let mut pool = ModelPool::new();
+        let mut pooled = Solver::new();
+        for goal in &goals {
+            let mut fresh = Solver::new();
+            let fresh_v = fresh.is_valid(&e, &hyps, goal);
+            let pooled_v = pooled.is_valid_ctx(&mut ctx, &mut pool, 0, &e, &hyps, goal);
+            let stats = pooled.stats.take();
+            let shown = || hyps.iter().map(|p| p.to_string()).collect::<Vec<_>>();
+            if stats.model_refuted > 0 {
+                prop_assert!(!pooled_v);
+                prop_assert!(
+                    !fresh_v,
+                    "a pooled model refuted {}, which the fresh solver proves valid under {:?}",
+                    goal,
+                    shown()
+                );
+            }
+            let capped = fresh.stats.sat_rounds >= fresh.max_rounds() as u64
+                || stats.sat_rounds >= pooled.max_rounds() as u64;
+            if fresh_v && !capped {
+                prop_assert!(
+                    pooled_v,
+                    "the pooled context lost valid goal {} under {:?}",
+                    goal,
+                    shown()
                 );
             }
         }

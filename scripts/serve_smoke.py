@@ -319,6 +319,10 @@ def metrics_leg(binary):
         fail(f"metrics: counters did not track the session: {counters}")
     if counters.get("bundles_total", 0) <= counters.get("bundles_solved_total", 0):
         fail(f"metrics: edits must reuse bundles: {counters}")
+    # A corpus program's cold check drops candidates with pooled
+    # counterexample models.
+    if counters.get("model_refuted_total", 0) <= 0:
+        fail(f"metrics: no pooled model refutations counted: {counters}")
     cache = metrics.get("cache", {})
     if cache.get("hits", 0) + cache.get("misses", 0) <= 0 or "hit_rate" not in cache:
         fail(f"metrics: cache counters missing: {cache}")

@@ -330,13 +330,14 @@ fn stats_json_entry(
             bundles,
             "{{\"index\":{i},\"constraints\":{},\"kvars\":{},\"cached\":{},\
              \"failures\":{},\"smt_queries\":{},\"cache_hits\":{},\
-             \"discharged_static\":{},\"solve_us\":{}}}",
+             \"model_refuted\":{},\"discharged_static\":{},\"solve_us\":{}}}",
             b.constraints,
             b.kvars,
             b.cached,
             b.failures.len(),
             b.smt_queries,
             b.smt.cache_hits,
+            b.smt.model_refuted,
             b.discharged,
             b.solve_ns / 1_000,
         )
@@ -359,7 +360,7 @@ fn stats_json_entry(
     format!(
         "{{\"file\":{},\"ok\":{},\"files_in_closure\":{},\
          \"stats\":{{\"constraints\":{},\"kvars\":{},\"smt_queries\":{},\
-         \"obligations_discharged\":{},\"bundles\":{},\"bundles_reused\":{},\
+         \"obligations_discharged\":{},\"model_refuted\":{},\"bundles\":{},\"bundles_reused\":{},\
          \"diagnostics\":{},\"lints\":{}}},\
          \"bundles\":[{bundles}],\"phases\":[{phases}],\
          \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{}}},\
@@ -371,6 +372,7 @@ fn stats_json_entry(
         stats.kvars,
         stats.smt_queries,
         stats.obligations_discharged,
+        stats.model_refuted,
         stats.bundles,
         stats.bundles_reused,
         result.diagnostics.len(),
@@ -565,7 +567,7 @@ fn run_recursive(
 }
 
 /// `rsc fuzz`: generate well-typed programs, break one obligation per
-/// case, and run the four differential oracles. With
+/// case, and run the six differential oracles. With
 /// `--emit-workspace DIR`, instead materializes a ≥`--min-loc`-LOC
 /// multi-file workspace for `rsc check --recursive`.
 fn run_fuzz_cli(args: &[String]) -> ! {

@@ -124,8 +124,8 @@ fn cached_reports_partition_totals() {
     for b in &outcome.result.bundle_reports {
         assert_eq!(
             b.smt_queries,
-            b.smt.queries + b.smt.cache_hits,
-            "a bundle's liquid queries are either solved or cache hits"
+            b.smt.queries + b.smt.cache_hits + b.smt.model_refuted,
+            "a bundle's liquid queries are solved, cache hits or refuted by a pooled model"
         );
     }
 }

@@ -181,3 +181,24 @@ fn dependent_postcondition_enforced() {
     rejected("function f(x: number): {v: number | x < v} { return x; }");
     accepted("function f(x: number): {v: number | x < v} { return x + 1; }");
 }
+
+/// `x = 3·p` and `x + 4 < 9` bound `x` by 3 over the integers (`p ≤ 1`),
+/// though `x = 4` is a rational point. FM only sees it when the row
+/// `3·p − 4 ≤ 0` left by the substitution is rounded to `p ≤ 1`.
+#[test]
+fn bound_through_a_scaled_substitution() {
+    let program = |bound: i64| {
+        format!(
+            "function f(p: number): number {{
+                var x = p * 3;
+                if (x + 4 < 9) {{
+                    assert(x <= {bound});
+                }}
+                return 0;
+            }}"
+        )
+    };
+    accepted(&program(3));
+    // p = 1 gives x = 3.
+    rejected(&program(2));
+}

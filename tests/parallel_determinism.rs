@@ -58,8 +58,8 @@ fn clean_corpus_is_deterministic_across_jobs() {
 }
 
 /// Per-bundle solver stats must partition the run's totals: every liquid
-/// query is either a cache hit or a solved query in exactly one bundle's
-/// report. This is the regression net for the stats-reset fix — with
+/// query is a cache hit, a pooled-model refutation or a solved query in
+/// exactly one bundle's report. This is the regression net for the stats-reset fix — with
 /// cumulative (unreset) counters the sum overcounts immediately.
 #[test]
 fn bundle_reports_partition_query_totals() {
@@ -70,7 +70,7 @@ fn bundle_reports_partition_query_totals() {
     let per_bundle: u64 = r
         .bundle_reports
         .iter()
-        .map(|b| b.smt.queries + b.smt.cache_hits)
+        .map(|b| b.smt.queries + b.smt.cache_hits + b.smt.model_refuted)
         .sum();
     assert_eq!(
         per_bundle, r.stats.smt_queries,

@@ -116,7 +116,10 @@ fn disk_cache_warm_matches_cold_on_corpus() {
 /// against `tests/golden/solver-counters.txt`. Solver-internal
 /// shortcuts (model-guided probe skipping, caps, core minimization)
 /// must keep every SAT trajectory identical, so these counts may only
-/// move with a deliberate change to what the solver decides.
+/// move with a deliberate change to what the solver decides. A query a
+/// pooled counterexample model refutes counts in `model_refuted` instead
+/// of `queries`; their sum is the number of liquid queries that reached
+/// the solver.
 ///
 /// Regenerate the fixture with `UPDATE_GOLDEN=1 cargo test -q --test
 /// solver_equivalence solver_counters` after an intentional change.
@@ -126,9 +129,9 @@ fn solver_counters_match_golden() {
     assert_eq!(inputs.len(), 14, "7 clean programs + 7 seeded bugs");
     let line = |name: &str, smt: &SolverStats, queries: u64, discharged: u64| {
         format!(
-            "{name}: queries={} valid={} sat_rounds={} theory_conflicts={} \
+            "{name}: queries={} model_refuted={} valid={} sat_rounds={} theory_conflicts={} \
              smt_queries={queries} discharged={discharged}\n",
-            smt.queries, smt.valid, smt.sat_rounds, smt.theory_conflicts,
+            smt.queries, smt.model_refuted, smt.valid, smt.sat_rounds, smt.theory_conflicts,
         )
     };
     let mut rendered = String::new();
