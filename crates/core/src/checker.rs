@@ -38,8 +38,7 @@ pub struct CheckerOptions {
     /// Share a canonicalizing VC cache across narrowing checks and all
     /// bundle solvers (the `no_vc_cache` ablation turns this off).
     pub vc_cache: bool,
-    /// Maximum canonical-VC entries retained by the cache. `0` means
-    /// auto: the `RSC_CACHE_CAP` environment variable if set, otherwise
+    /// Maximum canonical-VC entries retained by the cache; `0` means
     /// unbounded. Bounding matters for long-lived sessions — see
     /// `rsc_smt::VcCache`'s generation-count LRU eviction.
     pub cache_capacity: usize,
@@ -47,7 +46,7 @@ pub struct CheckerOptions {
     /// the fixpoint (`rsc_smt::IncrContext`), so weakening iterations
     /// re-solve deltas under activation literals instead of re-encoding
     /// from scratch. Verdict- and diagnostic-preserving; off is the
-    /// ablation/debug path (`--no-incremental-smt` / `RSC_INCR_SMT=0`).
+    /// ablation/debug path (`--no-incremental-smt`).
     pub incremental_smt: bool,
     /// Run the abstract-interpretation pre-pass (`rsc_absint`) before
     /// each SMT validity query, statically discharging obligations whose
@@ -101,35 +100,6 @@ impl CheckerOptions {
             .map(|n| n.get())
             .unwrap_or(1)
             .min(8)
-    }
-
-    /// Resolves `incremental_smt` against the `RSC_INCR_SMT` environment
-    /// variable (`0`/`off`/`false` disables, anything else enables; the
-    /// option wins only when the variable is unset). Diagnostics are
-    /// byte-identical either way — the override exists for A/B timing.
-    pub fn effective_incremental(&self) -> bool {
-        match std::env::var("RSC_INCR_SMT") {
-            Ok(v) => !matches!(v.as_str(), "0" | "off" | "false"),
-            Err(_) => self.incremental_smt,
-        }
-    }
-
-    /// Resolves `cache_capacity` to a concrete entry cap (`0` =
-    /// unbounded), honoring `RSC_CACHE_CAP` when the option is unset.
-    pub fn effective_cache_capacity(&self) -> usize {
-        if self.cache_capacity > 0 {
-            return self.cache_capacity;
-        }
-        if let Ok(v) = std::env::var("RSC_CACHE_CAP") {
-            match v.parse::<usize>() {
-                Ok(n) => return n,
-                Err(_) => eprintln!(
-                    "rsc: ignoring invalid RSC_CACHE_CAP={v:?} (expected a non-negative \
-                     integer); cache is unbounded"
-                ),
-            }
-        }
-        0
     }
 }
 
@@ -412,7 +382,7 @@ pub fn check_program_ast(prog: &rsc_syntax::Program, opts: CheckerOptions) -> Ch
 
 /// Checks an already-SSA-translated program.
 pub fn check_ir(ir: &IrProgram, opts: CheckerOptions) -> CheckResult {
-    let cache = VcCache::shared_with_capacity(opts.effective_cache_capacity());
+    let cache = VcCache::shared_with_capacity(opts.cache_capacity);
     solve_artifacts(generate_artifacts(ir, opts, cache), &mut |_| None)
 }
 
@@ -570,7 +540,7 @@ pub fn solve_artifacts(
     let cache = &vc_cache;
     let use_cache = opts.vc_cache;
     let solve_opts = rsc_liquid::SolveOptions {
-        incremental: opts.effective_incremental(),
+        incremental: opts.incremental_smt,
         absint: opts.absint,
     };
     let to_solve: Vec<usize> = (0..bundles.len())

@@ -6,7 +6,7 @@
 //! strings with the standard escapes (including `\uXXXX` pairs),
 //! numbers, booleans and `null`. Printing escapes everything JSON
 //! requires, so arbitrary program text survives a round-trip through a
-//! `{"cmd":"edit","source":…}` request.
+//! `textDocument/didChange` request's `contentChanges[…].text`.
 
 use std::fmt;
 
@@ -68,6 +68,7 @@ impl Json {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -79,9 +80,15 @@ impl Json {
     }
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound one hostile line of
+/// `[[[[…` overflows the stack; protocol messages nest a few levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -116,8 +123,7 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -125,6 +131,24 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// An object or array, one nesting level down.
+    fn nested(&mut self) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = if self.peek() == Some(b'{') {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -371,5 +395,16 @@ mod tests {
         assert!(Json::parse("{").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse(r#"{"a" 1}"#).is_err());
+    }
+
+    /// Nesting is bounded, so a hostile line is an error, not a stack
+    /// overflow.
+    #[test]
+    fn deep_nesting_is_an_error() {
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&ok).is_ok());
+        let deep = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&deep).unwrap_err().contains("nesting"));
+        assert!(Json::parse(&"[{\"a\":".repeat(200_000)).is_err());
     }
 }

@@ -23,10 +23,10 @@
 //! [`workspace`].
 //!
 //! Two front-ends surface the subsystem through the `rsc` binary:
-//! `rsc serve` (newline-delimited JSON requests on stdin, speaking both
-//! the legacy `cmd` protocol and an LSP subset with per-URI
-//! `publishDiagnostics` — see [`serve`]) and `rsc --watch` (re-check on
-//! mtime change of any file in the watched documents' import closures).
+//! `rsc serve` (an LSP subset as newline-delimited JSON-RPC on stdin,
+//! with per-URI `publishDiagnostics` — see [`serve`]) and `rsc --watch`
+//! (re-check on mtime change of any file in the watched documents'
+//! import closures).
 
 #![warn(missing_docs)]
 

@@ -1,52 +1,12 @@
-//! The `rsc serve` protocol: newline-delimited JSON requests on stdin,
-//! one JSON value per line on stdout.
+//! The `rsc serve` protocol: a Language-Server-Protocol subset spoken
+//! as JSON-RPC 2.0 over newline-delimited JSON — one request per line
+//! on stdin, one JSON value per line on stdout (no `Content-Length`
+//! framing).
 //!
-//! The server state is a [`Workspace`]: one document session per
-//! URI/path, each retaining its own verdicts over one shared VC cache,
-//! so interleaved edits across documents never re-check cold and
+//! The server state is a [`Workspace`]: one document session per URI,
+//! each retaining its own verdicts over one shared VC cache, so
+//! interleaved edits across documents never re-check cold and
 //! `import`-connected files re-check their importers automatically.
-//!
-//! Two request shapes share the transport:
-//!
-//! # Legacy `cmd` requests
-//!
-//! | request                                   | effect                              |
-//! |-------------------------------------------|-------------------------------------|
-//! | `{"cmd":"load","path":"f.rsc"}`           | read file, (re-)check its closure   |
-//! | `{"cmd":"load","source":"…"}`             | check the inline source             |
-//! | `{"cmd":"edit","source":"…"}`             | replace the text, incremental check |
-//! | `{"cmd":"edit","path":"f.rsc"}`           | re-read the file, incremental check |
-//! | `{"cmd":"check"}`                         | re-check the active document        |
-//! | `{"cmd":"stats"}`                         | session + VC-cache counters + timing|
-//! | `{"cmd":"metrics"}`                       | counters, cache rates, latency, phases |
-//! | `{"cmd":"reset"}`                         | drop all documents and the cache    |
-//! | `{"cmd":"quit"}`                          | acknowledge and exit                |
-//!
-//! Each `load`/`edit` names a document: the `path` is its key (inline
-//! sources without a path share the `inline:buffer` key). Check
-//! responses look like:
-//!
-//! ```json
-//! {"ok":true,"cmd":"edit","path":"a.rsc","verified":false,
-//!  "diagnostics":[{"severity":"error","line":12,"code":"R0008","message":"…"}],
-//!  "bundles":9,"reused":8,"solved":1,"fast_path":false,
-//!  "dirty_units":["fun:step"],"deps_changed":[],"dirty_own":["fun:step"],
-//!  "importers":[{"path":"b.rsc","verified":true,"reused":4,"solved":0,
-//!                "deps_changed":[],"dirty_own":[]}],
-//!  "time_us":1234}
-//! ```
-//!
-//! In a multi-file closure each diagnostic carries a `file` field and a
-//! `line` local to that file; editing a file that other loaded
-//! documents import re-checks those importers too (summarized under
-//! `importers`). Errors (unreadable file, bad JSON, unknown command)
-//! come back as `{"ok":false,"error":"…"}` and never kill the loop.
-//!
-//! # LSP-shaped `method` requests
-//!
-//! Requests carrying a `method` field speak a Language-Server-Protocol
-//! subset over the same NDJSON transport (one JSON value per line, no
-//! `Content-Length` framing):
 //!
 //! | method                     | effect                                          |
 //! |----------------------------|-------------------------------------------------|
@@ -55,6 +15,7 @@
 //! | `textDocument/didOpen`     | open `params.textDocument.uri`, check, publish  |
 //! | `textDocument/didChange`   | re-check the URI with the last full text        |
 //! | `textDocument/didClose`    | drop the URI's session, clear its diagnostics   |
+//! | `rsc/metrics`              | server-wide counters, cache, latency, phases    |
 //! | `shutdown`                 | `{"id":…,"result":null}`                        |
 //! | `exit`                     | leave the loop                                  |
 //!
@@ -71,12 +32,26 @@
 //! plus `deps_changed` (dependencies whose export surface changed) and
 //! `dirty_own` (dirty units in the published document itself).
 //!
-//! A missing `params.textDocument.uri` is an `InvalidParams` error —
+//! The custom `rsc/metrics` request answers with the server-wide view:
+//!
+//! ```json
+//! {"jsonrpc":"2.0","id":7,"result":{"docs":1,
+//!  "counters":{"checks_total":3,"bundles_reused_total":14,…},
+//!  "cache":{"entries":90,"hits":12,"misses":90,"evictions":0,"hit_rate":0.12},
+//!  "timing":{"checks":3,"check_p50_us":2100,"check_p90_us":…,"check_p99_us":…,
+//!            "phases_ms":{"parse":0.4,"solve":5.2,…}}}}
+//! ```
+//!
+//! Errors follow JSON-RPC 2.0 and never end the loop. A line that is
+//! not JSON answers `-32700` (ParseError) with `id: null`; a value
+//! without a string `method` answers `-32600` (InvalidRequest); an
+//! unknown method answers `-32601` (MethodNotFound). A missing
+//! `params.textDocument.uri` is an InvalidParams (`-32602`) error —
 //! defaulting two malformed clients onto one shared buffer would alias
 //! their documents. So are range-carrying `contentChanges` entries
 //! (*any* element, not just the last: this server advertises
 //! full-document sync) and an empty `contentChanges` array. As the spec
-//! demands, malformed *requests* (carrying an `id`) get a JSON-RPC
+//! demands, malformed *requests* (carrying an `id`) get an InvalidParams
 //! error while malformed notifications are dropped silently.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -87,21 +62,17 @@ use rsc_core::{CheckerOptions, Diagnostic};
 use rsc_syntax::LineIndex;
 
 use crate::json::Json;
-use crate::workspace::{disk_path, DocReport, Workspace};
+use crate::workspace::{DocReport, Workspace};
 
-/// The document key for legacy inline sources that never named a path.
-const INLINE_KEY: &str = "inline:buffer";
+/// JSON-RPC 2.0 error codes.
+const PARSE_ERROR: f64 = -32700.0;
+const INVALID_REQUEST: f64 = -32600.0;
+const METHOD_NOT_FOUND: f64 = -32601.0;
+const INVALID_PARAMS: f64 = -32602.0;
 
 /// The state behind one `rsc serve` loop.
 pub struct Serve {
     ws: Workspace,
-    /// The most recently checked document (bare `edit`/`check` target).
-    active: Option<String>,
-    /// Per-document: true when the current text arrived inline (an
-    /// editor buffer) rather than from disk — a bare `check` must then
-    /// re-check the buffer, not silently revert to the file's on-disk
-    /// contents.
-    inline: HashMap<String, bool>,
     /// Per-document: the URIs its last check published diagnostics for.
     /// When a file leaves a document's closure (an import removed, a
     /// specifier that stopped resolving), its URI gets one final empty
@@ -109,11 +80,11 @@ pub struct Serve {
     /// forever.
     published: HashMap<String, BTreeSet<String>>,
     /// Cumulative per-phase `(count, total_ns)` across every check this
-    /// server ran — the `stats`/`metrics` timing summary. Keyed by phase
+    /// server ran — the `rsc/metrics` timing summary. Keyed by phase
     /// name (sorted), so exports are deterministic given the same spans.
     phase_acc: BTreeMap<&'static str, (u64, u64)>,
     /// Monotonic counters plus the check-latency histogram
-    /// (p50/p90/p99) behind `{"cmd":"metrics"}`.
+    /// (p50/p90/p99) behind `rsc/metrics`.
     registry: rsc_obs::Registry,
 }
 
@@ -128,8 +99,6 @@ impl Serve {
     pub fn over(ws: Workspace) -> Serve {
         Serve {
             ws,
-            active: None,
-            inline: HashMap::new(),
             published: HashMap::new(),
             phase_acc: BTreeMap::new(),
             registry: rsc_obs::Registry::new(),
@@ -186,248 +155,102 @@ impl Serve {
     /// empty for silent notifications) and whether the loop should
     /// exit.
     pub fn handle(&mut self, line: &str) -> (String, bool) {
-        let line = line.trim();
-        if line.is_empty() {
-            return (err("empty request"), false);
-        }
-        let req = match Json::parse(line) {
+        let req = match Json::parse(line.trim()) {
             Ok(v) => v,
-            Err(e) => return (err(&format!("bad JSON: {e}")), false),
+            Err(e) => {
+                let msg = format!("bad JSON: {e}");
+                return (lsp_error_code(Json::Null, PARSE_ERROR, &msg), false);
+            }
         };
-        if req.get("method").and_then(Json::as_str).is_some() {
-            return self.handle_lsp(&req);
-        }
-        let cmd = match req.get("cmd").and_then(Json::as_str) {
-            Some(c) => c.to_string(),
-            None => return (err("missing \"cmd\" (or LSP \"method\")"), false),
+        let id = req.get("id").cloned().unwrap_or(Json::Null);
+        let Some(method) = req.get("method").and_then(Json::as_str) else {
+            let msg = "a request needs a string \"method\"";
+            return (lsp_error_code(id, INVALID_REQUEST, msg), false);
         };
-        match cmd.as_str() {
-            "load" | "edit" => {
-                let inline_src = req.get("source").and_then(Json::as_str).map(str::to_string);
-                let path = req.get("path").and_then(Json::as_str).map(str::to_string);
-                let key = match path.clone().or_else(|| self.active.clone()) {
-                    Some(k) => k,
-                    None if inline_src.is_some() => INLINE_KEY.to_string(),
-                    None => return (err("need \"source\" or \"path\""), false),
-                };
-                let (text, is_inline) = match inline_src {
-                    Some(s) => (s, true),
-                    None => match read_doc(&key) {
-                        Ok(t) => (t, false),
-                        Err(e) => return (err(&e), false),
-                    },
-                };
-                self.inline.insert(key.clone(), is_inline);
-                self.active = Some(key.clone());
-                let (reports, timing) = self.checked_update(&key, text);
-                (check_response(&cmd, &key, &reports, timing), false)
+        let params = req.get("params");
+        let response = match method {
+            "initialize" => Ok(lsp_response(id.clone(), initialize_result())),
+            "initialized" | "exit" => Ok(String::new()),
+            "rsc/metrics" => Ok(lsp_response(id.clone(), self.metrics())),
+            "shutdown" => Ok(lsp_response(id.clone(), Json::Null)),
+            "textDocument/didOpen" => self.did_open(params),
+            "textDocument/didChange" => self.did_change(params),
+            "textDocument/didClose" => self.did_close(params),
+            // MethodNotFound: spec-following clients degrade silently.
+            other => {
+                let msg = format!("unknown method {other:?}");
+                Ok(lsp_error_code(id.clone(), METHOD_NOT_FOUND, &msg))
             }
-            "check" => {
-                let Some(key) = self.active.clone() else {
-                    return (err("nothing loaded"), false);
-                };
-                // Inline buffers re-check as-is; path-backed documents
-                // re-read the disk (the file may have changed under us).
-                let inline = self.inline.get(&key).copied().unwrap_or(true);
-                let text = if inline {
-                    self.ws.doc_text(&key).unwrap_or_default().to_string()
-                } else {
-                    match read_doc(&key) {
-                        Ok(text) => text,
-                        Err(e) => return (err(&e), false),
-                    }
-                };
-                let (reports, timing) = self.checked_update(&key, text);
-                (check_response("check", &key, &reports, timing), false)
-            }
-            "stats" => (self.stats_response(), false),
-            "metrics" => (self.metrics_response(), false),
-            "reset" => {
-                self.ws.reset();
-                self.active = None;
-                self.inline.clear();
-                self.published.clear();
-                (
-                    Json::Obj(vec![
-                        ("ok".into(), Json::Bool(true)),
-                        ("cmd".into(), Json::str("reset")),
-                    ])
-                    .to_string(),
-                    false,
-                )
-            }
-            "quit" => (
-                Json::Obj(vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("cmd".into(), Json::str("quit")),
-                ])
-                .to_string(),
-                true,
-            ),
-            other => (err(&format!("unknown cmd {other:?}")), false),
-        }
+        };
+        // Bad params: InvalidParams for a request that carried an `id`;
+        // silence for a true notification (the spec forbids responding
+        // to notifications, and a response with `id: null` reads as a
+        // protocol error to clients).
+        let response = match response {
+            Ok(lines) => lines,
+            Err(msg) if req.get("id").is_some() => lsp_error_code(id, INVALID_PARAMS, msg),
+            Err(_) => String::new(),
+        };
+        (response, method == "exit")
     }
 
-    /// Dispatches one LSP-shaped request (`method` field present).
-    /// Notifications that warrant no response return an empty line,
-    /// which [`Serve::run`] skips.
-    fn handle_lsp(&mut self, req: &Json) -> (String, bool) {
-        let method = req.get("method").and_then(Json::as_str).unwrap_or_default();
-        let id = req.get("id").cloned().unwrap_or(Json::Null);
-        match method {
-            "initialize" => {
-                let result = Json::Obj(vec![
-                    (
-                        "capabilities".into(),
-                        Json::Obj(vec![
-                            // 1 = full-document sync; didChange carries the
-                            // whole text.
-                            ("textDocumentSync".into(), Json::num(1.0)),
-                            ("positionEncoding".into(), Json::str("utf-16")),
-                            ("diagnosticProvider".into(), Json::Bool(true)),
-                        ]),
-                    ),
-                    (
-                        "serverInfo".into(),
-                        Json::Obj(vec![
-                            ("name".into(), Json::str("rsc")),
-                            ("version".into(), Json::str(env!("CARGO_PKG_VERSION"))),
-                        ]),
-                    ),
-                ]);
-                (lsp_response(id, result), false)
+    /// `textDocument/didOpen`: checks the document's text and publishes.
+    fn did_open(&mut self, params: Option<&Json>) -> Result<String, &'static str> {
+        // A missing URI is a hard parameter error: defaulting to a shared
+        // buffer would alias documents from two malformed clients onto
+        // one session.
+        let uri = doc_uri(params).ok_or("didOpen needs params.textDocument.uri")?;
+        let text = params
+            .and_then(|p| p.get("textDocument")?.get("text")?.as_str())
+            .ok_or("didOpen needs params.textDocument.text")?;
+        Ok(self.lsp_check(uri, text.to_string()))
+    }
+
+    /// `textDocument/didChange` under full-document sync (advertised as
+    /// `textDocumentSync: 1`): folds the changes over the current
+    /// overlay. An element without a `range` replaces the whole
+    /// document, and so does one whose range demonstrably *covers* the
+    /// whole current document (start at 0:0, end at or past the last
+    /// position) — some clients spell full sync that way. A genuinely
+    /// partial range is refused loudly: silently checking a fragment as
+    /// the whole buffer would publish garbage diagnostics and corrupt
+    /// the remembered document text.
+    fn did_change(&mut self, params: Option<&Json>) -> Result<String, &'static str> {
+        let uri = doc_uri(params).ok_or("didChange needs params.textDocument.uri")?;
+        let changes = match params.and_then(|p| p.get("contentChanges")) {
+            Some(Json::Arr(changes)) if !changes.is_empty() => changes,
+            _ => return Err("didChange needs a non-empty params.contentChanges array"),
+        };
+        let mut cur = self.ws.doc_text(uri).unwrap_or_default();
+        for ch in changes {
+            let text = ch
+                .get("text")
+                .and_then(Json::as_str)
+                .ok_or("didChange needs params.contentChanges[…].text")?;
+            if ch
+                .get("range")
+                .is_some_and(|range| !range_covers_document(range, cur))
+            {
+                return Err("incremental (partial range) changes are not supported; \
+                     this server uses full-document sync (textDocumentSync: 1, \
+                     whole-document ranges accepted)");
             }
-            "initialized" => (String::new(), false),
-            "shutdown" => (lsp_response(id, Json::Null), false),
-            "exit" => (String::new(), true),
-            "textDocument/didOpen" => {
-                let doc = req.get("params").and_then(|p| p.get("textDocument"));
-                // A missing URI is a hard parameter error: defaulting to
-                // a shared buffer would alias documents from two
-                // malformed clients onto one session.
-                let Some(uri) = doc.and_then(|d| d.get("uri")).and_then(Json::as_str) else {
-                    return (
-                        notification_param_error(req, id, "didOpen needs params.textDocument.uri"),
-                        false,
-                    );
-                };
-                let uri = uri.to_string();
-                let Some(text) = doc.and_then(|d| d.get("text")).and_then(Json::as_str) else {
-                    return (
-                        notification_param_error(req, id, "didOpen needs params.textDocument.text"),
-                        false,
-                    );
-                };
-                let text = text.to_string();
-                (self.lsp_check(&uri, text), false)
-            }
-            "textDocument/didChange" => {
-                let params = req.get("params");
-                let Some(uri) = params
-                    .and_then(|p| p.get("textDocument"))
-                    .and_then(|d| d.get("uri"))
-                    .and_then(Json::as_str)
-                else {
-                    return (
-                        notification_param_error(
-                            req,
-                            id,
-                            "didChange needs params.textDocument.uri",
-                        ),
-                        false,
-                    );
-                };
-                let uri = uri.to_string();
-                // Full-document sync (advertised as textDocumentSync: 1):
-                // fold the changes over the current overlay. An element
-                // without a `range` replaces the whole document, and so
-                // does one whose range demonstrably *covers* the whole
-                // current document (start at 0:0, end at or past the
-                // last position) — some clients spell full sync that
-                // way. A genuinely partial range is refused loudly:
-                // silently checking a fragment as the whole buffer
-                // would publish garbage diagnostics and corrupt the
-                // remembered document text.
-                let changes = match params.and_then(|p| p.get("contentChanges")) {
-                    Some(Json::Arr(changes)) if !changes.is_empty() => changes.clone(),
-                    _ => {
-                        return (
-                            notification_param_error(
-                                req,
-                                id,
-                                "didChange needs a non-empty params.contentChanges array",
-                            ),
-                            false,
-                        )
-                    }
-                };
-                let mut cur = self
-                    .ws
-                    .doc_text(&uri)
-                    .map(str::to_string)
-                    .unwrap_or_default();
-                for ch in &changes {
-                    let Some(text) = ch.get("text").and_then(Json::as_str) else {
-                        return (
-                            notification_param_error(
-                                req,
-                                id,
-                                "didChange needs params.contentChanges[…].text",
-                            ),
-                            false,
-                        );
-                    };
-                    if let Some(range) = ch.get("range") {
-                        if !range_covers_document(range, &cur) {
-                            return (
-                                notification_param_error(
-                                    req,
-                                    id,
-                                    "incremental (partial range) changes are not supported; \
-                                     this server uses full-document sync (textDocumentSync: 1, \
-                                     whole-document ranges accepted)",
-                                ),
-                                false,
-                            );
-                        }
-                    }
-                    cur = text.to_string();
-                }
-                (self.lsp_check(&uri, cur), false)
-            }
-            "textDocument/didClose" => {
-                let Some(uri) = req
-                    .get("params")
-                    .and_then(|p| p.get("textDocument"))
-                    .and_then(|d| d.get("uri"))
-                    .and_then(Json::as_str)
-                else {
-                    return (
-                        notification_param_error(req, id, "didClose needs params.textDocument.uri"),
-                        false,
-                    );
-                };
-                let uri = uri.to_string();
-                self.ws.close(&uri);
-                self.inline.remove(&uri);
-                if self.active.as_deref() == Some(uri.as_str()) {
-                    self.active = None;
-                }
-                // Clear the closed document's diagnostics client-side —
-                // its own URI plus every closure URI its last check
-                // published for (open importers will re-claim theirs on
-                // their next check).
-                let mut uris = self.published.remove(&uri).unwrap_or_default();
-                uris.insert(uri);
-                let lines: Vec<String> = uris.iter().map(|u| publish_empty(u)).collect();
-                (lines.join("\n"), false)
-            }
-            other => (
-                // MethodNotFound: spec-following clients degrade silently.
-                lsp_error_code(id, -32601.0, &format!("unknown method {other:?}")),
-                false,
-            ),
+            cur = text;
         }
+        Ok(self.lsp_check(uri, cur.to_string()))
+    }
+
+    /// `textDocument/didClose`: drops the document's session and clears
+    /// its diagnostics client-side — its own URI plus every closure URI
+    /// its last check published for (open importers will re-claim
+    /// theirs on their next check).
+    fn did_close(&mut self, params: Option<&Json>) -> Result<String, &'static str> {
+        let uri = doc_uri(params).ok_or("didClose needs params.textDocument.uri")?;
+        self.ws.close(uri);
+        let mut uris = self.published.remove(uri).unwrap_or_default();
+        uris.insert(uri.to_string());
+        let lines: Vec<String> = uris.iter().map(|u| publish_empty(u)).collect();
+        Ok(lines.join("\n"))
     }
 
     /// Checks `text` as the document `uri` through the workspace and
@@ -436,8 +259,6 @@ impl Serve {
     /// published for last time but no longer covers (a removed import's
     /// diagnostics must not stay pinned in the editor).
     fn lsp_check(&mut self, uri: &str, text: String) -> String {
-        self.inline.insert(uri.to_string(), true);
-        self.active = Some(uri.to_string());
         let (reports, timing) = self.checked_update(uri, text);
         let mut lines = Vec::new();
         for report in &reports {
@@ -454,38 +275,19 @@ impl Serve {
         lines.join("\n")
     }
 
-    fn stats_response(&self) -> String {
+    /// The `rsc/metrics` result: open documents, the registry's
+    /// monotonic counters, the shared VC cache's counters, and the
+    /// timing summary (check-latency percentiles plus cumulative
+    /// per-phase milliseconds) — all derived from the registry and the
+    /// cache, never from verdicts.
+    fn metrics(&self) -> Json {
         let c = self.ws.cache().counters();
-        let mut fields = vec![
-            ("ok".into(), Json::Bool(true)),
-            ("cmd".into(), Json::str("stats")),
-            ("docs".into(), Json::num(self.ws.doc_count() as f64)),
-            ("cache_entries".into(), Json::num(c.entries as f64)),
-            ("cache_hits".into(), Json::num(c.hits as f64)),
-            ("cache_misses".into(), Json::num(c.misses as f64)),
-            ("cache_evictions".into(), Json::num(c.evictions as f64)),
-            // Cumulative across the server's lifetime, so the smoke
-            // harness can assert session + skip counters + timing on
-            // this one object.
-            (
-                "importers_skipped".into(),
-                Json::num(self.registry.counter("importers_skipped_total") as f64),
-            ),
-            ("timing".into(), self.timing_summary()),
-        ];
-        if let Some(last) = self.active.as_ref().and_then(|k| self.ws.last(k)) {
-            fields.push((
-                "bundles".into(),
-                Json::num(last.outcome.incr.bundles as f64),
-            ));
-            fields.push(("verified".into(), Json::Bool(last.outcome.result.ok())));
-        }
-        Json::Obj(fields).to_string()
-    }
-
-    /// The aggregate timing summary shared by `stats` and `metrics`:
-    /// check-latency percentiles plus cumulative per-phase milliseconds.
-    fn timing_summary(&self) -> Json {
+        let counters = Json::Obj(
+            self.registry
+                .counters()
+                .map(|(name, v)| (name.to_string(), Json::num(v as f64)))
+                .collect(),
+        );
         let lat = self.registry.histogram("check_latency");
         let phases = Json::Obj(
             self.phase_acc
@@ -494,40 +296,6 @@ impl Serve {
                 .collect(),
         );
         Json::Obj(vec![
-            (
-                "checks".into(),
-                Json::num(self.registry.counter("checks_total") as f64),
-            ),
-            (
-                "check_p50_us".into(),
-                Json::num(lat.map_or(0, |h| h.p50_us()) as f64),
-            ),
-            (
-                "check_p90_us".into(),
-                Json::num(lat.map_or(0, |h| h.p90_us()) as f64),
-            ),
-            (
-                "check_p99_us".into(),
-                Json::num(lat.map_or(0, |h| h.p99_us()) as f64),
-            ),
-            ("phases_ms".into(), phases),
-        ])
-    }
-
-    /// `{"cmd":"metrics"}`: the ROADMAP's `/metrics`-style surface —
-    /// monotonic counters, cache hit rate, and check-latency
-    /// percentiles, all derived from the registry (never from verdicts).
-    fn metrics_response(&self) -> String {
-        let c = self.ws.cache().counters();
-        let counters = Json::Obj(
-            self.registry
-                .counters()
-                .map(|(name, v)| (name.to_string(), Json::num(v as f64)))
-                .collect(),
-        );
-        Json::Obj(vec![
-            ("ok".into(), Json::Bool(true)),
-            ("cmd".into(), Json::str("metrics")),
             ("docs".into(), Json::num(self.ws.doc_count() as f64)),
             ("counters".into(), counters),
             (
@@ -540,23 +308,35 @@ impl Serve {
                     ("hit_rate".into(), Json::num(c.hit_rate())),
                 ]),
             ),
-            ("timing".into(), self.timing_summary()),
+            (
+                "timing".into(),
+                Json::Obj(vec![
+                    (
+                        "checks".into(),
+                        Json::num(self.registry.counter("checks_total") as f64),
+                    ),
+                    (
+                        "check_p50_us".into(),
+                        Json::num(lat.map_or(0, |h| h.p50_us()) as f64),
+                    ),
+                    (
+                        "check_p90_us".into(),
+                        Json::num(lat.map_or(0, |h| h.p90_us()) as f64),
+                    ),
+                    (
+                        "check_p99_us".into(),
+                        Json::num(lat.map_or(0, |h| h.p99_us()) as f64),
+                    ),
+                    ("phases_ms".into(), phases),
+                ]),
+            ),
         ])
-        .to_string()
     }
 
-    /// Runs the serve loop over arbitrary reader/writer pairs (stdin and
-    /// stdout in the binary; in-memory buffers in tests and CI drivers).
-    pub fn run(
-        opts: CheckerOptions,
-        reader: impl BufRead,
-        writer: impl Write,
-    ) -> std::io::Result<()> {
-        Serve::run_over(Workspace::new(opts), reader, writer)
-    }
-
-    /// [`Serve::run`] over a caller-built workspace (e.g. one with a
-    /// persistent `--vc-cache` tier attached).
+    /// Runs the serve loop over a caller-built workspace (e.g. one with
+    /// a persistent `--vc-cache` tier attached) and arbitrary
+    /// reader/writer pairs (stdin and stdout in the binary; in-memory
+    /// buffers in tests).
     pub fn run_over(
         ws: Workspace,
         reader: impl BufRead,
@@ -631,20 +411,6 @@ fn timing_json(phases: &[rsc_obs::Phase]) -> Json {
     )
 }
 
-/// Reads a legacy document key's backing file from disk.
-fn read_doc(key: &str) -> Result<String, String> {
-    let path = disk_path(key).ok_or_else(|| format!("`{key}` has no backing file"))?;
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
-}
-
-fn err(msg: &str) -> String {
-    Json::Obj(vec![
-        ("ok".into(), Json::Bool(false)),
-        ("error".into(), Json::str(msg)),
-    ])
-    .to_string()
-}
-
 fn lsp_response(id: Json, result: Json) -> String {
     Json::Obj(vec![
         ("jsonrpc".into(), Json::str("2.0")),
@@ -654,7 +420,7 @@ fn lsp_response(id: Json, result: Json) -> String {
     .to_string()
 }
 
-/// JSON-RPC error codes: `-32601` MethodNotFound, `-32602` InvalidParams.
+/// A JSON-RPC error response with one of the codes above.
 fn lsp_error_code(id: Json, code: f64, msg: &str) -> String {
     Json::Obj(vec![
         ("jsonrpc".into(), Json::str("2.0")),
@@ -670,19 +436,31 @@ fn lsp_error_code(id: Json, code: f64, msg: &str) -> String {
     .to_string()
 }
 
-fn lsp_error(id: Json, msg: &str) -> String {
-    lsp_error_code(id, -32602.0, msg)
+/// `params.textDocument.uri`.
+fn doc_uri(params: Option<&Json>) -> Option<&str> {
+    params?.get("textDocument")?.get("uri")?.as_str()
 }
 
-/// InvalidParams for a request that carried an `id`; silence for a true
-/// notification (the spec forbids responding to notifications, and a
-/// response with `id: null` reads as a protocol error to clients).
-fn notification_param_error(req: &Json, id: Json, msg: &str) -> String {
-    if req.get("id").is_some() {
-        lsp_error(id, msg)
-    } else {
-        String::new()
-    }
+/// The `initialize` result: full-document sync (`didChange` carries
+/// the whole text), UTF-16 positions, and the server's name/version.
+fn initialize_result() -> Json {
+    Json::Obj(vec![
+        (
+            "capabilities".into(),
+            Json::Obj(vec![
+                ("textDocumentSync".into(), Json::num(1.0)),
+                ("positionEncoding".into(), Json::str("utf-16")),
+                ("diagnosticProvider".into(), Json::Bool(true)),
+            ]),
+        ),
+        (
+            "serverInfo".into(),
+            Json::Obj(vec![
+                ("name".into(), Json::str("rsc")),
+                ("version".into(), Json::str(env!("CARGO_PKG_VERSION"))),
+            ]),
+        ),
+    ])
 }
 
 /// True when an LSP `{start, end}` range covers the entire `doc`:
@@ -870,197 +648,11 @@ fn publish_empty(uri: &str) -> String {
     .to_string()
 }
 
-/// One importer's summary inside a legacy check response.
-fn importer_summary(report: &DocReport) -> Json {
-    Json::Obj(vec![
-        ("path".into(), Json::str(report.uri.clone())),
-        ("verified".into(), Json::Bool(report.outcome.result.ok())),
-        (
-            "reused".into(),
-            Json::num(report.outcome.incr.reused as f64),
-        ),
-        (
-            "solved".into(),
-            Json::num(report.outcome.incr.solved as f64),
-        ),
-        ("deps_changed".into(), str_arr(&report.deps_changed)),
-        ("dirty_own".into(), str_arr(&report.dirty_own)),
-    ])
-}
-
-fn check_response(cmd: &str, key: &str, reports: &[DocReport], timing: Json) -> String {
-    let report = &reports[0];
-    let outcome = &report.outcome;
-    let multi_file = report.merged.files.len() > 1;
-    let render_diag = |d: &Diagnostic| {
-        let (fi, local) = report.merged.localize(d);
-        let severity = match local.severity {
-            rsc_core::Severity::Error => "error",
-            rsc_core::Severity::Warning => "warning",
-            rsc_core::Severity::Note => "note",
-        };
-        let mut fields = vec![
-            ("severity".into(), Json::str(severity)),
-            ("line".into(), Json::num(local.span.line as f64)),
-            ("message".into(), Json::str(local.message.clone())),
-        ];
-        if let Some(code) = local.code {
-            fields.insert(1, ("code".into(), Json::str(code)));
-        }
-        if multi_file {
-            fields.push((
-                "file".into(),
-                Json::str(report.merged.files[fi].name.clone()),
-            ));
-        }
-        Json::Obj(fields)
-    };
-    let diags: Vec<Json> = outcome.result.diagnostics.iter().map(render_diag).collect();
-    let lints: Vec<Json> = outcome.result.lints.iter().map(render_diag).collect();
-    // Unit names over a qualified merged program carry module prefixes;
-    // strip them — user-visible output never shows mangled names.
-    let dirty_units: Vec<String> = outcome
-        .incr
-        .dirty_units
-        .iter()
-        .map(|n| report.merged.demangle(n))
-        .collect();
-    let mut fields = vec![
-        ("ok".into(), Json::Bool(true)),
-        ("cmd".into(), Json::str(cmd)),
-        ("path".into(), Json::str(key)),
-        ("verified".into(), Json::Bool(outcome.result.ok())),
-        ("diagnostics".into(), Json::Arr(diags)),
-        ("lints".into(), Json::Arr(lints)),
-        ("bundles".into(), Json::num(outcome.incr.bundles as f64)),
-        ("reused".into(), Json::num(outcome.incr.reused as f64)),
-        ("solved".into(), Json::num(outcome.incr.solved as f64)),
-        ("fast_path".into(), Json::Bool(outcome.incr.fast_path)),
-        (
-            "importers_skipped".into(),
-            Json::num(outcome.incr.importers_skipped as f64),
-        ),
-        ("dirty_units".into(), str_arr(&dirty_units)),
-        ("deps_changed".into(), str_arr(&report.deps_changed)),
-        ("dirty_own".into(), str_arr(&report.dirty_own)),
-    ];
-    if reports.len() > 1 {
-        fields.push((
-            "importers".into(),
-            Json::Arr(reports[1..].iter().map(importer_summary).collect()),
-        ));
-    }
-    fields.push((
-        "time_us".into(),
-        Json::num(outcome.incr.total_micros as f64),
-    ));
-    fields.push(("timing_ms".into(), timing));
-    Json::Obj(fields).to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const PROG: &str = "type nat = {v: number | 0 <= v};\nfunction abs(x: number): nat {\n    if (x < 0) { return 0 - x; }\n    return x;\n}\nfunction dbl(y: nat): nat { return y + y; }\n";
-
-    fn load_req(src: &str) -> String {
-        Json::Obj(vec![
-            ("cmd".into(), Json::str("load")),
-            ("source".into(), Json::str(src)),
-        ])
-        .to_string()
-    }
-
-    fn edit_req(src: &str) -> String {
-        Json::Obj(vec![
-            ("cmd".into(), Json::str("edit")),
-            ("source".into(), Json::str(src)),
-        ])
-        .to_string()
-    }
-
-    #[test]
-    fn load_edit_cycle() {
-        let mut serve = Serve::new(CheckerOptions::default());
-        let (resp, quit) = serve.handle(&load_req(PROG));
-        assert!(!quit);
-        let v = Json::parse(&resp).unwrap();
-        assert_eq!(v.get("verified"), Some(&Json::Bool(true)));
-        assert_eq!(v.get("reused").unwrap().as_f64(), Some(0.0));
-
-        // Break abs (x = 0 falls through and returns -1); id's bundle
-        // is reused and the error is reported.
-        let bad = PROG.replace("return x;\n}", "return x - 1;\n}");
-        let (resp, _) = serve.handle(&edit_req(&bad));
-        let v = Json::parse(&resp).unwrap();
-        assert_eq!(v.get("verified"), Some(&Json::Bool(false)));
-        assert!(v.get("reused").unwrap().as_f64().unwrap() > 0.0);
-        match v.get("diagnostics") {
-            Some(Json::Arr(ds)) => assert!(!ds.is_empty()),
-            other => panic!("bad diagnostics: {other:?}"),
-        }
-
-        // Fix it again: fast, verified.
-        let (resp, _) = serve.handle(&edit_req(PROG));
-        let v = Json::parse(&resp).unwrap();
-        assert_eq!(v.get("verified"), Some(&Json::Bool(true)));
-    }
-
-    /// A bare `check` after an inline `edit` must re-check the inline
-    /// buffer, not silently re-read the older on-disk file.
-    #[test]
-    fn bare_check_prefers_the_inline_buffer() {
-        let dir = std::env::temp_dir().join("rsc_serve_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("buffer.rsc");
-        std::fs::write(&file, PROG).unwrap();
-        let mut serve = Serve::new(CheckerOptions::default());
-        let load = Json::Obj(vec![
-            ("cmd".into(), Json::str("load")),
-            ("path".into(), Json::str(file.to_str().unwrap())),
-        ])
-        .to_string();
-        let (resp, _) = serve.handle(&load);
-        assert_eq!(
-            Json::parse(&resp).unwrap().get("verified"),
-            Some(&Json::Bool(true))
-        );
-        // Editor submits a broken buffer; the disk file stays clean.
-        let bad = PROG.replace("return x;\n}", "return x - 1;\n}");
-        serve.handle(&edit_req(&bad));
-        let (resp, _) = serve.handle(r#"{"cmd":"check"}"#);
-        let v = Json::parse(&resp).unwrap();
-        assert_eq!(
-            v.get("verified"),
-            Some(&Json::Bool(false)),
-            "bare check must see the inline edit, not the stale file: {resp}"
-        );
-        // A path-carrying edit switches back to disk.
-        let reload = Json::Obj(vec![
-            ("cmd".into(), Json::str("edit")),
-            ("path".into(), Json::str(file.to_str().unwrap())),
-        ])
-        .to_string();
-        let (resp, _) = serve.handle(&reload);
-        assert_eq!(
-            Json::parse(&resp).unwrap().get("verified"),
-            Some(&Json::Bool(true))
-        );
-    }
-
-    #[test]
-    fn protocol_errors_do_not_kill_the_loop() {
-        let mut serve = Serve::new(CheckerOptions::default());
-        for bad in ["not json", "{}", r#"{"cmd":"nope"}"#, r#"{"cmd":"check"}"#] {
-            let (resp, quit) = serve.handle(bad);
-            assert!(!quit);
-            let v = Json::parse(&resp).unwrap();
-            assert_eq!(v.get("ok"), Some(&Json::Bool(false)), "{bad}");
-        }
-        let (_, quit) = serve.handle(r#"{"cmd":"quit"}"#);
-        assert!(quit);
-    }
 
     fn lsp_req(method: &str, params: Json, id: Option<f64>) -> String {
         let mut fields = vec![
@@ -1108,6 +700,85 @@ mod tests {
     /// Parses a (possibly multi-line) response into JSON values.
     fn parse_lines(resp: &str) -> Vec<Json> {
         resp.lines().map(|l| Json::parse(l).unwrap()).collect()
+    }
+
+    /// The `result` of an `rsc/metrics` request.
+    fn metrics(serve: &mut Serve) -> Json {
+        let (resp, quit) = serve.handle(r#"{"jsonrpc":"2.0","id":99,"method":"rsc/metrics"}"#);
+        assert!(!quit);
+        let v = Json::parse(&resp).unwrap();
+        assert_eq!(v.get("id").and_then(Json::as_f64), Some(99.0), "{resp}");
+        v.get("result").cloned().expect("metrics result")
+    }
+
+    fn open_docs(serve: &mut Serve) -> Option<f64> {
+        metrics(serve).get("docs").and_then(Json::as_f64)
+    }
+
+    /// Each malformed line answers its JSON-RPC 2.0 error code (with the
+    /// request's id where it has one) and the next request is still
+    /// answered; only `exit` ends the loop.
+    #[test]
+    fn protocol_errors_do_not_kill_the_loop() {
+        let mut serve = Serve::new(CheckerOptions::default());
+        let deep = "[".repeat(200_000);
+        for (bad, code, id) in [
+            ("not json", -32700.0, Json::Null),
+            (deep.as_str(), -32700.0, Json::Null),
+            ("", -32700.0, Json::Null),
+            ("{}", -32600.0, Json::Null),
+            ("[1, 2]", -32600.0, Json::Null),
+            (
+                r#"{"jsonrpc":"2.0","id":4,"method":7}"#,
+                -32600.0,
+                Json::num(4.0),
+            ),
+            (
+                r#"{"cmd":"load","source":"var x = 1;"}"#,
+                -32600.0,
+                Json::Null,
+            ),
+            (r#"{"cmd":"quit"}"#, -32600.0, Json::Null),
+            (
+                r#"{"jsonrpc":"2.0","id":5,"method":"nope"}"#,
+                -32601.0,
+                Json::num(5.0),
+            ),
+        ] {
+            let (resp, quit) = serve.handle(bad);
+            assert!(!quit, "{bad:?} ended the loop");
+            let v = Json::parse(&resp).unwrap();
+            assert_eq!(v.get("id"), Some(&id), "{bad:?}: {resp}");
+            let got = v.get("error").and_then(|e| e.get("code"));
+            assert_eq!(got.and_then(Json::as_f64), Some(code), "{bad:?}: {resp}");
+            assert_eq!(open_docs(&mut serve), Some(0.0), "after {bad:?}");
+        }
+        let (resp, quit) = serve.handle(r#"{"jsonrpc":"2.0","method":"exit"}"#);
+        assert!(resp.is_empty() && quit);
+    }
+
+    /// A non-ASCII character where an operator belongs once panicked
+    /// the lexer and took the server down; it now publishes one parse
+    /// diagnostic, and the next request is answered.
+    #[test]
+    fn non_ascii_operator_publishes_a_parse_diagnostic() {
+        let uri = "file:///dash.rsc";
+        let mut serve = Serve::new(CheckerOptions::default());
+        let (resp, _) = serve.handle(&did_open(
+            uri,
+            "function f(x: number): number { return x \u{2014} 1; }\n",
+        ));
+        let lines = parse_lines(&resp);
+        assert_eq!(lines.len(), 1, "{resp}");
+        match lines[0].get("params").and_then(|p| p.get("diagnostics")) {
+            Some(Json::Arr(ds)) => {
+                assert_eq!(ds.len(), 1, "{resp}");
+                let msg = ds[0].get("message").and_then(Json::as_str).unwrap();
+                assert!(msg.contains("'\u{2014}'"), "{resp}");
+            }
+            other => panic!("bad diagnostics: {other:?}"),
+        }
+        assert_eq!(open_docs(&mut serve), Some(1.0));
     }
 
     #[test]
@@ -1522,9 +1193,7 @@ mod tests {
         );
         let (resp, _) = serve.handle(&open_notif);
         assert!(resp.is_empty(), "{resp}");
-        let (resp, _) = serve.handle(r#"{"cmd":"stats"}"#);
-        let v = Json::parse(&resp).unwrap();
-        assert_eq!(v.get("docs").and_then(Json::as_f64), Some(0.0), "{resp}");
+        assert_eq!(open_docs(&mut serve), Some(0.0));
         // didChange without a uri: same contract.
         let change = lsp_req(
             "textDocument/didChange",
@@ -1558,9 +1227,7 @@ mod tests {
             v.get("params").unwrap().get("diagnostics"),
             Some(&Json::Arr(vec![]))
         );
-        let (resp, _) = serve.handle(r#"{"cmd":"stats"}"#);
-        let v = Json::parse(&resp).unwrap();
-        assert_eq!(v.get("docs").and_then(Json::as_f64), Some(0.0), "{resp}");
+        assert_eq!(open_docs(&mut serve), Some(0.0));
     }
 
     /// Diagnostics published under a *non-open* closure file's URI must
@@ -1615,51 +1282,71 @@ mod tests {
     }
 
     #[test]
-    fn lsp_and_legacy_requests_interleave() {
+    fn malformed_requests_error_while_notifications_stay_silent() {
         let mut serve = Serve::new(CheckerOptions::default());
-        let (resp, _) = serve.handle(&did_open("file:///x.rsc", PROG));
-        assert!(resp.contains("publishDiagnostics"));
-        // A legacy bare `check` sees the LSP buffer.
-        let (resp, _) = serve.handle(r#"{"cmd":"check"}"#);
-        let v = Json::parse(&resp).unwrap();
-        assert_eq!(v.get("verified"), Some(&Json::Bool(true)), "{resp}");
-        // Malformed LSP *request* (it carries an id) errors without
+        // A malformed *request* (it carries an id) errors without
         // killing the loop…
         let (resp, quit) =
             serve.handle(r#"{"jsonrpc":"2.0","id":9,"method":"textDocument/didOpen","params":{}}"#);
         assert!(!quit);
-        assert!(Json::parse(&resp).unwrap().get("error").is_some(), "{resp}");
+        let v = Json::parse(&resp).unwrap();
+        let code = v.get("error").and_then(|e| e.get("code"));
+        assert_eq!(code.and_then(Json::as_f64), Some(-32602.0), "{resp}");
         // …while a malformed *notification* (no id) is dropped silently:
         // the spec forbids responding to notifications.
         let (resp, quit) =
             serve.handle(r#"{"jsonrpc":"2.0","method":"textDocument/didOpen","params":{}}"#);
         assert!(resp.is_empty() && !quit, "{resp}");
+        let (resp, _) = serve.handle(&did_open("file:///x.rsc", PROG));
+        assert!(resp.contains("publishDiagnostics"), "{resp}");
     }
 
+    /// The loop writes one line per response, skips blank lines and
+    /// silent notifications, survives a malformed line, and stops
+    /// reading at `exit`.
     #[test]
     fn run_loop_over_buffers() {
-        let script = format!(
-            "{}\n{}\n{}\n{}\n",
-            load_req(PROG),
-            r#"{"cmd":"stats"}"#,
-            r#"{"cmd":"reset"}"#,
-            r#"{"cmd":"quit"}"#
-        );
+        let script = [
+            r#"{"jsonrpc":"2.0","id":1,"method":"initialize","params":{}}"#.to_string(),
+            r#"{"jsonrpc":"2.0","method":"initialized","params":{}}"#.to_string(),
+            did_open("file:///x.rsc", PROG),
+            String::new(),
+            "not json".to_string(),
+            r#"{"jsonrpc":"2.0","id":2,"method":"rsc/metrics"}"#.to_string(),
+            r#"{"jsonrpc":"2.0","id":3,"method":"shutdown"}"#.to_string(),
+            r#"{"jsonrpc":"2.0","method":"exit"}"#.to_string(),
+            r#"{"jsonrpc":"2.0","id":4,"method":"shutdown"}"#.to_string(),
+        ]
+        .join("\n");
         let mut out = Vec::new();
-        Serve::run(
-            CheckerOptions::default(),
+        Serve::run_over(
+            Workspace::new(CheckerOptions::default()),
             std::io::BufReader::new(script.as_bytes()),
             &mut out,
         )
         .unwrap();
-        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().trim().lines().collect();
-        assert_eq!(lines.len(), 4);
-        for l in &lines {
-            assert_eq!(
-                Json::parse(l).unwrap().get("ok"),
-                Some(&Json::Bool(true)),
-                "{l}"
-            );
-        }
+        let lines = parse_lines(std::str::from_utf8(&out).unwrap());
+        // initialize, publish, parse error, metrics, shutdown — and
+        // nothing for the request after `exit`.
+        assert_eq!(lines.len(), 5, "{lines:?}");
+        assert!(lines[0]
+            .get("result")
+            .unwrap()
+            .get("capabilities")
+            .is_some());
+        assert_eq!(
+            lines[1].get("method").and_then(Json::as_str),
+            Some("textDocument/publishDiagnostics")
+        );
+        let code = lines[2].get("error").and_then(|e| e.get("code"));
+        assert_eq!(code.and_then(Json::as_f64), Some(-32700.0));
+        let m = lines[3].get("result").unwrap();
+        assert_eq!(m.get("docs").and_then(Json::as_f64), Some(1.0));
+        let checks = m.get("counters").and_then(|c| c.get("checks_total"));
+        assert_eq!(checks.and_then(Json::as_f64), Some(1.0));
+        let timing = m.get("timing").unwrap();
+        assert_eq!(timing.get("checks").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(lines[4].get("id").and_then(Json::as_f64), Some(3.0));
+        assert_eq!(lines[4].get("result"), Some(&Json::Null));
     }
 }

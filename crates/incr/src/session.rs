@@ -105,13 +105,10 @@ impl CheckSession {
     /// A fresh session checking with `opts`. The options are fixed for
     /// the session's lifetime (retained verdicts are only valid under
     /// the options that produced them). The session's cross-run VC cache
-    /// honors `opts.cache_capacity` / `RSC_CACHE_CAP`, which is what
-    /// keeps week-long sessions at a flat memory footprint.
+    /// honors `opts.cache_capacity`, which is what keeps week-long
+    /// sessions at a flat memory footprint.
     pub fn new(opts: CheckerOptions) -> CheckSession {
-        CheckSession::with_cache(
-            opts,
-            VcCache::shared_with_capacity(opts.effective_cache_capacity()),
-        )
+        CheckSession::with_cache(opts, VcCache::shared_with_capacity(opts.cache_capacity))
     }
 
     /// A fresh session over a caller-supplied VC cache. This is how a
@@ -167,16 +164,6 @@ impl CheckSession {
     /// (used by the workspace layer to attribute dirty units to files).
     pub fn graph(&self) -> Option<&DepGraph> {
         self.state.as_ref().map(|s| &s.graph)
-    }
-
-    /// Drops all retained verdicts and the VC cache (the next check is
-    /// cold).
-    pub fn reset(&mut self) {
-        self.state = None;
-        self.cache = VcCache::shared_with_capacity(self.opts.effective_cache_capacity());
-        // Reopen (and re-seed from) the disk tier on the next check: a
-        // reset empties the in-memory caches, not the persistent files.
-        self.disk = None;
     }
 
     /// Opens (or re-opens, when the run-global fingerprint changed) the

@@ -662,10 +662,7 @@ pub struct Workspace {
 impl Workspace {
     /// An empty workspace checking with `opts`.
     pub fn new(opts: CheckerOptions) -> Workspace {
-        Workspace::with_cache(
-            opts,
-            VcCache::shared_with_capacity(opts.effective_cache_capacity()),
-        )
+        Workspace::with_cache(opts, VcCache::shared_with_capacity(opts.cache_capacity))
     }
 
     /// An empty workspace over a caller-supplied VC cache. Batch
@@ -720,13 +717,6 @@ impl Workspace {
     /// The last report of a document.
     pub fn last(&self, uri: &str) -> Option<&DocReport> {
         self.docs.get(uri).and_then(|d| d.last.as_ref())
-    }
-
-    /// Drops every document and the shared cache (next checks are cold).
-    pub fn reset(&mut self) {
-        self.docs.clear();
-        self.facts.clear();
-        self.cache = VcCache::shared_with_capacity(self.opts.effective_cache_capacity());
     }
 
     /// Closes a document: its retained verdicts are dropped and its
@@ -999,7 +989,7 @@ impl Workspace {
 /// The on-disk path behind a workspace key: `file://` URIs are
 /// stripped, scheme-less keys are used verbatim, and any other scheme
 /// (e.g. `untitled:`) has no disk backing.
-pub fn disk_path(name: &str) -> Option<&str> {
+fn disk_path(name: &str) -> Option<&str> {
     if let Some(rest) = name.strip_prefix("file://") {
         return Some(rest);
     }

@@ -97,7 +97,7 @@ impl CacheCounters {
 /// Long-lived incremental sessions share one cache across every
 /// re-check, so an unbounded cache grows for the life of the session.
 /// With a capacity set ([`VcCache::with_capacity`],
-/// `CheckerOptions::cache_capacity`, `RSC_CACHE_CAP`), every entry
+/// `CheckerOptions::cache_capacity`, `rsc --cache-cap`), every entry
 /// carries the global *generation* (a counter bumped on each probe and
 /// record) at which it was last touched; when a shard exceeds its slice
 /// of the capacity, the oldest-generation entries are evicted. Evicting

@@ -127,16 +127,18 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                         break;
                     }
                     if b == b'\\' && i + 1 < n {
-                        let esc = bytes[i + 1];
+                        // The escaped character may be multi-byte: decode
+                        // it whole and step past its full UTF-8 width.
+                        let esc = src[i + 1..]
+                            .chars()
+                            .next()
+                            .expect("i + 1 < n and byte i is ASCII, so a char starts at i + 1");
                         s.push(match esc {
-                            b'n' => '\n',
-                            b't' => '\t',
-                            b'\\' => '\\',
-                            b'"' => '"',
-                            b'\'' => '\'',
-                            other => other as char,
+                            'n' => '\n',
+                            't' => '\t',
+                            other => other,
                         });
-                        i += 2;
+                        i += 1 + esc.len_utf8();
                         continue;
                     }
                     if b == b'\n' {
@@ -202,8 +204,10 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
             }
             _ => {
                 let lo = i;
-                let two = if i + 1 < n { &src[i..i + 2] } else { "" };
-                let three = if i + 2 < n { &src[i..i + 3] } else { "" };
+                // `get`, not indexing: the lookahead may end inside a
+                // multi-byte character.
+                let two = src.get(i..i + 2).unwrap_or("");
+                let three = src.get(i..i + 3).unwrap_or("");
                 let (tok, len) = match (c, two, three) {
                     (_, _, "===") => (Tok::EqEqEq, 3),
                     (_, _, "!==") => (Tok::NotEqEq, 3),
@@ -243,14 +247,18 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                     (b'|', _, _) => (Tok::Pipe, 1),
                     (b'@', _, _) => (Tok::At, 1),
                     _ => {
+                        let ch = src[lo..]
+                            .chars()
+                            .next()
+                            .expect("lo < n, and every token starts on a char boundary");
                         return Err(LexError {
-                            message: format!("unexpected character {:?}", c as char),
+                            message: format!("unexpected character {ch:?}"),
                             span: Span {
                                 lo: lo as u32,
-                                hi: lo as u32 + 1,
+                                hi: (lo + ch.len_utf8()) as u32,
                                 line,
                             },
-                        })
+                        });
                     }
                 };
                 i += len;
@@ -347,5 +355,75 @@ mod tests {
     #[test]
     fn error_on_bad_char() {
         assert!(lex("a # b").is_err());
+    }
+
+    /// A multi-byte character where an operator belongs is an error
+    /// naming the whole character and spanning its full width.
+    #[test]
+    fn non_ascii_operator_is_an_error_not_a_panic() {
+        let src = "return x \u{2014} 1;";
+        let e = lex(src).unwrap_err();
+        assert_eq!(e.message, "unexpected character '\u{2014}'");
+        assert_eq!(&src[e.span.lo as usize..e.span.hi as usize], "\u{2014}");
+    }
+
+    /// An escaped multi-byte character is decoded whole.
+    #[test]
+    fn escaped_multi_byte_character() {
+        assert_eq!(
+            toks("return \"a\\\u{e9}b\";"),
+            vec![
+                Tok::Return,
+                Tok::Str("a\u{e9}b".into()),
+                Tok::Semi,
+                Tok::Eof
+            ]
+        );
+        assert_eq!(
+            toks("'\\\u{1f600}'"),
+            vec![Tok::Str("\u{1f600}".into()), Tok::Eof]
+        );
+    }
+
+    /// Pieces that stress byte-offset slicing: ASCII operators, quotes,
+    /// backslashes, newlines, and 2-, 3- and 4-byte characters.
+    const PIECES: &[&str] = &[
+        "a",
+        "1",
+        " ",
+        "\n",
+        "\"",
+        "'",
+        "\\",
+        "=",
+        "==",
+        "!",
+        "<",
+        ">",
+        "-",
+        "/",
+        "*",
+        "&",
+        "|",
+        "\u{e9}",
+        "\u{2014}",
+        "\u{20ac}",
+        "\u{1d538}",
+        "\u{1f600}",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+        #[test]
+        fn lex_never_panics(ix in proptest::collection::vec(0..PIECES.len(), 0..24)) {
+            let src: String = ix.iter().map(|&i| PIECES[i]).collect();
+            match lex(&src) {
+                Ok(toks) => proptest::prop_assert!(!toks.is_empty()),
+                Err(e) => proptest::prop_assert!(
+                    src.get(e.span.lo as usize..e.span.hi as usize).is_some(),
+                    "error span splits a character: {e:?} in {src:?}"
+                ),
+            }
+        }
     }
 }

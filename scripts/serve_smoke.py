@@ -3,26 +3,24 @@
 
 Usage: python3 scripts/serve_smoke.py [path/to/rsc-binary] [--leg LEG]
 
-Legs (default: legacy + lsp):
+Legs (default: lsp + multi-file):
 
-* ``legacy``      — the original NDJSON ``cmd`` protocol: for every
-  benchmark with a seeded mutation, load the clean file, edit the bug in
-  (must reject, reusing all but the edited function's bundle), edit it
-  back out (must verify, again with reuse).
-* ``lsp``         — the LSP-shaped methods over the same corpus:
-  ``initialize``, ``textDocument/didOpen``/``didChange``, asserting that
-  every published diagnostic carries a non-dummy 0-based
-  ``{start:{line,character},end:{…}}`` range and an ``R…``-style code.
-* ``cache-bound`` — a long edit script under ``RSC_CACHE_CAP=16``:
-  verdicts must stay correct while the VC cache stays bounded and
-  reports evictions.
-* ``metrics``     — the observability surface: a short legacy edit
-  session, then ``{"cmd":"stats"}`` (must fold in ``importers_skipped``
-  and the aggregate ``timing`` summary) and ``{"cmd":"metrics"}`` (must
-  report monotonic registry counters, VC-cache counters with a hit
-  rate, check-latency percentiles, and cumulative per-phase
-  milliseconds covering the span taxonomy). Every check response must
-  also carry a per-phase ``timing_ms`` object.
+* ``lsp``         — for every benchmark with a seeded mutation:
+  ``initialize``, ``textDocument/didOpen`` of the clean file,
+  ``didChange`` to edit the bug in (must reject, reusing all but the
+  edited function's bundle) and back out (must verify, again with
+  reuse), asserting that every published diagnostic carries a
+  non-dummy 0-based ``{start:{line,character},end:{…}}`` range and an
+  ``R…``-style code.
+* ``cache-bound`` — a long edit script under ``rsc serve --cache-cap
+  16``: verdicts must stay correct while the VC cache stays bounded and
+  reports evictions in ``rsc/metrics``.
+* ``metrics``     — the observability surface: a short edit session,
+  then an ``rsc/metrics`` request (must report monotonic registry
+  counters with ``importers_skipped_total``, VC-cache counters with a
+  hit rate, the check count, check-latency percentiles, and cumulative
+  per-phase milliseconds covering the span taxonomy). Every publish
+  must also carry a per-phase ``timing_ms`` object.
 * ``disk-cache``  — the persistent ``--vc-cache DIR`` round-trip: cold
   batch-check the corpus into a fresh directory, let the process exit,
   then re-check with a new process against the warm directory. The warm
@@ -43,7 +41,6 @@ Exits non-zero on any protocol or verdict mismatch — this is the CI leg
 that keeps the serve front-end honest.
 """
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -82,15 +79,11 @@ def check_in_sync():
                 )
 
 
-def run_serve(binary, requests, env=None):
+def run_serve(binary, requests, args=()):
     """Feeds one request per line, returns the parsed response lines."""
     stdin = "".join(json.dumps(r) + "\n" for r in requests)
-    proc_env = dict(os.environ)
-    if env:
-        proc_env.update(env)
     proc = subprocess.run(
-        [binary, "serve"], input=stdin, capture_output=True, text=True,
-        env=proc_env,
+        [binary, "serve", *args], input=stdin, capture_output=True, text=True,
     )
     if proc.returncode != 0:
         fail(f"serve exited {proc.returncode}: {proc.stderr[-500:]}")
@@ -105,54 +98,6 @@ def corpus():
             fail(f"{name}: mutation site {frm!r} not found")
         out.append((name, src, src.replace(frm, to, 1)))
     return out
-
-
-def legacy_leg(binary):
-    requests = []
-    expected = []  # (kind, benchmark) per response line
-    for name, src, mutated in corpus():
-        requests.append({"cmd": "load", "source": src})
-        expected.append(("clean-load", name))
-        requests.append({"cmd": "edit", "source": mutated})
-        expected.append(("broken-edit", name))
-        requests.append({"cmd": "edit", "source": src})
-        expected.append(("clean-edit", name))
-        requests.append({"cmd": "reset"})
-        expected.append(("reset", name))
-    requests.append({"cmd": "stats"})
-    expected.append(("stats", "-"))
-    requests.append({"cmd": "quit"})
-    expected.append(("quit", "-"))
-
-    lines = run_serve(binary, requests)
-    if len(lines) != len(expected):
-        fail(f"legacy: expected {len(expected)} responses, got {len(lines)}")
-
-    for v, (kind, name) in zip(lines, expected):
-        if not v.get("ok"):
-            fail(f"{name}/{kind}: not ok: {v}")
-        if kind == "clean-load":
-            if v["verified"] is not True:
-                fail(f"{name}: clean corpus did not verify: {v}")
-        elif kind == "broken-edit":
-            if v["verified"] is not False:
-                fail(f"{name}: seeded bug not rejected: {v}")
-            if not v["diagnostics"]:
-                fail(f"{name}: rejection without diagnostics: {v}")
-            for d in v["diagnostics"]:
-                if not d.get("code", "").startswith(("R", "L")):
-                    fail(f"{name}: diagnostic without obligation/lint code: {d}")
-            if v["bundles"] > 1 and v["reused"] == 0:
-                fail(f"{name}: broken edit reused nothing: {v}")
-        elif kind == "clean-edit":
-            if v["verified"] is not True:
-                fail(f"{name}: revert did not verify: {v}")
-            if v["bundles"] > 1 and not (0 < v["reused"] and v["solved"] < v["bundles"]):
-                fail(f"{name}: revert did not reuse bundles: {v}")
-        print(f"serve_smoke: ok {name:<14} {kind:<11} "
-              f"reused={v.get('reused', '-')}/{v.get('bundles', '-')} "
-              f"time_us={v.get('time_us', '-')}")
-    print("serve_smoke: legacy leg PASS")
 
 
 def lsp_errors(params):
@@ -229,6 +174,9 @@ def lsp_leg(binary):
             if lsp_errors(params) or rsc.get("verified") is not True:
                 fail(f"{name}: clean text published error diagnostics: {v}")
             assert_lsp_diagnostics(name, params)
+            if kind == "clean-change" and rsc.get("bundles", 0) > 1 and \
+                    not (0 < rsc.get("reused", 0) and rsc.get("solved", 0) < rsc["bundles"]):
+                fail(f"{name}: revert did not reuse bundles: {v}")
         else:
             if not lsp_errors(params) or rsc.get("verified") is not False:
                 fail(f"{name}: seeded bug published no diagnostics: {v}")
@@ -241,39 +189,58 @@ def lsp_leg(binary):
     print("serve_smoke: lsp leg PASS")
 
 
+def did_open(uri, text):
+    return {"jsonrpc": "2.0", "method": "textDocument/didOpen",
+            "params": {"textDocument": {"uri": uri, "text": text}}}
+
+
+def did_change(uri, text):
+    return {"jsonrpc": "2.0", "method": "textDocument/didChange",
+            "params": {"textDocument": {"uri": uri},
+                       "contentChanges": [{"text": text}]}}
+
+
+METRICS = {"jsonrpc": "2.0", "id": 2, "method": "rsc/metrics"}
+EXIT = {"jsonrpc": "2.0", "method": "exit"}
+
+
+def metrics_result(v):
+    if v.get("id") != 2 or not isinstance(v.get("result"), dict):
+        fail(f"bad rsc/metrics response: {v}")
+    return v["result"]
+
+
 def cache_bound_leg(binary, cap=16, rounds=3):
     """A long edit script with a tiny VC cache: verdicts stay correct,
     the cache stays bounded, and evictions are reported."""
+    uri = "file:///corpus.rsc"
     requests = []
-    expected = []  # (kind, name)
+    expected = []  # (kind, name) per publish
     for _ in range(rounds):
         for name, src, mutated in corpus():
-            requests.append({"cmd": "load", "source": src})
+            requests.append(did_open(uri, src))
             expected.append(("clean", name))
-            requests.append({"cmd": "edit", "source": mutated})
+            requests.append(did_change(uri, mutated))
             expected.append(("broken", name))
-            requests.append({"cmd": "edit", "source": src})
+            requests.append(did_change(uri, src))
             expected.append(("clean", name))
-    requests.append({"cmd": "stats"})
-    expected.append(("stats", "-"))
-    requests.append({"cmd": "quit"})
-    expected.append(("quit", "-"))
+    requests += [METRICS, EXIT]
 
-    lines = run_serve(binary, requests, env={"RSC_CACHE_CAP": str(cap)})
-    if len(lines) != len(expected):
-        fail(f"cache-bound: expected {len(expected)} responses, got {len(lines)}")
-    evictions = None
+    lines = run_serve(binary, requests, args=["--cache-cap", str(cap)])
+    if len(lines) != len(expected) + 1:
+        fail(f"cache-bound: expected {len(expected) + 1} responses, got {len(lines)}")
     for v, (kind, name) in zip(lines, expected):
-        if not v.get("ok"):
-            fail(f"cache-bound {name}/{kind}: not ok: {v}")
-        if kind == "clean" and v["verified"] is not True:
+        if v.get("method") != "textDocument/publishDiagnostics":
+            fail(f"cache-bound {name}/{kind}: expected publishDiagnostics: {v}")
+        verified = v.get("rsc", {}).get("verified")
+        if kind == "clean" and verified is not True:
             fail(f"cache-bound {name}: clean text did not verify under cap: {v}")
-        if kind == "broken" and v["verified"] is not False:
+        if kind == "broken" and verified is not False:
             fail(f"cache-bound {name}: seeded bug not rejected under cap: {v}")
-        if kind == "stats":
-            if v["cache_entries"] > cap:
-                fail(f"cache-bound: {v['cache_entries']} entries exceed cap {cap}: {v}")
-            evictions = v.get("cache_evictions", 0)
+    cache = metrics_result(lines[-1]).get("cache", {})
+    if cache.get("entries", cap + 1) > cap:
+        fail(f"cache-bound: {cache.get('entries')} entries exceed cap {cap}: {cache}")
+    evictions = cache.get("evictions", 0)
     if not evictions:
         fail("cache-bound: a long edit script under a tiny cap must evict")
     print(f"serve_smoke: cache-bound leg PASS "
@@ -281,42 +248,37 @@ def cache_bound_leg(binary, cap=16, rounds=3):
 
 
 def metrics_leg(binary):
-    """Observability surface: per-check timing_ms, stats with the folded
-    timing summary, and the metrics counters/cache/latency object."""
+    """Observability surface: per-check timing_ms on every publish, and
+    the rsc/metrics counters/cache/latency/phase object."""
+    uri = "file:///corpus.rsc"
     name, src, mutated = corpus()[0]
     requests = [
-        {"cmd": "load", "source": src},
-        {"cmd": "edit", "source": mutated},
-        {"cmd": "edit", "source": src},
-        {"cmd": "stats"},
-        {"cmd": "metrics"},
-        {"cmd": "quit"},
+        did_open(uri, src),
+        did_change(uri, mutated),
+        did_change(uri, src),
+        METRICS,
+        EXIT,
     ]
     lines = run_serve(binary, requests)
-    if len(lines) != 6:
-        fail(f"metrics: expected 6 responses, got {len(lines)}")
-    checks, stats, metrics = lines[:3], lines[3], lines[4]
+    if len(lines) != 4:
+        fail(f"metrics: expected 4 responses, got {len(lines)}")
+    checks, metrics = lines[:3], metrics_result(lines[3])
 
     for i, v in enumerate(checks):
-        if not v.get("ok"):
-            fail(f"metrics: check {i} not ok: {v}")
-        timing = v.get("timing_ms")
+        if v.get("method") != "textDocument/publishDiagnostics":
+            fail(f"metrics: check {i} did not publish: {v}")
+        timing = v.get("rsc", {}).get("timing_ms")
         if not isinstance(timing, dict) or "solve" not in timing:
             fail(f"metrics: check {i} has no per-phase timing_ms: {v}")
 
-    # stats: one object the harness can assert sessions + skips + timing
-    # on (importers_skipped is cumulative, 0 here — no imports).
-    if stats.get("importers_skipped") != 0:
-        fail(f"metrics: stats.importers_skipped missing/wrong: {stats}")
-    summary = stats.get("timing")
-    if not isinstance(summary, dict) or summary.get("checks") != 3:
-        fail(f"metrics: stats.timing did not count 3 checks: {stats}")
-
-    if not metrics.get("ok") or metrics.get("cmd") != "metrics":
-        fail(f"metrics: bad metrics response: {metrics}")
+    if metrics.get("docs") != 1:
+        fail(f"metrics: expected 1 open document: {metrics}")
     counters = metrics.get("counters", {})
     if counters.get("checks_total") != 3 or counters.get("checks_failed_total") != 1:
         fail(f"metrics: counters did not track the session: {counters}")
+    # Cumulative across the server's lifetime; 0 here (no imports).
+    if counters.get("importers_skipped_total") != 0:
+        fail(f"metrics: importers_skipped_total missing/wrong: {counters}")
     if counters.get("bundles_total", 0) <= counters.get("bundles_solved_total", 0):
         fail(f"metrics: edits must reuse bundles: {counters}")
     # A corpus program's cold check drops candidates with pooled
@@ -327,6 +289,8 @@ def metrics_leg(binary):
     if cache.get("hits", 0) + cache.get("misses", 0) <= 0 or "hit_rate" not in cache:
         fail(f"metrics: cache counters missing: {cache}")
     timing = metrics.get("timing", {})
+    if timing.get("checks") != 3:
+        fail(f"metrics: timing did not count 3 checks: {timing}")
     if timing.get("check_p50_us", 0) <= 0 or timing.get("check_p99_us", 0) < \
             timing.get("check_p50_us", 0):
         fail(f"metrics: bad latency percentiles: {timing}")
@@ -547,8 +511,8 @@ def main():
     while i < len(args):
         if args[i] == "--leg":
             if i + 1 >= len(args):
-                fail("--leg expects a value (legacy | lsp | cache-bound "
-                     "| multi-file | metrics | disk-cache)")
+                fail("--leg expects a value (lsp | cache-bound | multi-file "
+                     "| metrics | disk-cache)")
             legs.append(args[i + 1])
             i += 2
         else:
@@ -558,11 +522,9 @@ def main():
         fail(f"unexpected extra arguments: {positional[1:]}")
     binary = positional[0] if positional else str(ROOT / "target/release/rsc")
     if not legs:
-        legs = ["legacy", "lsp", "multi-file"]
+        legs = ["lsp", "multi-file"]
     for leg in legs:
-        if leg == "legacy":
-            legacy_leg(binary)
-        elif leg == "lsp":
+        if leg == "lsp":
             lsp_leg(binary)
         elif leg == "cache-bound":
             cache_bound_leg(binary)

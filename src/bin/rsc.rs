@@ -9,7 +9,7 @@
 //! cargo run --bin rsc -- src/                   # directory mode
 //! cargo run --bin rsc -- --no-path-sensitivity file.rsc
 //! cargo run --bin rsc -- --jobs 4 benchmarks/*.rsc
-//! cargo run --bin rsc -- serve          # NDJSON requests on stdin
+//! cargo run --bin rsc -- serve          # LSP over NDJSON on stdin
 //! cargo run --bin rsc -- --watch a.rsc b.rsc  # re-check on save
 //! cargo run --bin rsc -- check --recursive workspace/  # parallel batch
 //! cargo run --bin rsc -- fuzz --cases 1000 --seed 0    # oracles
@@ -99,7 +99,6 @@ fn main() {
             "--no-vc-cache" => opts.vc_cache = false,
             "--no-incremental-smt" => opts.incremental_smt = false,
             "--no-absint" => opts.absint = false,
-            "--lints" => opts.lints = true,
             "--no-lints" => opts.lints = false,
             "--jobs" | "-j" => want_jobs = true,
             "--cache-cap" => want_cache_cap = true,
@@ -165,11 +164,11 @@ fn main() {
     };
     if serve {
         if watch || !args_files.is_empty() {
-            eprintln!("rsc: serve takes no files (send load requests on stdin)");
+            eprintln!("rsc: serve takes no files (send textDocument/didOpen on stdin)");
             std::process::exit(2);
         }
         if profile_path.is_some() || stats_json {
-            eprintln!("rsc: serve reports timing via the {{\"cmd\":\"metrics\"}} request");
+            eprintln!("rsc: serve reports timing via the rsc/metrics request");
             std::process::exit(2);
         }
         let stdin = std::io::stdin();
@@ -471,7 +470,7 @@ fn run_recursive(
         rsc_obs::drain();
     }
     let pool = Pool::new(opts.effective_jobs());
-    let cache = VcCache::shared_with_capacity(opts.effective_cache_capacity());
+    let cache = VcCache::shared_with_capacity(opts.cache_capacity);
     // File-level parallelism replaces bundle-level parallelism.
     let mut inner = opts;
     inner.jobs = 1;
@@ -941,8 +940,8 @@ fn print_usage() {
          [--no-mined-qualifiers] [--no-vc-cache] [--no-incremental-smt] \
          [--no-absint] [--no-lints] [--vc-cache DIR] [--jobs N] [--quiet] \
          <file.rsc | dir>...\n\
-         \u{20}      rsc serve            read NDJSON requests on stdin (load/edit/check,\n\
-         \u{20}                           LSP didOpen/didChange), respond per line\n\
+         \u{20}      rsc serve            speak LSP (didOpen/didChange/didClose,\n\
+         \u{20}                           rsc/metrics) as one JSON-RPC message per line\n\
          \u{20}      rsc --watch <file>...  incremental re-check on every mtime change\n\
          \u{20}                           of the files or their imported dependencies\n\
          \u{20}      rsc check --recursive <dir>  batch-check every file in parallel\n\
@@ -960,7 +959,7 @@ fn print_usage() {
          --jobs N  solve constraint bundles on N worker threads\n\
          \u{20}         (default: RSC_JOBS env var, else available cores, max 8)\n\
          --cache-cap N  bound the VC cache to ~N entries (LRU eviction;\n\
-         \u{20}         default: RSC_CACHE_CAP env var, else unbounded)\n\
+         \u{20}         default: unbounded)\n\
          --vc-cache DIR  persist solver verdicts to DIR across runs\n\
          \u{20}         (RSC_VC_CACHE env var; a warm re-check of unchanged\n\
          \u{20}         code reuses every bundle and solves 0 VCs)\n\

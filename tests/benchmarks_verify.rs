@@ -54,6 +54,23 @@ fn tsc_checker_verifies() {
     check_benchmark("tsc-checker");
 }
 
+/// The path-sensitivity ablation (§2.1.1) changes the verdict, not just
+/// the cost: d3-arrays' guarded accesses verify only with branch
+/// conditions in the environment.
+#[test]
+fn d3_arrays_needs_path_sensitivity() {
+    let src = load_benchmark("d3-arrays").expect("benchmark file");
+    assert!(check_program(&src, CheckerOptions::default()).ok());
+    let no_path = CheckerOptions {
+        path_sensitivity: false,
+        ..CheckerOptions::default()
+    };
+    assert!(
+        !check_program(&src, no_path).ok(),
+        "without path sensitivity the guarded accesses must fail"
+    );
+}
+
 /// Seeded-bug rejection: flipping a guard or widening an index in each
 /// benchmark must produce a verification error — and the *messages* are
 /// pinned against golden snapshots in `tests/golden/`, so a refactor of
