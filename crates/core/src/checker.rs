@@ -42,11 +42,14 @@ pub struct CheckerOptions {
     /// unbounded. Bounding matters for long-lived sessions — see
     /// `rsc_smt::VcCache`'s generation-count LRU eviction.
     pub cache_capacity: usize,
-    /// Keep one persistent SMT context per κ-headed constraint during
-    /// the fixpoint (`rsc_smt::IncrContext`), so weakening iterations
-    /// re-solve deltas under activation literals instead of re-encoding
-    /// from scratch. Verdict- and diagnostic-preserving; off is the
-    /// ablation/debug path (`--no-incremental-smt`).
+    /// Keep one persistent SMT context (`rsc_smt::IncrContext`) with a
+    /// model pool per κ-headed constraint during the fixpoint, so
+    /// weakening iterations re-solve deltas under activation literals
+    /// instead of re-encoding from scratch. Off, every candidate query
+    /// runs on a one-shot context with no pool — the same DPLL(T) loop,
+    /// only the context's lifetime differs. Verdict- and
+    /// diagnostic-preserving; off is the ablation/reference path
+    /// (`--no-incremental-smt`).
     pub incremental_smt: bool,
     /// Run the abstract-interpretation pre-pass (`rsc_absint`) before
     /// each SMT validity query, statically discharging obligations whose
@@ -1077,13 +1080,18 @@ impl Checker {
     pub(crate) fn sub(&mut self, env: &Env, t1: &RType, t2: &RType, blame: &Blame) {
         let t1 = self.resolve_infer(t1);
         let t2 = self.resolve_infer(t2);
-        // Inference placeholders: bind to the other side's structure.
-        if let Base::Infer(u) = t2.base {
-            self.infer.insert(u, RType::trivial(t1.base.clone()));
+        // Inference placeholders: bind to the other side's structure. A
+        // placeholder against itself (`[[]]`: both element types are the
+        // inner literal's) has nothing to bind — binding it to itself
+        // would recurse forever — and is compared like a type variable.
+        let same_placeholder =
+            matches!((&t1.base, &t2.base), (Base::Infer(a), Base::Infer(b)) if a == b);
+        if let (Base::Infer(u), false) = (&t2.base, same_placeholder) {
+            self.infer.insert(*u, RType::trivial(t1.base.clone()));
             return self.sub(env, &t1, &self.resolve_infer(&t2), blame);
         }
-        if let Base::Infer(u) = t1.base {
-            self.infer.insert(u, RType::trivial(t2.base.clone()));
+        if let (Base::Infer(u), false) = (&t1.base, same_placeholder) {
+            self.infer.insert(*u, RType::trivial(t2.base.clone()));
             return self.sub(env, &self.resolve_infer(&t1), &t2, blame);
         }
         // Empty unions act as ⊥ on the left (error recovery) and ⊤ on the
@@ -1108,6 +1116,10 @@ impl Checker {
                 self.push_sub_pred(env, l, t2.pred.clone(), Sort::Bv32, blame);
             }
             (Base::TVar(a), Base::TVar(b)) if a == b => {
+                let l = lhs();
+                self.push_sub_pred(env, l, t2.pred.clone(), vv_sort, blame);
+            }
+            (Base::Infer(_), Base::Infer(_)) if same_placeholder => {
                 let l = lhs();
                 self.push_sub_pred(env, l, t2.pred.clone(), vv_sort, blame);
             }

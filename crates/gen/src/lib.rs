@@ -21,7 +21,8 @@
 //!    closure checks byte-identically to its concatenation.
 //! 6. **Pool-free reference** — the fixpoint's per-check pool of
 //!    counterexample models changes no diagnostic byte and no liquid
-//!    query count against the model-free fresh solving driver.
+//!    query count against one-shot solving contexts, which pool no
+//!    model.
 //!
 //! The `rsc fuzz` subcommand drives [`run_fuzz`]; `rsc check
 //! --recursive` batch-checks the workspace [`workspace::emit_workspace`]

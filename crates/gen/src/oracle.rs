@@ -175,8 +175,9 @@ pub fn absint(src: &str) -> Result<(), String> {
 }
 
 /// **Pool-free reference**: the per-check counterexample-model pool may
-/// only drop candidates the solver would refute. The fresh solving driver
-/// (`incremental_smt: false`) never pools a model, so against it the
+/// only drop candidates the solver would refute. With
+/// `incremental_smt: false` every query runs on a one-shot context that
+/// never pools a model, so against it the
 /// pooled default run must give byte-identical diagnostics, the same
 /// verdict and the same liquid query count, the reference must refute
 /// nothing from a model, and on the pooled side every bundle's liquid

@@ -266,12 +266,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or escape. Both are
+                    // ASCII, so the run ends on a character boundary, and
+                    // validating only the run keeps a long string linear.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -371,6 +375,17 @@ mod tests {
         let v = Json::Obj(vec![("s".into(), Json::str(nasty))]);
         let back = Json::parse(&v.to_string()).unwrap();
         assert_eq!(back.get("s").unwrap().as_str(), Some(nasty));
+    }
+
+    /// A multi-megabyte string (an editor's whole document) parses in time
+    /// linear in its length: validating the rest of the input at every
+    /// character would take minutes.
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        let text = "λ x = \"é\";\n".repeat(300_000);
+        let v = Json::Obj(vec![("text".into(), Json::str(&text))]);
+        let back = Json::parse(&v.to_string()).unwrap();
+        assert_eq!(back.get("text").unwrap().as_str(), Some(text.as_str()));
     }
 
     #[test]

@@ -757,28 +757,47 @@ mod tests {
         assert!(resp.is_empty() && quit);
     }
 
-    /// A non-ASCII character where an operator belongs once panicked
-    /// the lexer and took the server down; it now publishes one parse
-    /// diagnostic, and the next request is answered.
+    /// Input that once took the server down publishes one parse
+    /// diagnostic, and the next request is answered: a non-ASCII
+    /// character where an operator belongs (it panicked the lexer) and
+    /// parentheses nested far past the parser's depth bound (they
+    /// overflowed its stack). A debug build's parser frames are many
+    /// times a release build's, so the requests run on a thread with a
+    /// large stack.
     #[test]
     fn non_ascii_operator_publishes_a_parse_diagnostic() {
-        let uri = "file:///dash.rsc";
-        let mut serve = Serve::new(CheckerOptions::default());
-        let (resp, _) = serve.handle(&did_open(
-            uri,
-            "function f(x: number): number { return x \u{2014} 1; }\n",
-        ));
-        let lines = parse_lines(&resp);
-        assert_eq!(lines.len(), 1, "{resp}");
-        match lines[0].get("params").and_then(|p| p.get("diagnostics")) {
-            Some(Json::Arr(ds)) => {
-                assert_eq!(ds.len(), 1, "{resp}");
-                let msg = ds[0].get("message").and_then(Json::as_str).unwrap();
-                assert!(msg.contains("'\u{2014}'"), "{resp}");
+        let deep = format!("var x = {}1{};\n", "(".repeat(100_000), ")".repeat(100_000));
+        let inputs = [
+            (
+                "function f(x: number): number { return x \u{2014} 1; }\n".to_string(),
+                "'\u{2014}'",
+            ),
+            (deep, "nesting deeper than"),
+        ];
+        let run = move || {
+            for (i, (text, expected)) in inputs.iter().enumerate() {
+                let uri = format!("file:///bad{i}.rsc");
+                let mut serve = Serve::new(CheckerOptions::default());
+                let (resp, _) = serve.handle(&did_open(&uri, text));
+                let lines = parse_lines(&resp);
+                assert_eq!(lines.len(), 1, "{resp}");
+                match lines[0].get("params").and_then(|p| p.get("diagnostics")) {
+                    Some(Json::Arr(ds)) => {
+                        assert_eq!(ds.len(), 1, "{resp}");
+                        let msg = ds[0].get("message").and_then(Json::as_str).unwrap();
+                        assert!(msg.contains(expected), "{resp}");
+                    }
+                    other => panic!("bad diagnostics: {other:?}"),
+                }
+                assert_eq!(open_docs(&mut serve), Some(1.0));
             }
-            other => panic!("bad diagnostics: {other:?}"),
-        }
-        assert_eq!(open_docs(&mut serve), Some(1.0));
+        };
+        std::thread::Builder::new()
+            .stack_size(256 << 20)
+            .spawn(run)
+            .expect("spawn")
+            .join()
+            .expect("no panic");
     }
 
     #[test]

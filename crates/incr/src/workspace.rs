@@ -892,13 +892,7 @@ impl Workspace {
         // the session's retained state for the fix.
         let checked = resolved.and_then(|files| {
             let merged = Merged::build(&files);
-            let outcome = if files.len() <= 1 {
-                // Single-file closures stay byte-identical to checking
-                // the document text (no qualification, no shifting).
-                doc.session.check(&merged.text)
-            } else {
-                doc.session.check_ast(&qualified_program(&merged, &files)?)
-            };
+            let outcome = doc.session.check_ast(&qualified_program(&merged, &files)?);
             Ok((files, merged, outcome))
         });
         let (report, ok) = match checked {

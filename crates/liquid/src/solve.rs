@@ -21,8 +21,9 @@
 //!   [`IncrContext`]: its hypotheses and candidate goals are encoded once
 //!   under activation literals, and each weakening iteration re-solves
 //!   the delta under assumptions instead of re-encoding the whole query
-//!   (see `rsc_smt::incr`). Disable with
-//!   [`SolveOptions::incremental`] = `false` (CLI: `--no-incremental-smt`).
+//!   (see `rsc_smt::incr`). [`SolveOptions::incremental`] = `false`
+//!   (CLI: `--no-incremental-smt`) solves each query on a one-shot
+//!   context with no model pool instead.
 //! * **Per-check hypothesis sharing.** Every candidate of a κ-headed
 //!   constraint check is tested against the same constraint environment,
 //!   and its query sees that environment filtered to the hypotheses
@@ -109,10 +110,12 @@ pub struct LiquidResult {
 /// through per-bundle solver setup.
 #[derive(Clone, Copy, Debug)]
 pub struct SolveOptions {
-    /// Use a persistent incremental SMT context per κ-headed constraint
-    /// (default). When `false`, every validity query runs on a fresh
-    /// encoder — the reference path the differential tests compare
-    /// against.
+    /// Use a persistent incremental SMT context with a model pool per
+    /// κ-headed constraint (default). When `false`, every validity query
+    /// runs on a one-shot context with no pool ([`Solver::is_valid`]) —
+    /// the same DPLL(T) loop with a shorter-lived context, and the
+    /// reference the differential tests and the `model-pool` fuzz oracle
+    /// compare against.
     pub incremental: bool,
     /// Try the abstract-interpretation pre-pass before each SMT query
     /// (default). The pre-pass may only *discharge* obligations (skip
@@ -627,9 +630,10 @@ mod tests {
         );
     }
 
-    /// The incremental and fresh-solver paths must agree on the solution,
-    /// the failures, and even the query count (memoization is independent
-    /// of the solving backend).
+    /// A persistent context with a model pool per constraint and a
+    /// one-shot context per query must agree on the solution, the
+    /// failures, and even the query count (memoization is independent of
+    /// the context's lifetime).
     #[test]
     fn incremental_matches_fresh_path() {
         let (cs, k) = counter_constraints();

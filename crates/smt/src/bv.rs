@@ -9,9 +9,8 @@
 use std::collections::HashMap;
 
 use crate::atom::BvTerm;
-use crate::cnf::ClauseSink;
 use crate::node::NodeId;
-use crate::sat::Lit;
+use crate::sat::{Lit, SatSolver};
 
 const WIDTH: usize = 32;
 
@@ -24,7 +23,7 @@ pub enum Bit {
     L(Lit),
 }
 
-/// Blasts bit-vector terms into an underlying [`ClauseSink`], caching the 32
+/// Blasts bit-vector terms into a [`SatSolver`], caching the 32
 /// fresh variables allocated for each opaque node slot.
 #[derive(Default)]
 pub struct Blaster {
@@ -37,7 +36,7 @@ impl Blaster {
         Blaster::default()
     }
 
-    fn slot_bits(&mut self, n: NodeId, cnf: &mut impl ClauseSink) -> Vec<Bit> {
+    fn slot_bits(&mut self, n: NodeId, cnf: &mut SatSolver) -> Vec<Bit> {
         self.slots
             .entry(n)
             .or_insert_with(|| {
@@ -49,7 +48,7 @@ impl Blaster {
     }
 
     /// The 32 bits of `t`, least significant first.
-    pub fn bits(&mut self, t: &BvTerm, cnf: &mut impl ClauseSink) -> Vec<Bit> {
+    pub fn bits(&mut self, t: &BvTerm, cnf: &mut SatSolver) -> Vec<Bit> {
         match t {
             BvTerm::Const(c) => (0..WIDTH).map(|i| Bit::Const(c >> i & 1 == 1)).collect(),
             BvTerm::Node(n) => self.slot_bits(*n, cnf),
@@ -81,7 +80,7 @@ impl Blaster {
     }
 
     /// Returns a SAT literal equivalent to `a = b`, adding defining clauses.
-    pub fn eq_lit(&mut self, a: &BvTerm, b: &BvTerm, cnf: &mut impl ClauseSink) -> Lit {
+    pub fn eq_lit(&mut self, a: &BvTerm, b: &BvTerm, cnf: &mut SatSolver) -> Lit {
         let ba = self.bits(a, cnf);
         let bb = self.bits(b, cnf);
         let mut bit_eqs: Vec<Bit> = Vec::with_capacity(WIDTH);
@@ -93,7 +92,7 @@ impl Blaster {
     }
 }
 
-fn and_bit(a: Bit, b: Bit, cnf: &mut impl ClauseSink) -> Bit {
+fn and_bit(a: Bit, b: Bit, cnf: &mut SatSolver) -> Bit {
     match (a, b) {
         (Bit::Const(false), _) | (_, Bit::Const(false)) => Bit::Const(false),
         (Bit::Const(true), x) | (x, Bit::Const(true)) => x,
@@ -107,7 +106,7 @@ fn and_bit(a: Bit, b: Bit, cnf: &mut impl ClauseSink) -> Bit {
     }
 }
 
-fn or_bit(a: Bit, b: Bit, cnf: &mut impl ClauseSink) -> Bit {
+fn or_bit(a: Bit, b: Bit, cnf: &mut SatSolver) -> Bit {
     match (a, b) {
         (Bit::Const(true), _) | (_, Bit::Const(true)) => Bit::Const(true),
         (Bit::Const(false), x) | (x, Bit::Const(false)) => x,
@@ -121,7 +120,7 @@ fn or_bit(a: Bit, b: Bit, cnf: &mut impl ClauseSink) -> Bit {
     }
 }
 
-fn xnor_bit(a: Bit, b: Bit, cnf: &mut impl ClauseSink) -> Bit {
+fn xnor_bit(a: Bit, b: Bit, cnf: &mut SatSolver) -> Bit {
     match (a, b) {
         (Bit::Const(x), Bit::Const(y)) => Bit::Const(x == y),
         (Bit::Const(true), x) | (x, Bit::Const(true)) => x,
@@ -138,7 +137,7 @@ fn xnor_bit(a: Bit, b: Bit, cnf: &mut impl ClauseSink) -> Bit {
     }
 }
 
-fn and_all(bits: &[Bit], cnf: &mut impl ClauseSink) -> Lit {
+fn and_all(bits: &[Bit], cnf: &mut SatSolver) -> Lit {
     if bits.contains(&Bit::Const(false)) {
         // Represent constant false with a fresh var forced false.
         let v = Lit::pos(cnf.new_var());
@@ -173,20 +172,19 @@ fn and_all(bits: &[Bit], cnf: &mut impl ClauseSink) -> Lit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cnf::CnfStore;
     use crate::sat::SatOutcome;
 
-    fn assert_valid_bv(build: impl Fn(&mut Blaster, &mut CnfStore) -> Lit) {
+    fn assert_valid_bv(build: impl Fn(&mut Blaster, &mut SatSolver) -> Lit) {
         // valid iff asserting the negation is unsat
-        let mut cnf = CnfStore::new();
+        let mut cnf = SatSolver::new();
         let mut bl = Blaster::new();
         let l = build(&mut bl, &mut cnf);
         cnf.add_clause(vec![l.negate()]);
         assert_eq!(cnf.solve(), SatOutcome::Unsat);
     }
 
-    fn assert_sat_bv(build: impl Fn(&mut Blaster, &mut CnfStore) -> Lit) {
-        let mut cnf = CnfStore::new();
+    fn assert_sat_bv(build: impl Fn(&mut Blaster, &mut SatSolver) -> Lit) {
+        let mut cnf = SatSolver::new();
         let mut bl = Blaster::new();
         let l = build(&mut bl, &mut cnf);
         cnf.add_clause(vec![l]);
@@ -208,7 +206,7 @@ mod tests {
     #[test]
     fn subset_mask_implication() {
         // (f & 0x0400) != 0  ∧  (f & 0x3C00) = 0   is UNSAT.
-        let mut cnf = CnfStore::new();
+        let mut cnf = SatSolver::new();
         let mut bl = Blaster::new();
         let f = BvTerm::Node(NodeId(0));
         let small = BvTerm::And(Box::new(f.clone()), Box::new(BvTerm::Const(0x0400)));
@@ -223,7 +221,7 @@ mod tests {
     #[test]
     fn disjoint_masks_satisfiable() {
         // (f & 0x1) != 0 ∧ (f & 0x2) = 0 is SAT (f = 1).
-        let mut cnf = CnfStore::new();
+        let mut cnf = SatSolver::new();
         let mut bl = Blaster::new();
         let f = BvTerm::Node(NodeId(0));
         let a = BvTerm::And(Box::new(f.clone()), Box::new(BvTerm::Const(1)));

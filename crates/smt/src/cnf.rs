@@ -1,91 +1,7 @@
-//! A clause store with Tseitin transformation from [`Formula`]s.
+//! Tseitin transformation of [`Formula`]s into the SAT core's clauses.
 
 use crate::atom::{AtomId, Formula};
-use crate::sat::{Lit, SatOutcome, SatSolver, Var};
-
-/// Anything that can allocate SAT variables and accept clauses.
-///
-/// The Tseitin transform and the bit-blaster are generic over this, so
-/// they can target either a [`CnfStore`] (the fresh-per-query solving
-/// path, which re-runs CDCL from scratch each round) or a [`SatSolver`]
-/// directly (the persistent incremental context in [`crate::incr`],
-/// which encodes once and re-solves under assumptions).
-pub trait ClauseSink {
-    /// Allocates a fresh variable.
-    fn new_var(&mut self) -> Var;
-    /// Adds a clause.
-    fn add_clause(&mut self, lits: Vec<Lit>);
-}
-
-impl ClauseSink for CnfStore {
-    fn new_var(&mut self) -> Var {
-        CnfStore::new_var(self)
-    }
-
-    fn add_clause(&mut self, lits: Vec<Lit>) {
-        CnfStore::add_clause(self, lits)
-    }
-}
-
-impl ClauseSink for SatSolver {
-    fn new_var(&mut self) -> Var {
-        SatSolver::new_var(self)
-    }
-
-    fn add_clause(&mut self, lits: Vec<Lit>) {
-        SatSolver::add_clause(self, lits)
-    }
-}
-
-/// A persistent store of CNF clauses. The DPLL(T) driver accumulates
-/// blocking clauses here and re-solves from scratch each round (VCs are
-/// small, so a fresh CDCL run is cheap and keeps the SAT core simple).
-#[derive(Default, Debug)]
-pub struct CnfStore {
-    num_vars: u32,
-    clauses: Vec<Vec<Lit>>,
-}
-
-impl CnfStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        CnfStore::default()
-    }
-
-    /// Allocates a fresh variable.
-    pub fn new_var(&mut self) -> Var {
-        let v = self.num_vars;
-        self.num_vars += 1;
-        v
-    }
-
-    /// Adds a clause.
-    pub fn add_clause(&mut self, lits: Vec<Lit>) {
-        self.clauses.push(lits);
-    }
-
-    /// Number of variables allocated so far.
-    pub fn num_vars(&self) -> u32 {
-        self.num_vars
-    }
-
-    /// Number of clauses.
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Solves the current clause set with a fresh CDCL solver.
-    pub fn solve(&self) -> SatOutcome {
-        let mut s = SatSolver::new();
-        for _ in 0..self.num_vars {
-            s.new_var();
-        }
-        for c in &self.clauses {
-            s.add_clause(c.clone());
-        }
-        s.solve()
-    }
-}
+use crate::sat::{Lit, SatSolver};
 
 /// Tseitin-encodes `f` (which must be free of `Const` after
 /// [`Formula::simplify`]) and returns a literal equivalent to `f`.
@@ -94,11 +10,7 @@ impl CnfStore {
 /// definitional clauses are bidirectional (`o ↔ …`), so the fresh
 /// variables are fully defined by their inputs: adding them unasserted
 /// to a persistent context never constrains the context.
-pub fn tseitin(
-    f: &Formula,
-    atom_lit: &impl Fn(AtomId, bool) -> Lit,
-    cnf: &mut impl ClauseSink,
-) -> Lit {
+pub fn tseitin(f: &Formula, atom_lit: &impl Fn(AtomId, bool) -> Lit, cnf: &mut SatSolver) -> Lit {
     match f {
         Formula::Const(_) => panic!("tseitin: simplify the formula first"),
         Formula::Lit(a, pol) => atom_lit(*a, *pol),
@@ -134,11 +46,12 @@ pub fn tseitin(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sat::SatOutcome;
 
     #[test]
     fn tseitin_and_or() {
         // (a || b) && !a  — satisfiable with b=true, a=false.
-        let mut cnf = CnfStore::new();
+        let mut cnf = SatSolver::new();
         let va = cnf.new_var();
         let vb = cnf.new_var();
         let lookup = move |a: AtomId, pol: bool| {
@@ -166,7 +79,7 @@ mod tests {
     #[test]
     fn tseitin_unsat() {
         // a && !a
-        let mut cnf = CnfStore::new();
+        let mut cnf = SatSolver::new();
         let va = cnf.new_var();
         let lookup = move |_: AtomId, pol: bool| Lit::new(va, pol);
         let f = Formula::And(vec![

@@ -70,28 +70,16 @@ impl<'a> Euf<'a> {
         self.diseqs.push((a, b));
     }
 
-    /// Runs the congruence fixpoint and checks consistency over the whole
-    /// arena (the fresh-per-query path, where the arena *is* the query).
-    pub fn close(&mut self) -> EufResult {
-        let apps: Vec<NodeId> = self
-            .arena
-            .iter()
-            .filter(|(_, n)| matches!(n, Node::App(..)))
-            .map(|(id, _)| id)
-            .collect();
-        self.close_over(&apps, None)
-    }
-
     /// Runs the congruence fixpoint restricted to `apps` (the application
     /// nodes that can participate in a congruence) and checks consistency
-    /// against the constants of `const_scan` (`None` scans the whole
-    /// arena). A persistent incremental context shares one arena across
-    /// many queries; passing the current query's subterm closure here
-    /// makes the quadratic fixpoint quadratic in the *query*, not in
-    /// everything the context ever encoded — and since merges only ever
-    /// start from the query's own assertions, out-of-scope nodes stay in
-    /// singleton classes and cannot contribute a conflict anyway.
-    pub fn close_over(&mut self, apps: &[NodeId], const_scan: Option<&[NodeId]>) -> EufResult {
+    /// against the constants of `scope`, the query's subterm closure. A
+    /// persistent incremental context shares one arena across many
+    /// queries; restricting both to the current query makes the quadratic
+    /// fixpoint quadratic in the *query*, not in everything the context
+    /// ever encoded — and since merges only ever start from the query's
+    /// own assertions, out-of-scope nodes stay in singleton classes and
+    /// cannot contribute a conflict anyway.
+    pub fn close_over(&mut self, apps: &[NodeId], scope: &[NodeId]) -> EufResult {
         loop {
             let mut changed = false;
             for i in 0..apps.len() {
@@ -134,20 +122,9 @@ impl<'a> Euf<'a> {
             }
             true
         };
-        match const_scan {
-            Some(ids) => {
-                for &id in ids {
-                    if !scan_one(self, id) {
-                        return EufResult::Conflict;
-                    }
-                }
-            }
-            None => {
-                for i in 0..n {
-                    if !scan_one(self, NodeId(i as u32)) {
-                        return EufResult::Conflict;
-                    }
-                }
+        for &id in scope {
+            if !scan_one(self, id) {
+                return EufResult::Conflict;
             }
         }
         // Asserted disequality conflicts.
@@ -160,7 +137,7 @@ impl<'a> Euf<'a> {
     }
 
     /// Returns the classes as a map from node to representative (after
-    /// [`Euf::close`]).
+    /// [`Euf::close_over`]).
     pub fn rep_of(&mut self, n: NodeId) -> NodeId {
         self.find(n)
     }
@@ -170,6 +147,18 @@ impl<'a> Euf<'a> {
 mod tests {
     use super::*;
     use rsc_logic::{Sort, Sym};
+
+    /// Closes `e` over the query's own scope: each test arena holds
+    /// exactly one query, so that is every node.
+    fn close_query(e: &mut Euf) -> EufResult {
+        let scope: Vec<NodeId> = e.arena.iter().map(|(id, _)| id).collect();
+        let apps: Vec<NodeId> = scope
+            .iter()
+            .copied()
+            .filter(|&id| matches!(e.arena.node(id), Node::App(..)))
+            .collect();
+        e.close_over(&apps, &scope)
+    }
 
     fn var(a: &mut Arena, s: &str) -> NodeId {
         a.intern(Node::Var(Sym::from(s), Sort::Ref))
@@ -190,7 +179,7 @@ mod tests {
         let mut e = Euf::new(&a);
         e.merge(x, y);
         e.assert_diseq(fx, fy);
-        assert_eq!(e.close(), EufResult::Conflict);
+        assert_eq!(close_query(&mut e), EufResult::Conflict);
     }
 
     #[test]
@@ -206,7 +195,7 @@ mod tests {
         let mut e = Euf::new(&a);
         e.merge(x, y);
         e.assert_diseq(ffx, ffy);
-        assert_eq!(e.close(), EufResult::Conflict);
+        assert_eq!(close_query(&mut e), EufResult::Conflict);
     }
 
     #[test]
@@ -219,7 +208,7 @@ mod tests {
         let mut e = Euf::new(&a);
         e.merge(tx, s1);
         e.merge(tx, s2);
-        assert_eq!(e.close(), EufResult::Conflict);
+        assert_eq!(close_query(&mut e), EufResult::Conflict);
     }
 
     #[test]
@@ -232,7 +221,7 @@ mod tests {
         let mut e = Euf::new(&a);
         e.merge(x, y);
         e.assert_diseq(fx, gy); // different symbols: no congruence
-        assert_eq!(e.close(), EufResult::Consistent);
+        assert_eq!(close_query(&mut e), EufResult::Consistent);
     }
 
     #[test]
@@ -244,6 +233,6 @@ mod tests {
         let mut e = Euf::new(&a);
         e.merge(b, t);
         e.merge(b, f);
-        assert_eq!(e.close(), EufResult::Conflict);
+        assert_eq!(close_query(&mut e), EufResult::Conflict);
     }
 }

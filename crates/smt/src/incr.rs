@@ -1,10 +1,19 @@
-//! Persistent incremental SMT contexts for the Liquid fixpoint.
+//! The DPLL(T) driver: lazy SMT by CDCL search under assumptions, with
+//! theory-conflict blocking clauses, over a persistent context.
 //!
-//! The fixpoint re-validates each candidate qualifier of a κ-headed
-//! constraint on every weakening iteration. A fresh [`crate::Solver`]
-//! call re-encodes and re-CNFs the whole query each time — 85–96% of a
-//! cold check. An [`IncrContext`] instead keeps one SAT instance, one
-//! term arena and one atom table alive per constraint:
+//! Every satisfiability query the crate answers runs through
+//! [`IncrContext::query`] (or [`IncrContext::query_conj`]), the one
+//! DPLL(T) loop: the SAT core proposes an assignment of the query's
+//! atoms, the theory combination ([`crate::theory`]) checks it, and a
+//! conflict becomes a blocking clause over a minimized core, until the
+//! assignment is theory-consistent (Sat), the clauses are refuted
+//! (Unsat) or [`MAX_ROUNDS`] rounds pass (Unknown).
+//!
+//! The Liquid fixpoint keeps one context alive per κ-headed constraint
+//! and re-validates each candidate qualifier in it on every weakening
+//! iteration; [`crate::Solver::is_valid`] and [`crate::Solver::is_sat`]
+//! solve on a one-shot context that lives for one query. A context keeps
+//! one SAT instance, one term arena and one atom table:
 //!
 //! - Every hypothesis conjunct and every goal is encoded **once**, the
 //!   first time it appears, under an *activation literal* `a` with the
@@ -29,8 +38,7 @@
 //!   against the query and pools it for the rest of the constraint
 //!   check, where it can refute sibling candidates without a query
 //!   ([`crate::model`]). Lifting only reads the round's state, so the
-//!   search, the retained clauses and every counter are unchanged. The
-//!   fresh driver never builds models.
+//!   search, the retained clauses and every counter are unchanged.
 //!
 //! # Context-per-constraint invariants
 //!
@@ -50,13 +58,17 @@ use rsc_logic::{Pred, SortLookup};
 
 use crate::atom::{AtomData, AtomId, Formula, NLinExp};
 use crate::bv::Blaster;
-use crate::cnf::{tseitin, ClauseSink};
+use crate::cnf::tseitin;
 use crate::encode::{Encoder, EncoderState};
 use crate::model::Model;
 use crate::node::{Node, NodeId};
 use crate::sat::{Lit, SatOutcome, SatSolver};
 use crate::solver::{SatResult, SolverStats};
 use crate::theory::{self, TheoryVerdict};
+
+/// The DPLL(T) round cap per query. A query whose `sat_rounds` reach this
+/// bound was answered `Unknown` by resource exhaustion, not by proof.
+pub const MAX_ROUNDS: u64 = 600;
 
 /// How one encoded item participates in queries.
 ///
@@ -71,8 +83,7 @@ enum Slot {
         atoms: std::sync::Arc<[AtomId]>,
     },
     /// The item simplified to `true`; it asserts nothing, but its atoms
-    /// (interned before folding) still join the query scope, mirroring
-    /// the fresh encoder whose table keeps them.
+    /// (interned before folding) still join the query scope.
     Tautology { atoms: std::sync::Arc<[AtomId]> },
     /// The item simplified to `false`: any query asserting it is Unsat.
     Contradiction,
@@ -121,7 +132,7 @@ impl IncrContext {
             let i = self.atom_lits.len();
             let lit = match self.st.atoms[i].clone() {
                 AtomData::BvEq(x, y) => self.blaster.eq_lit(&x, &y, &mut self.sat),
-                _ => Lit::pos(ClauseSink::new_var(&mut self.sat)),
+                _ => Lit::pos(self.sat.new_var()),
             };
             self.atom_lits.push(lit);
         }
@@ -158,9 +169,8 @@ impl IncrContext {
             Ok(f) => {
                 let f = f.simplify();
                 // Atoms of the item: those its formula references plus any
-                // interned during encoding but folded away (the fresh
-                // encoder keeps the latter in its table too, where they
-                // get model polarities and join the theory check).
+                // interned during encoding but folded away (they get model
+                // polarities and join the theory check all the same).
                 let mut atoms = Vec::new();
                 let mut seen = BTreeSet::new();
                 Self::formula_atoms(&f, &mut atoms, &mut seen);
@@ -189,7 +199,7 @@ impl IncrContext {
                             }
                         };
                         let root = tseitin(&g, &lookup, &mut self.sat);
-                        let a = Lit::pos(ClauseSink::new_var(&mut self.sat));
+                        let a = Lit::pos(self.sat.new_var());
                         self.sat.add_clause(vec![a.negate(), root]);
                         Slot::Active {
                             lit: a,
@@ -264,11 +274,9 @@ impl IncrContext {
     }
 
     /// Checks satisfiability of `hyps ∧ ¬goal` in this context. `Unsat`
-    /// means the implication `hyps ⇒ goal` is valid. Mirrors
-    /// [`crate::Solver::is_sat`] over the persistent state: same
-    /// simplification short-circuits, same DPLL(T) loop, same greedy core
-    /// minimization — but encoding is incremental and learnt/blocking
-    /// clauses persist.
+    /// means the implication `hyps ⇒ goal` is valid. Encoding is
+    /// incremental, and learnt and blocking clauses persist across
+    /// queries.
     ///
     /// A Sat answer also carries the counterexample model lifted from its
     /// final theory round (see [`crate::model`]), unchecked; it is `None`
@@ -281,7 +289,33 @@ impl IncrContext {
         hyps: &[Pred],
         goal: &Pred,
         stats: &mut SolverStats,
-        max_rounds: usize,
+    ) -> (SatResult, Option<Model>) {
+        // Items in refutation order: hypotheses, then the negated goal.
+        let items = hyps
+            .iter()
+            .map(|h| (h, true))
+            .chain(std::iter::once((goal, false)));
+        self.solve(env, items, stats)
+    }
+
+    /// Checks satisfiability of the conjunction of `preds` in this
+    /// context, as [`IncrContext::query`] does for `hyps ∧ ¬goal`.
+    pub fn query_conj(
+        &mut self,
+        env: &dyn SortLookup,
+        preds: &[Pred],
+        stats: &mut SolverStats,
+    ) -> (SatResult, Option<Model>) {
+        self.solve(env, preds.iter().map(|p| (p, true)), stats)
+    }
+
+    /// The DPLL(T) loop over the conjunction of `items`, each a predicate
+    /// with its encoding polarity.
+    fn solve<'p>(
+        &mut self,
+        env: &dyn SortLookup,
+        items: impl Iterator<Item = (&'p Pred, bool)>,
+        stats: &mut SolverStats,
     ) -> (SatResult, Option<Model>) {
         stats.queries += 1;
         let mut assumptions: Vec<Lit> = Vec::new();
@@ -294,13 +328,7 @@ impl IncrContext {
                 }
             }
         };
-        // Items in fresh-solver order: hypotheses, then the negated goal.
-        let goal_key = (goal, false);
-        for (pred, pol) in hyps
-            .iter()
-            .map(|h| (h, true))
-            .chain(std::iter::once(goal_key))
-        {
+        for (pred, pol) in items {
             match self.item(env, pred, pol) {
                 Slot::Poisoned => return (SatResult::Unknown, None),
                 Slot::Contradiction => return (SatResult::Unsat, None),
@@ -327,7 +355,7 @@ impl IncrContext {
             return (SatResult::Unsat, None);
         }
 
-        for _round in 0..max_rounds {
+        for _round in 0..MAX_ROUNDS {
             stats.sat_rounds += 1;
             match self.sat.solve_under(&assumptions) {
                 SatOutcome::Unsat => return (SatResult::Unsat, None),
@@ -350,8 +378,8 @@ impl IncrContext {
                             assign,
                             self.st.true_node,
                             self.st.false_node,
-                            Some(&scope),
-                            Some(&assigned_hint),
+                            &scope,
+                            &assigned_hint,
                             want_model,
                         )
                     };
@@ -359,6 +387,9 @@ impl IncrContext {
                         (TheoryVerdict::Consistent, model) => return (SatResult::Sat, model),
                         (TheoryVerdict::Conflict(ids), _) => {
                             stats.theory_conflicts += 1;
+                            // Core minimization: a short blocking clause
+                            // prunes exponentially more models than
+                            // negating the whole assignment.
                             let restrict = |core: &[AtomId]| {
                                 let mut a: Vec<Option<bool>> = vec![None; assign.len()];
                                 for id in core {
@@ -436,23 +467,20 @@ mod tests {
         let weak = le(Term::int(-1), Term::var("x"));
         let wrong = le(Term::int(1), Term::var("x"));
         assert_eq!(
-            ctx.query(&e, std::slice::from_ref(&hyp), &weak, &mut stats, 600)
+            ctx.query(&e, std::slice::from_ref(&hyp), &weak, &mut stats)
                 .0,
             SatResult::Unsat,
             "0 <= x ⊢ -1 <= x must be valid"
         );
         assert_eq!(
-            ctx.query(&e, std::slice::from_ref(&hyp), &wrong, &mut stats, 600)
+            ctx.query(&e, std::slice::from_ref(&hyp), &wrong, &mut stats)
                 .0,
             SatResult::Sat,
             "0 <= x ⊬ 1 <= x"
         );
         // Re-ask the valid one: the context must still answer correctly
         // after a Sat query and its retained clauses.
-        assert_eq!(
-            ctx.query(&e, &[hyp], &weak, &mut stats, 600).0,
-            SatResult::Unsat
-        );
+        assert_eq!(ctx.query(&e, &[hyp], &weak, &mut stats).0, SatResult::Unsat);
     }
 
     #[test]
@@ -464,20 +492,14 @@ mod tests {
         let h2 = le(Term::var("x"), Term::var("y"));
         let goal = le(Term::int(0), Term::var("y"));
         assert_eq!(
-            ctx.query(&e, &[h1.clone(), h2.clone()], &goal, &mut stats, 600)
+            ctx.query(&e, &[h1.clone(), h2.clone()], &goal, &mut stats)
                 .0,
             SatResult::Unsat
         );
         // Dropping h2 invalidates the implication; its clauses must be
         // inert when its activation literal is not assumed.
-        assert_eq!(
-            ctx.query(&e, &[h1], &goal, &mut stats, 600).0,
-            SatResult::Sat
-        );
-        assert_eq!(
-            ctx.query(&e, &[h2], &goal, &mut stats, 600).0,
-            SatResult::Sat
-        );
+        assert_eq!(ctx.query(&e, &[h1], &goal, &mut stats).0, SatResult::Sat);
+        assert_eq!(ctx.query(&e, &[h2], &goal, &mut stats).0, SatResult::Sat);
     }
 
     #[test]
@@ -488,16 +510,13 @@ mod tests {
         let fals = Pred::cmp(CmpOp::Lt, Term::int(1), Term::int(0));
         let goal = le(Term::int(1), Term::var("x"));
         assert_eq!(
-            ctx.query(&e, &[fals], &goal, &mut stats, 600).0,
+            ctx.query(&e, &[fals], &goal, &mut stats).0,
             SatResult::Unsat,
             "false hypothesis proves anything"
         );
         // The contradiction must not poison unrelated queries.
         let taut = le(Term::int(0), Term::int(1));
-        assert_eq!(
-            ctx.query(&e, &[taut], &goal, &mut stats, 600).0,
-            SatResult::Sat
-        );
+        assert_eq!(ctx.query(&e, &[taut], &goal, &mut stats).0, SatResult::Sat);
     }
 
     /// A goal whose negation folds to `true` after interning a fresh atom
@@ -510,10 +529,7 @@ mod tests {
         let mut stats = SolverStats::default();
         let hyp = le(Term::int(0), Term::var("y"));
         let goal = Pred::And(vec![le(Term::var("x"), Term::int(0)), Pred::False]);
-        assert_eq!(
-            ctx.query(&e, &[hyp], &goal, &mut stats, 600).0,
-            SatResult::Sat
-        );
+        assert_eq!(ctx.query(&e, &[hyp], &goal, &mut stats).0, SatResult::Sat);
     }
 
     #[test]
@@ -527,14 +543,11 @@ mod tests {
         let h2 = Pred::vv_eq(len_a);
         let goal = le(Term::int(0), Term::vv());
         assert_eq!(
-            ctx.query(&e, &[h1.clone(), h2.clone()], &goal, &mut stats, 600)
+            ctx.query(&e, &[h1.clone(), h2.clone()], &goal, &mut stats)
                 .0,
             SatResult::Unsat
         );
         // A weaker query in the same context: h1 alone does not bound v.
-        assert_eq!(
-            ctx.query(&e, &[h1], &goal, &mut stats, 600).0,
-            SatResult::Sat
-        );
+        assert_eq!(ctx.query(&e, &[h1], &goal, &mut stats).0, SatResult::Sat);
     }
 }

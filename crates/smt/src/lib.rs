@@ -17,10 +17,14 @@
 //! * [`bv`] — eager bit-blasting of 32-bit vector operations,
 //! * [`theory`] — EUF+LIA combination with bounded Nelson–Oppen equality
 //!   propagation,
-//! * [`solver`] — the lazy DPLL(T) driver exposing [`Solver::is_valid`],
-//! * [`model`] — counterexample models of refuting incremental queries,
-//!   checked by [`rsc_logic::eval_pred`] and pooled per constraint check
-//!   so one model can refute sibling candidates without a query.
+//! * [`incr`] — the lazy DPLL(T) driver, [`IncrContext::query`]: one
+//!   loop for every query, on a context that persists across one
+//!   constraint's queries or lives for one,
+//! * [`solver`] — the validity front end [`Solver::is_valid`], with the
+//!   VC cache ([`cache`]) and the model pool in front of the driver,
+//! * [`model`] — counterexample models of refuting queries, checked by
+//!   [`rsc_logic::eval_pred`] and pooled per constraint check so one
+//!   model can refute sibling candidates without a query.
 //!
 //! Soundness contract: the only answer verification relies on is
 //! [`SatResult::Unsat`], and every resource cap or incompleteness in the
@@ -43,6 +47,6 @@ pub mod solver;
 pub mod theory;
 
 pub use cache::{canonical_query, CacheCounters, CanonicalQuery, DiskCache, VcCache};
-pub use incr::IncrContext;
+pub use incr::{IncrContext, MAX_ROUNDS};
 pub use model::{Model, ModelPool};
 pub use solver::{SatResult, Solver, SolverStats};

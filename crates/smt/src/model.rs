@@ -3,7 +3,7 @@
 //!
 //! # Lift
 //!
-//! When an incremental query ([`crate::IncrContext`]) answers Sat on a
+//! When a query ([`crate::IncrContext::query`]) answers Sat on a
 //! theory round that ended without a new Nelson–Oppen equality, the
 //! round's congruence classes over the query scope and its checked
 //! integer model (`LiaProblem::feasible_with_model`) are lifted into a

@@ -6,9 +6,8 @@
 //! assumption literals are established as pseudo-decisions below any
 //! real decision, so learnt clauses are implied by the clause database
 //! alone and are retained across calls — the foundation of the
-//! persistent per-constraint contexts in [`crate::incr`]. The
-//! fresh-per-query DPLL(T) driver in [`crate::solver`] still re-solves
-//! from scratch after adding theory blocking clauses.
+//! DPLL(T) contexts in [`crate::incr`], which add theory blocking
+//! clauses between calls and keep everything learnt.
 
 use std::fmt;
 

@@ -1,18 +1,14 @@
-//! The DPLL(T) driver: lazy SMT by CDCL enumeration of propositional
-//! models with theory-conflict blocking clauses.
+//! The validity front end: [`Solver`] refutes `⟦Γ⟧ ∧ p ∧ ¬q` on an
+//! [`IncrContext`] — a one-shot context per query, or the caller's
+//! persistent one — through the optional VC cache and model pool.
 
 use std::sync::Arc;
 
 use rsc_logic::{Pred, SortLookup, SortScope};
 
-use crate::atom::{AtomData, Formula};
-use crate::bv::Blaster;
-use crate::cache::{canonical_query_refs, VcCache};
-use crate::cnf::{tseitin, CnfStore};
-use crate::encode::{Encoder, EncoderState};
+use crate::cache::{canonical_query_refs, CanonicalQuery, VcCache};
+use crate::incr::IncrContext;
 use crate::model::ModelPool;
-use crate::sat::{Lit, SatOutcome, Var};
-use crate::theory::{self, TheoryVerdict};
 
 /// The answer of a satisfiability query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,7 +76,10 @@ impl SolverStats {
 /// An SMT solver for the RSC refinement logic.
 ///
 /// Validity of a verification condition `⟦Γ⟧ ⇒ p ⇒ q` is checked by
-/// refuting `⟦Γ⟧ ∧ p ∧ ¬q` (§2.1.1 of the paper).
+/// refuting `⟦Γ⟧ ∧ p ∧ ¬q` (§2.1.1 of the paper). Every query runs the
+/// one DPLL(T) loop, [`IncrContext::query`]: [`Solver::is_sat`] and
+/// [`Solver::is_valid`] on a one-shot context, [`Solver::is_valid_ctx`]
+/// on the caller's persistent one.
 ///
 /// ```
 /// use rsc_logic::{CmpOp, Pred, Sort, SortEnv, Term};
@@ -103,16 +102,14 @@ impl SolverStats {
 pub struct Solver {
     /// Statistics since the last [`SolverStats::take`]/[`SolverStats::reset`].
     pub stats: SolverStats,
-    max_rounds: usize,
     cache: Option<Arc<VcCache>>,
 }
 
 impl Solver {
-    /// Creates a solver with default resource limits and no VC cache.
+    /// Creates a solver with no VC cache.
     pub fn new() -> Self {
         Solver {
             stats: SolverStats::default(),
-            max_rounds: 600,
             cache: None,
         }
     }
@@ -126,7 +123,6 @@ impl Solver {
     pub fn with_cache(cache: Arc<VcCache>) -> Self {
         Solver {
             stats: SolverStats::default(),
-            max_rounds: 600,
             cache: Some(cache),
         }
     }
@@ -136,195 +132,38 @@ impl Solver {
         self.cache.as_ref()
     }
 
-    /// The DPLL(T) round cap per query. A query whose `sat_rounds` reach
-    /// this bound was answered `Unknown` by resource exhaustion, not by
-    /// proof — relevant when comparing cached (canonical-form) and
-    /// uncached (original-form) verdicts, which may legitimately differ
-    /// on capped queries only.
-    pub fn max_rounds(&self) -> usize {
-        self.max_rounds
-    }
-
     /// Checks satisfiability of the conjunction of `preds` under `env`
     /// (an owned [`rsc_logic::SortEnv`] or a borrowed
-    /// [`rsc_logic::SortScope`] overlay).
+    /// [`rsc_logic::SortScope`] overlay), on a one-shot context.
     pub fn is_sat(&mut self, env: &dyn SortLookup, preds: &[Pred]) -> SatResult {
-        let refs: Vec<&Pred> = preds.iter().collect();
-        self.is_sat_refs(env, &refs)
-    }
-
-    /// [`Solver::is_sat`] over borrowed conjuncts, so validity checking
-    /// can pass `hyps + ¬goal` without cloning every hypothesis.
-    fn is_sat_refs(&mut self, env: &dyn SortLookup, preds: &[&Pred]) -> SatResult {
-        self.stats.queries += 1;
-        let mut st = EncoderState::new();
-        let mut enc = Encoder::over(env, &mut st);
-        let mut formulas = Vec::new();
-        for &p in preds {
-            match enc.encode_pred(p, true) {
-                Ok(f) => match f.simplify() {
-                    Formula::Const(true) => {}
-                    Formula::Const(false) => return SatResult::Unsat,
-                    g => formulas.push(g),
-                },
-                Err(_) => return SatResult::Unknown,
-            }
-        }
-        if formulas.is_empty() && st.defs.is_empty() {
-            return SatResult::Sat;
-        }
-
-        let mut cnf = CnfStore::new();
-        let mut blaster = Blaster::new();
-        let atoms = st.atoms.clone();
-        let mut atom_lits: Vec<Lit> = Vec::with_capacity(atoms.len());
-        for a in &atoms {
-            match a {
-                AtomData::BvEq(x, y) => {
-                    let l = blaster.eq_lit(x, y, &mut cnf);
-                    atom_lits.push(l);
-                }
-                _ => {
-                    let v: Var = cnf.new_var();
-                    atom_lits.push(Lit::pos(v));
-                }
-            }
-        }
-        let lookup = |a: crate::atom::AtomId, pol: bool| {
-            let l = atom_lits[a.0 as usize];
-            if pol {
-                l
-            } else {
-                l.negate()
-            }
-        };
-        for f in &formulas {
-            let root = tseitin(f, &lookup, &mut cnf);
-            cnf.add_clause(vec![root]);
-        }
-
-        for _round in 0..self.max_rounds {
-            self.stats.sat_rounds += 1;
-            match cnf.solve() {
-                SatOutcome::Unsat => return SatResult::Unsat,
-                SatOutcome::Sat(model) => {
-                    let assign: Vec<Option<bool>> = atoms
-                        .iter()
-                        .enumerate()
-                        .map(|(i, a)| match a {
-                            AtomData::BvEq(..) => None,
-                            _ => {
-                                let l = atom_lits[i];
-                                let val = model[l.var() as usize];
-                                Some(if l.is_neg() { !val } else { val })
-                            }
-                        })
-                        .collect();
-                    match theory::check(
-                        &st.arena,
-                        &atoms,
-                        &st.defs,
-                        &assign,
-                        st.true_node,
-                        st.false_node,
-                    ) {
-                        TheoryVerdict::Consistent => return SatResult::Sat,
-                        TheoryVerdict::Conflict(ids) => {
-                            self.stats.theory_conflicts += 1;
-                            // Core minimization: a short blocking clause
-                            // prunes exponentially more models than
-                            // negating the whole assignment.
-                            let restrict = |core: &[crate::atom::AtomId]| {
-                                let mut a: Vec<Option<bool>> = vec![None; assign.len()];
-                                for id in core {
-                                    a[id.0 as usize] = assign[id.0 as usize];
-                                }
-                                a
-                            };
-                            let mut core = ids.clone();
-                            let check_core = |core: &[crate::atom::AtomId]| {
-                                matches!(
-                                    theory::check(
-                                        &st.arena,
-                                        &atoms,
-                                        &st.defs,
-                                        &restrict(core),
-                                        st.true_node,
-                                        st.false_node,
-                                    ),
-                                    TheoryVerdict::Conflict(_)
-                                )
-                            };
-                            // A core covering every assigned atom restricts
-                            // to the assignment itself — already known to
-                            // conflict, so skip the confirmation check.
-                            let assigned = assign.iter().filter(|a| a.is_some()).count();
-                            if core.len() >= assigned || check_core(&core) {
-                                core = theory::minimize_core(core, check_core);
-                            }
-                            let clause: Vec<Lit> = core
-                                .iter()
-                                .map(|id| {
-                                    let l = atom_lits[id.0 as usize];
-                                    match assign[id.0 as usize] {
-                                        Some(true) => l.negate(),
-                                        _ => l,
-                                    }
-                                })
-                                .collect();
-                            if clause.is_empty() {
-                                return SatResult::Unsat;
-                            }
-                            cnf.add_clause(clause);
-                        }
-                    }
-                }
-            }
-        }
-        SatResult::Unknown
+        IncrContext::new().query_conj(env, preds, &mut self.stats).0
     }
 
     /// Checks validity of `hyps ⇒ goal`: true only when the negation is
     /// proven unsatisfiable (Unknown answers count as *not valid*, the
-    /// conservative direction for verification).
+    /// conservative direction for verification). The query runs on a
+    /// one-shot context.
     ///
     /// With a [`VcCache`] attached, the refutation query is canonicalized
     /// first; cached Unsat fingerprints answer without solving, and
     /// misses solve the canonical form and memoize an Unsat outcome.
     pub fn is_valid(&mut self, env: &dyn SortLookup, hyps: &[Pred], goal: &Pred) -> bool {
         let _sp = rsc_obs::span!("smt-query");
-        let neg_goal = Pred::not(goal.clone());
-        let mut preds: Vec<&Pred> = hyps.iter().collect();
-        preds.push(&neg_goal);
-        let r = match self.cache.clone() {
-            Some(cache) => {
-                let canonical = canonical_query_refs(env, &preds);
-                if cache.probe(&canonical.key) {
-                    self.stats.cache_hits += 1;
-                    true
-                } else {
-                    self.stats.cache_misses += 1;
-                    // Solve the canonical form under an overlay of the
-                    // canonical binders — a pair of borrows, not a clone
-                    // of the source environment.
-                    let canon_env = SortScope::new(env, &canonical.binders);
-                    let unsat = self.is_sat(&canon_env, &canonical.preds) == SatResult::Unsat;
-                    if unsat {
-                        cache.record_unsat(canonical.key);
-                    }
-                    unsat
-                }
-            }
-            None => self.is_sat_refs(env, &preds) == SatResult::Unsat,
-        };
-        if r {
-            self.stats.valid += 1;
-        }
-        r
+        self.validate(env, hyps, goal, |stats, canonical| {
+            let mut ctx = IncrContext::new();
+            let result = match canonical {
+                // Solve the canonical form under an overlay of the
+                // canonical binders — a pair of borrows, not a clone of
+                // the source environment.
+                Some(c) => ctx.query_conj(&SortScope::new(env, &c.binders), &c.preds, stats),
+                None => ctx.query(env, hyps, goal, stats),
+            };
+            result.0 == SatResult::Unsat
+        })
     }
 
     /// Like [`Solver::is_valid`], but solving inside the persistent
-    /// incremental context `ctx` instead of a fresh encoder/CNF, with the
+    /// incremental context `ctx` instead of a one-shot one, with the
     /// counterexample models of the current constraint check in `pool`.
     ///
     /// The pool answers first: when one of its checked models makes every
@@ -332,9 +171,11 @@ impl Solver {
     /// no cache probe and no solve, counted in
     /// [`SolverStats::model_refuted`]. Such a model witnesses that the
     /// query is satisfiable, so a sound solver could only have answered
-    /// Sat or Unknown — the same decision (see [`crate::model`]). `list`
-    /// names `hyps` within the pool's check: the same id must always come
-    /// with the same list, so each list is evaluated once per model.
+    /// Sat or Unknown — the same decision (see [`crate::model`]). A debug
+    /// build re-solves each pooled refutation on a one-shot context, with
+    /// no pool, and asserts it is not Unsat. `list` names `hyps` within
+    /// the pool's check: the same id must always come with the same list,
+    /// so each list is evaluated once per model.
     ///
     /// Otherwise the context solves. It caches the encoding of every
     /// hypothesis and goal it has seen under activation literals, so
@@ -351,7 +192,7 @@ impl Solver {
     /// the pool moves no cache hit.
     pub fn is_valid_ctx(
         &mut self,
-        ctx: &mut crate::incr::IncrContext,
+        ctx: &mut IncrContext,
         pool: &mut ModelPool,
         list: usize,
         env: &dyn SortLookup,
@@ -362,18 +203,34 @@ impl Solver {
         if pool.refutes(list, hyps, goal) {
             self.stats.model_refuted += 1;
             debug_assert!(
-                !Solver::new().proves(env, hyps, goal),
+                IncrContext::new()
+                    .query(env, hyps, goal, &mut SolverStats::default())
+                    .0
+                    != SatResult::Unsat,
                 "a checked model refutes `{goal}`, which the solver proves valid"
             );
             return false;
         }
-        let mut solve = |stats: &mut SolverStats, max_rounds: usize| {
-            let (result, model) = ctx.query(env, hyps, goal, stats, max_rounds);
+        self.validate(env, hyps, goal, |stats, _| {
+            let (result, model) = ctx.query(env, hyps, goal, stats);
             if let Some(model) = model {
                 pool.admit(model, list, hyps, goal);
             }
             result == SatResult::Unsat
-        };
+        })
+    }
+
+    /// Decides `hyps ⇒ goal` through the VC cache, when one is attached:
+    /// a hit is valid without solving; otherwise `solve` decides (given
+    /// the canonical query on a miss), and a miss records an Unsat
+    /// verdict under the canonical key. Counts the decision in `valid`.
+    fn validate(
+        &mut self,
+        env: &dyn SortLookup,
+        hyps: &[Pred],
+        goal: &Pred,
+        solve: impl FnOnce(&mut SolverStats, Option<&CanonicalQuery>) -> bool,
+    ) -> bool {
         let r = match self.cache.clone() {
             Some(cache) => {
                 let neg_goal = Pred::not(goal.clone());
@@ -385,28 +242,19 @@ impl Solver {
                     true
                 } else {
                     self.stats.cache_misses += 1;
-                    let unsat = solve(&mut self.stats, self.max_rounds);
+                    let unsat = solve(&mut self.stats, Some(&canonical));
                     if unsat {
                         cache.record_unsat(canonical.key);
                     }
                     unsat
                 }
             }
-            None => solve(&mut self.stats, self.max_rounds),
+            None => solve(&mut self.stats, None),
         };
         if r {
             self.stats.valid += 1;
         }
         r
-    }
-
-    /// Whether a fresh solve refutes `hyps ∧ ¬goal`, outside every
-    /// counter and span (the pool's debug-build soundness assertion).
-    fn proves(&mut self, env: &dyn SortLookup, hyps: &[Pred], goal: &Pred) -> bool {
-        let neg_goal = Pred::not(goal.clone());
-        let mut preds: Vec<&Pred> = hyps.iter().collect();
-        preds.push(&neg_goal);
-        self.is_sat_refs(env, &preds) == SatResult::Unsat
     }
 }
 

@@ -47,10 +47,8 @@ const MAX_NO_ROUNDS: usize = 6;
 /// The typical conflict involves a handful of atoms inside a large
 /// assigned set, and every probe is a full theory check — chunking
 /// reaches the kernel in `O(k log n)` checks instead of the greedy
-/// scan's `O(n)`. Both solving paths (fresh [`crate::Solver::is_sat`]
-/// and the incremental context) must minimize through this one function:
-/// the minimized core picks the blocking clause, and the paths only stay
-/// trajectory-identical because they shrink cores identically.
+/// scan's `O(n)`. The minimized core picks the blocking clause that
+/// [`crate::IncrContext`]'s DPLL(T) loop adds.
 pub fn minimize_core(
     mut core: Vec<AtomId>,
     mut check: impl FnMut(&[AtomId]) -> bool,
@@ -127,41 +125,28 @@ const MAX_EQ_PROBE_PAIRS: usize = 48;
 
 /// Checks whether the assignment of theory atoms is consistent with
 /// EUF + LIA. `assign[i]` is the polarity of atom `i`, or `None` for atoms
-/// outside the theory (bit-vector atoms, which are blasted eagerly).
-pub fn check(
-    arena: &Arena,
-    atoms: &[AtomData],
-    defs: &[NLinExp],
-    assign: &[Option<bool>],
-    true_node: NodeId,
-    false_node: NodeId,
-) -> TheoryVerdict {
-    check_scoped(
-        arena, atoms, defs, assign, true_node, false_node, None, None, false,
-    )
-    .0
-}
-
-/// [`check`] with an optional node scope. A persistent incremental
-/// context shares one arena across many queries; passing the subterm
-/// closure of the current query as `scope` restricts the two
-/// heuristic arena sweeps (nonlinear constant evaluation and
-/// Nelson–Oppen candidate collection) to the query's own terms, so an
-/// unrelated query's nodes can neither consume the bounded probe budget
-/// nor surface in its conflicts. `None` sweeps the whole arena — the
-/// fresh-per-query path, where the arena *is* the query's closure.
+/// outside the theory (bit-vector atoms, which are blasted eagerly) and
+/// atoms outside the query.
 ///
-/// `assigned_hint`, when given, must list (in ascending id order) a
-/// superset of the atoms with `assign[i].is_some()`; the involved-atom
-/// sets are then derived from it instead of scanning the whole atom
-/// table. A persistent context's table holds every atom it ever encoded,
-/// and core minimization re-checks restricted assignments many times per
-/// conflict, so the full-table scans are quadratic-ish on the hot path.
+/// A persistent incremental context shares one arena and one atom table
+/// across many queries, so the check is scoped to the current query:
 ///
-/// With `want_model` and a `scope`, a Consistent verdict reached on a
-/// round that found no new equality also carries that round's
-/// counterexample model over the scope (unchecked; see
-/// [`crate::model`]). A verdict reached at the round cap carries none.
+/// - `scope` is the subterm closure of the query's atoms, in ascending
+///   id order. The two heuristic arena sweeps (nonlinear constant
+///   evaluation and Nelson–Oppen candidate collection) and the
+///   congruence fixpoint run over it alone, so an unrelated query's nodes
+///   can neither consume the bounded probe budget nor surface in its
+///   conflicts.
+/// - `assigned_hint` lists, in ascending id order, a superset of the
+///   atoms with `assign[i].is_some()`; the involved-atom sets are derived
+///   from it instead of scanning the whole atom table. Core minimization
+///   re-checks restricted assignments many times per conflict, so
+///   full-table scans would be quadratic-ish on the hot path.
+///
+/// With `want_model`, a Consistent verdict reached on a round that found
+/// no new equality also carries that round's counterexample model over
+/// the scope (unchecked; see [`crate::model`]). A verdict reached at the
+/// round cap carries none.
 #[allow(clippy::too_many_arguments)]
 pub fn check_scoped(
     arena: &Arena,
@@ -170,43 +155,23 @@ pub fn check_scoped(
     assign: &[Option<bool>],
     true_node: NodeId,
     false_node: NodeId,
-    scope: Option<&[NodeId]>,
-    assigned_hint: Option<&[AtomId]>,
+    scope: &[NodeId],
+    assigned_hint: &[AtomId],
     want_model: bool,
 ) -> (TheoryVerdict, Option<Model>) {
-    let app_nodes = |arena: &Arena| -> Vec<NodeId> {
-        match scope {
-            Some(ids) => ids
-                .iter()
-                .copied()
-                .filter(|&id| matches!(arena.node(id), Node::App(..)))
-                .collect(),
-            None => arena
-                .iter()
-                .filter(|(_, n)| matches!(n, Node::App(..)))
-                .map(|(id, _)| id)
-                .collect(),
-        }
-    };
-    let sweep: Vec<NodeId> = app_nodes(arena);
-    // Both filters preserve ascending id order, so deriving them from the
-    // (ascending) hint yields exactly what the full-table scan would.
-    let involved: Vec<AtomId> = match assigned_hint {
-        Some(ids) => ids
-            .iter()
-            .copied()
-            .filter(|id| {
-                assign[id.0 as usize].is_some()
-                    && !matches!(atoms[id.0 as usize], AtomData::BvEq(..))
-            })
-            .collect(),
-        None => atoms
-            .iter()
-            .enumerate()
-            .filter(|(i, a)| assign[*i].is_some() && !matches!(a, AtomData::BvEq(..)))
-            .map(|(i, _)| AtomId(i as u32))
-            .collect(),
-    };
+    let sweep: Vec<NodeId> = scope
+        .iter()
+        .copied()
+        .filter(|&id| matches!(arena.node(id), Node::App(..)))
+        .collect();
+    // Both filters preserve the hint's ascending id order.
+    let involved: Vec<AtomId> = assigned_hint
+        .iter()
+        .copied()
+        .filter(|id| {
+            assign[id.0 as usize].is_some() && !matches!(atoms[id.0 as usize], AtomData::BvEq(..))
+        })
+        .collect();
     // A smaller core for EUF-phase conflicts: only equality-bearing atoms.
     let is_euf_core = |a: &AtomData| {
         matches!(
@@ -214,19 +179,11 @@ pub fn check_scoped(
             AtomData::EufEq(..) | AtomData::BoolNode(..) | AtomData::IntEq(_, Some(_))
         )
     };
-    let euf_core: Vec<AtomId> = match assigned_hint {
-        Some(ids) => ids
-            .iter()
-            .copied()
-            .filter(|id| assign[id.0 as usize].is_some() && is_euf_core(&atoms[id.0 as usize]))
-            .collect(),
-        None => atoms
-            .iter()
-            .enumerate()
-            .filter(|(i, a)| assign[*i].is_some() && is_euf_core(a))
-            .map(|(i, _)| AtomId(i as u32))
-            .collect(),
-    };
+    let euf_core: Vec<AtomId> = assigned_hint
+        .iter()
+        .copied()
+        .filter(|id| assign[id.0 as usize].is_some() && is_euf_core(&atoms[id.0 as usize]))
+        .collect();
 
     let mut extra_merges: Vec<(NodeId, NodeId)> = Vec::new();
 
@@ -442,8 +399,8 @@ pub fn check_scoped(
                 continue;
             }
             None => {
-                let model = match (want_model, &model, scope) {
-                    (true, Some(ints), Some(nodes)) => Model::lift(arena, nodes, &mut euf, ints),
+                let model = match (want_model, &model) {
+                    (true, Some(ints)) => Model::lift(arena, scope, &mut euf, ints),
                     _ => None,
                 };
                 return (TheoryVerdict::Consistent, model);
@@ -457,6 +414,31 @@ pub fn check_scoped(
 mod tests {
     use super::*;
     use rsc_logic::Sym;
+
+    /// Checks `assign` over the query's own scope: each test arena holds
+    /// exactly one query, so that is every node, with every atom assigned.
+    fn check_query(
+        arena: &Arena,
+        atoms: &[AtomData],
+        assign: &[Option<bool>],
+        true_node: NodeId,
+        false_node: NodeId,
+    ) -> TheoryVerdict {
+        let scope: Vec<NodeId> = arena.iter().map(|(id, _)| id).collect();
+        let hint: Vec<AtomId> = (0..atoms.len() as u32).map(AtomId).collect();
+        check_scoped(
+            arena,
+            atoms,
+            &[],
+            assign,
+            true_node,
+            false_node,
+            &scope,
+            &hint,
+            false,
+        )
+        .0
+    }
 
     /// x = y, len(x) ≤ 3, len(y) ≥ 5 should conflict via congruence.
     #[test]
@@ -482,7 +464,7 @@ mod tests {
             }), // 5 - len(y) <= 0
         ];
         let assign = vec![Some(true), Some(true), Some(true)];
-        let v = check(&arena, &atoms, &[], &assign, tn, fnode);
+        let v = check_query(&arena, &atoms, &assign, tn, fnode);
         assert!(matches!(v, TheoryVerdict::Conflict(_)));
     }
 
@@ -507,7 +489,7 @@ mod tests {
             AtomData::EufEq(fi, fj),
         ];
         let assign = vec![Some(true), Some(true), Some(false)];
-        let v = check(&arena, &atoms, &[], &assign, tn, fnode);
+        let v = check_query(&arena, &atoms, &assign, tn, fnode);
         assert!(matches!(v, TheoryVerdict::Conflict(_)));
     }
 
@@ -520,7 +502,7 @@ mod tests {
         let mut e = NLinExp::node(x);
         e.konst = -10; // x <= 10
         let atoms = vec![AtomData::LinLe(e)];
-        let v = check(&arena, &atoms, &[], &[Some(true)], tn, fnode);
+        let v = check_query(&arena, &atoms, &[Some(true)], tn, fnode);
         assert_eq!(v, TheoryVerdict::Consistent);
     }
 
@@ -536,7 +518,7 @@ mod tests {
         let atoms = vec![AtomData::BoolNode(p)];
         // Atom asserted both ways cannot happen with one atom id; check that
         // a single positive assertion is consistent.
-        let v = check(&arena, &atoms, &[], &[Some(true)], tn, fnode);
+        let v = check_query(&arena, &atoms, &[Some(true)], tn, fnode);
         assert_eq!(v, TheoryVerdict::Consistent);
     }
 }

@@ -2,16 +2,21 @@
 //! finite-domain evaluator.
 //!
 //! Random QF LIA+EUF+BV32 predicates are generated with proptest and
-//! checked both ways:
+//! checked both ways. Every solver answer comes from the one DPLL(T)
+//! driver, [`IncrContext::query`]: [`Solver::is_sat`] and
+//! [`Solver::is_valid`] run it on a one-shot context, and
+//! [`Solver::is_valid_ctx`] on a persistent context with a model pool.
 //!
 //! * if the solver claims **Unsat**, no model may exist in the finite
 //!   domain (a finite model would witness satisfiability outright);
 //! * if the solver claims a VC is **valid**, no finite countermodel may
-//!   exist;
+//!   exist — these two legs are the driver's independent arbiter;
 //! * cached and uncached solvers must agree on every validity verdict,
 //!   and a second probe of the same query must agree with the first;
-//! * a goal a pooled counterexample model refutes must not be valid for
-//!   a fresh solver, and a pool never turns a fresh "valid" around.
+//! * a persistent context must agree with a one-shot context per query;
+//! * a goal a pooled counterexample model refutes must not be valid on
+//!   a one-shot context, and a pool never turns a one-shot "valid"
+//!   around.
 //!
 //! The finite domain is deliberately one-directional: a formula with no
 //! model over `x, y ∈ [-2, 2]` may still be satisfiable over ℤ, so the
@@ -21,7 +26,7 @@
 
 use proptest::prelude::*;
 use rsc_logic::{BinOp, CmpOp, FunSig, Pred, Sort, SortEnv, Sym, Term};
-use rsc_smt::{IncrContext, ModelPool, SatResult, Solver, VcCache};
+use rsc_smt::{IncrContext, ModelPool, SatResult, Solver, VcCache, MAX_ROUNDS};
 
 // ------------------------------------------------------------ generator ---
 
@@ -340,8 +345,8 @@ proptest! {
         let mut second = Solver::with_cache(cache.clone());
         let v2 = second.is_valid(&e, &hyps, &goal);
 
-        let capped = plain.stats.sat_rounds >= plain.max_rounds() as u64
-            || first.stats.sat_rounds >= first.max_rounds() as u64;
+        let capped = plain.stats.sat_rounds >= MAX_ROUNDS
+            || first.stats.sat_rounds >= MAX_ROUNDS;
         if !capped {
             prop_assert_eq!(uncached, v1, "cache changed a decided validity verdict");
         }
@@ -362,7 +367,8 @@ proptest! {
     /// Incremental equivalence: one persistent [`IncrContext`] answering a
     /// whole *sequence* of queries — sharing its arena, atom table, SAT
     /// instance, learnt clauses and blocking clauses across them — must
-    /// agree with a fresh solver on every query. Divergence is tolerated
+    /// agree with a one-shot context per query ([`Solver::is_valid`]),
+    /// which shares nothing between queries. Divergence is tolerated
     /// only when a side hit the DPLL(T) round cap (an `Unknown`, i.e.
     /// "not proven", never an unsound claim). Valid claims additionally
     /// must survive exhaustive finite search, so a context poisoned by an
@@ -384,13 +390,13 @@ proptest! {
             // A pool per query keeps this leg a pure driver comparison.
             let incr_v = incr.is_valid_ctx(&mut ctx, &mut ModelPool::new(), 0, &e, hyps, goal);
             let incr_stats = incr.stats.take();
-            let capped = fresh.stats.sat_rounds >= fresh.max_rounds() as u64
-                || incr_stats.sat_rounds >= incr.max_rounds() as u64;
+            let capped = fresh.stats.sat_rounds >= MAX_ROUNDS
+                || incr_stats.sat_rounds >= MAX_ROUNDS;
             if !capped {
                 prop_assert_eq!(
                     fresh_v,
                     incr_v,
-                    "incremental context diverged from fresh solver on {} under {:?}",
+                    "persistent context diverged from a one-shot context on {} under {:?}",
                     goal,
                     hyps.iter().map(|p| p.to_string()).collect::<Vec<_>>()
                 );
@@ -412,10 +418,10 @@ proptest! {
     }
     /// Pool soundness: one check's goals over one hypothesis list, asked
     /// through one [`IncrContext`] and one [`ModelPool`] as the fixpoint
-    /// asks them. A goal a pooled model refutes must not be valid for a
-    /// fresh solver (the model witnesses `hyps ∧ ¬goal`), and a goal the
-    /// fresh solver proves valid must come back valid unless a side hit
-    /// the round cap.
+    /// asks them. A goal a pooled model refutes must not be valid on a
+    /// one-shot context without a pool (the model witnesses
+    /// `hyps ∧ ¬goal`), and a goal the one-shot context proves valid must
+    /// come back valid unless a side hit the round cap.
     #[test]
     fn pooled_refutations_are_never_valid(
         hyps in prop::collection::vec(pred(), 0..3),
@@ -435,13 +441,13 @@ proptest! {
                 prop_assert!(!pooled_v);
                 prop_assert!(
                     !fresh_v,
-                    "a pooled model refuted {}, which the fresh solver proves valid under {:?}",
+                    "a pooled model refuted {}, which a one-shot context proves valid under {:?}",
                     goal,
                     shown()
                 );
             }
-            let capped = fresh.stats.sat_rounds >= fresh.max_rounds() as u64
-                || stats.sat_rounds >= pooled.max_rounds() as u64;
+            let capped = fresh.stats.sat_rounds >= MAX_ROUNDS
+                || stats.sat_rounds >= MAX_ROUNDS;
             if fresh_v && !capped {
                 prop_assert!(
                     pooled_v,

@@ -1,5 +1,14 @@
 //! A recursive-descent parser with token-level backtracking for the RSC
 //! input language.
+//!
+//! The parser bounds the depth of the tree it builds at [`MAX_DEPTH`]:
+//! every pass after it (SSA, constraint generation, the printers)
+//! recurses over the tree, so deeper input is answered with one parse
+//! error at the token that crosses the bound, not a stack overflow. Each
+//! nested statement, block, expression, type, refinement predicate and
+//! logical term counts one level, and so does each operand folded into a
+//! left-associative chain (`a + b + c`, `a.f.g`, `T[][]`): the folded
+//! tree leans one level deeper per operand.
 
 use rsc_logic::{BinOp, CmpOp, Pred, Sym, Term};
 
@@ -27,6 +36,13 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 type PResult<T> = Result<T, ParseError>;
+
+/// The deepest tree the parser builds (module docs). A release build
+/// checks every nesting shape at this depth, at `--jobs 1` and at
+/// `--jobs 4`. Without the bound it overflows the 8 MiB main thread at
+/// about 2,700 nested parentheses (in the parser) and 2,300 `else if`
+/// arms (in SSA).
+pub const MAX_DEPTH: usize = 1000;
 
 /// Parses a complete RSC program.
 pub fn parse_program(src: &str) -> PResult<Program> {
@@ -61,6 +77,11 @@ struct Parser {
     pending_sigs: Vec<(Sym, Span, Vec<FunTy>)>,
     imports: Vec<ImportDecl>,
     exports: Vec<(Sym, Span)>,
+    /// Nesting depth of the construct being parsed (module docs).
+    depth: usize,
+    /// Set once the input crossed [`MAX_DEPTH`]: a backtracking site
+    /// then propagates the error instead of trying another parse.
+    too_deep: bool,
 }
 
 impl Parser {
@@ -75,6 +96,8 @@ impl Parser {
             pending_sigs: Vec::new(),
             imports: Vec::new(),
             exports: Vec::new(),
+            depth: 0,
+            too_deep: false,
         })
     }
 
@@ -127,6 +150,53 @@ impl Parser {
             message,
             span: self.span(),
         }
+    }
+
+    /// Enters one more nesting level, failing at the current token when
+    /// that crosses [`MAX_DEPTH`]. Callers restore `depth` when the
+    /// construct ends.
+    fn descend(&mut self) -> PResult<()> {
+        if self.depth >= MAX_DEPTH {
+            self.too_deep = true;
+            return Err(self.err(format!(
+                "nesting deeper than {MAX_DEPTH} levels; split the construct"
+            )));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Parses `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        let depth = self.depth;
+        self.descend()?;
+        let r = f(self);
+        self.depth = depth;
+        r
+    }
+
+    /// Binary operators over `operand` that bind at least as tightly as
+    /// `min`, by precedence climbing: `op_of` gives each operator token its
+    /// precedence (higher binds tighter; every level is left-associative)
+    /// and `fold` builds the node. Each folded operand counts one nesting
+    /// level until the chain ends.
+    fn climb<T, O>(
+        &mut self,
+        min: u8,
+        operand: fn(&mut Self) -> PResult<T>,
+        op_of: fn(&Tok) -> Option<(u8, O)>,
+        fold: fn(T, O, T) -> T,
+    ) -> PResult<T> {
+        let depth = self.depth;
+        let mut l = operand(self)?;
+        while let Some((prec, op)) = op_of(self.peek()).filter(|(prec, _)| *prec >= min) {
+            self.descend()?;
+            self.bump();
+            let r = self.climb(prec + 1, operand, op_of, fold)?;
+            l = fold(l, op, r);
+        }
+        self.depth = depth;
+        Ok(l)
     }
 
     fn ident(&mut self) -> PResult<Sym> {
@@ -689,15 +759,17 @@ impl Parser {
     // ------------------------------------------------------- statements ---
 
     fn block(&mut self) -> PResult<Block> {
-        let lo = self.expect(Tok::LBrace)?;
-        let mut stmts = Vec::new();
-        while *self.peek() != Tok::RBrace {
-            stmts.push(self.stmt()?);
-        }
-        let hi = self.expect(Tok::RBrace)?;
-        Ok(Block {
-            stmts,
-            span: lo.to(hi),
+        self.nested(|p| {
+            let lo = p.expect(Tok::LBrace)?;
+            let mut stmts = Vec::new();
+            while *p.peek() != Tok::RBrace {
+                stmts.push(p.stmt()?);
+            }
+            let hi = p.expect(Tok::RBrace)?;
+            Ok(Block {
+                stmts,
+                span: lo.to(hi),
+            })
         })
     }
 
@@ -715,6 +787,15 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> PResult<Stmt> {
+        self.nested(Self::unnested_stmt)
+    }
+
+    fn unnested_stmt(&mut self) -> PResult<Stmt> {
+        // A sig is not itself a statement; it belongs to the function
+        // that follows.
+        while *self.peek() == Tok::Sig {
+            self.sig_decl()?;
+        }
         match self.peek().clone() {
             Tok::Var | Tok::Let => self.var_decl_stmt(),
             Tok::If => self.if_stmt(),
@@ -735,11 +816,6 @@ impl Parser {
                 })
             }
             Tok::Function => Ok(Stmt::Fun(self.fun_decl()?)),
-            Tok::Sig => {
-                self.sig_decl()?;
-                // A sig is not itself a statement; parse the next one.
-                self.stmt()
-            }
             Tok::Break => Err(self.err(
                 "`break` is not supported; restructure the loop (the paper's ports did the same)"
                     .into(),
@@ -802,7 +878,7 @@ impl Parser {
         let then_blk = self.block_or_stmt()?;
         let else_blk = if self.eat(Tok::Else) {
             if *self.peek() == Tok::If {
-                let s = self.if_stmt()?;
+                let s = self.nested(Self::if_stmt)?;
                 let span = s.span();
                 Block {
                     stmts: vec![s],
@@ -938,11 +1014,14 @@ impl Parser {
     // ------------------------------------------------------ expressions ---
 
     fn expr(&mut self) -> PResult<Expr> {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
     fn ternary(&mut self) -> PResult<Expr> {
-        let c = self.or_expr()?;
+        let c = self.climb(0, Self::unary_expr, expr_op, |l, op, r| {
+            let span = l.span().to(r.span());
+            Expr::Binary(op, Box::new(l), Box::new(r), span)
+        })?;
         if self.eat(Tok::Question) {
             let t = self.expr()?;
             self.expect(Tok::Colon)?;
@@ -954,131 +1033,24 @@ impl Parser {
         }
     }
 
-    fn or_expr(&mut self) -> PResult<Expr> {
-        let mut l = self.and_expr()?;
-        while self.eat(Tok::OrOr) {
-            let r = self.and_expr()?;
-            let span = l.span().to(r.span());
-            l = Expr::Binary(BinOpE::Or, Box::new(l), Box::new(r), span);
-        }
-        Ok(l)
-    }
-
-    fn and_expr(&mut self) -> PResult<Expr> {
-        let mut l = self.bitor_expr()?;
-        while self.eat(Tok::AndAnd) {
-            let r = self.bitor_expr()?;
-            let span = l.span().to(r.span());
-            l = Expr::Binary(BinOpE::And, Box::new(l), Box::new(r), span);
-        }
-        Ok(l)
-    }
-
-    fn bitor_expr(&mut self) -> PResult<Expr> {
-        let mut l = self.bitand_expr()?;
-        while self.eat(Tok::Pipe) {
-            let r = self.bitand_expr()?;
-            let span = l.span().to(r.span());
-            l = Expr::Binary(BinOpE::BitOr, Box::new(l), Box::new(r), span);
-        }
-        Ok(l)
-    }
-
-    fn bitand_expr(&mut self) -> PResult<Expr> {
-        let mut l = self.equality_expr()?;
-        while self.eat(Tok::Amp) {
-            let r = self.equality_expr()?;
-            let span = l.span().to(r.span());
-            l = Expr::Binary(BinOpE::BitAnd, Box::new(l), Box::new(r), span);
-        }
-        Ok(l)
-    }
-
-    fn equality_expr(&mut self) -> PResult<Expr> {
-        let mut l = self.relational_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::EqEq | Tok::EqEqEq => BinOpE::Eq,
-                Tok::NotEq | Tok::NotEqEq => BinOpE::Ne,
-                _ => break,
-            };
-            self.bump();
-            let r = self.relational_expr()?;
-            let span = l.span().to(r.span());
-            l = Expr::Binary(op, Box::new(l), Box::new(r), span);
-        }
-        Ok(l)
-    }
-
-    fn relational_expr(&mut self) -> PResult<Expr> {
-        let mut l = self.additive_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Lt => BinOpE::Lt,
-                Tok::Le => BinOpE::Le,
-                Tok::Gt => BinOpE::Gt,
-                Tok::Ge => BinOpE::Ge,
-                _ => break,
-            };
-            self.bump();
-            let r = self.additive_expr()?;
-            let span = l.span().to(r.span());
-            l = Expr::Binary(op, Box::new(l), Box::new(r), span);
-        }
-        Ok(l)
-    }
-
-    fn additive_expr(&mut self) -> PResult<Expr> {
-        let mut l = self.multiplicative_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOpE::Add,
-                Tok::Minus => BinOpE::Sub,
-                _ => break,
-            };
-            self.bump();
-            let r = self.multiplicative_expr()?;
-            let span = l.span().to(r.span());
-            l = Expr::Binary(op, Box::new(l), Box::new(r), span);
-        }
-        Ok(l)
-    }
-
-    fn multiplicative_expr(&mut self) -> PResult<Expr> {
-        let mut l = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOpE::Mul,
-                Tok::Slash => BinOpE::Div,
-                Tok::Percent => BinOpE::Mod,
-                _ => break,
-            };
-            self.bump();
-            let r = self.unary_expr()?;
-            let span = l.span().to(r.span());
-            l = Expr::Binary(op, Box::new(l), Box::new(r), span);
-        }
-        Ok(l)
-    }
-
     fn unary_expr(&mut self) -> PResult<Expr> {
         let lo = self.span();
         match self.peek().clone() {
             Tok::Bang => {
                 self.bump();
-                let e = self.unary_expr()?;
+                let e = self.nested(Self::unary_expr)?;
                 let span = lo.to(e.span());
                 Ok(Expr::Unary(UnOp::Not, Box::new(e), span))
             }
             Tok::Minus => {
                 self.bump();
-                let e = self.unary_expr()?;
+                let e = self.nested(Self::unary_expr)?;
                 let span = lo.to(e.span());
                 Ok(Expr::Unary(UnOp::Neg, Box::new(e), span))
             }
             Tok::Typeof => {
                 self.bump();
-                let e = self.unary_expr()?;
+                let e = self.nested(Self::unary_expr)?;
                 let span = lo.to(e.span());
                 Ok(Expr::Unary(UnOp::TypeOf, Box::new(e), span))
             }
@@ -1087,7 +1059,7 @@ impl Parser {
                 self.bump();
                 let t = self.ty()?;
                 self.expect(Tok::Gt)?;
-                let e = self.unary_expr()?;
+                let e = self.nested(Self::unary_expr)?;
                 let span = lo.to(e.span());
                 Ok(Expr::Cast(t, Box::new(e), span))
             }
@@ -1096,8 +1068,12 @@ impl Parser {
     }
 
     fn postfix_expr(&mut self) -> PResult<Expr> {
+        let depth = self.depth;
         let mut e = self.primary_expr()?;
         loop {
+            if matches!(self.peek(), Tok::Dot | Tok::LBracket | Tok::LParen) {
+                self.descend()?;
+            }
             match self.peek().clone() {
                 Tok::Dot => {
                     self.bump();
@@ -1128,6 +1104,7 @@ impl Parser {
                 _ => break,
             }
         }
+        self.depth = depth;
         Ok(e)
     }
 
@@ -1235,22 +1212,26 @@ impl Parser {
     // ------------------------------------------------------------ types ---
 
     fn ty(&mut self) -> PResult<AnnTy> {
-        let first = self.postfix_ty()?;
-        if *self.peek() == Tok::Plus {
-            let mut parts = vec![first];
-            while self.eat(Tok::Plus) {
-                parts.push(self.postfix_ty()?);
+        self.nested(|p| {
+            let first = p.postfix_ty()?;
+            if *p.peek() == Tok::Plus {
+                let mut parts = vec![first];
+                while p.eat(Tok::Plus) {
+                    parts.push(p.postfix_ty()?);
+                }
+                Ok(AnnTy::Union(parts))
+            } else {
+                Ok(first)
             }
-            Ok(AnnTy::Union(parts))
-        } else {
-            Ok(first)
-        }
+        })
     }
 
     fn postfix_ty(&mut self) -> PResult<AnnTy> {
+        let depth = self.depth;
         let mut t = self.atom_ty()?;
         loop {
             if *self.peek() == Tok::LBracket && *self.peek_at(1) == Tok::RBracket {
+                self.descend()?;
                 self.bump();
                 self.bump();
                 // `T[]+` non-empty sugar: consume `+` only when it cannot
@@ -1277,6 +1258,7 @@ impl Parser {
                 break;
             }
         }
+        self.depth = depth;
         Ok(t)
     }
 
@@ -1287,7 +1269,7 @@ impl Parser {
                 self.bump();
                 let vv = self.ident()?;
                 self.expect(Tok::Colon)?;
-                let base = self.postfix_ty()?;
+                let base = self.nested(Self::postfix_ty)?;
                 self.expect(Tok::Pipe)?;
                 let pred = self.pred()?;
                 self.expect(Tok::RBrace)?;
@@ -1398,13 +1380,13 @@ impl Parser {
                 return Ok(AnnArg::Mut(m));
             }
         }
-        let save = self.pos;
-        if let Ok(t) = self.ty() {
-            if matches!(self.peek(), Tok::Comma | Tok::Gt) {
-                return Ok(AnnArg::Ty(t));
-            }
+        let save = (self.pos, self.depth);
+        match self.ty() {
+            Ok(t) if matches!(self.peek(), Tok::Comma | Tok::Gt) => return Ok(AnnArg::Ty(t)),
+            Err(e) if self.too_deep => return Err(e),
+            _ => {}
         }
-        self.pos = save;
+        (self.pos, self.depth) = save;
         let t = self.term()?;
         Ok(AnnArg::Term(t))
     }
@@ -1415,46 +1397,40 @@ impl Parser {
     /// grammar (so `&&`, `||`, `!`, comparisons work as expected) extended
     /// with `=>` (implication), `<=>` (iff) and `=` as equality.
     fn pred(&mut self) -> PResult<Pred> {
-        let p = self.pred_or()?;
-        if self.eat(Tok::FatArrow) {
-            let q = self.pred()?;
-            return Ok(Pred::imp(p, q));
-        }
-        if self.eat(Tok::Iff) {
-            let q = self.pred()?;
-            return Ok(Pred::iff(p, q));
-        }
-        Ok(p)
-    }
-
-    fn pred_or(&mut self) -> PResult<Pred> {
-        let mut l = self.pred_and()?;
-        while self.eat(Tok::OrOr) {
-            let r = self.pred_and()?;
-            l = Pred::or(vec![l, r]);
-        }
-        Ok(l)
-    }
-
-    fn pred_and(&mut self) -> PResult<Pred> {
-        let mut l = self.pred_atom()?;
-        while self.eat(Tok::AndAnd) {
-            let r = self.pred_atom()?;
-            l = Pred::and(vec![l, r]);
-        }
-        Ok(l)
+        self.nested(|p| {
+            let l = p.climb(0, Self::pred_atom, pred_op, |l, and, r| {
+                if and {
+                    Pred::and(vec![l, r])
+                } else {
+                    Pred::or(vec![l, r])
+                }
+            })?;
+            if p.eat(Tok::FatArrow) {
+                let r = p.pred()?;
+                return Ok(Pred::imp(l, r));
+            }
+            if p.eat(Tok::Iff) {
+                let r = p.pred()?;
+                return Ok(Pred::iff(l, r));
+            }
+            Ok(l)
+        })
     }
 
     fn pred_atom(&mut self) -> PResult<Pred> {
         if self.eat(Tok::Bang) {
-            let p = self.pred_atom()?;
+            let p = self.nested(Self::pred_atom)?;
             return Ok(Pred::not(p));
         }
         // Parenthesized predicate vs parenthesized term: try predicate.
         if *self.peek() == Tok::LParen {
-            let save = self.pos;
+            let save = (self.pos, self.depth);
             self.bump();
-            if let Ok(p) = self.pred() {
+            let attempt = self.pred();
+            if attempt.is_err() && self.too_deep {
+                return attempt;
+            }
+            if let Ok(p) = attempt {
                 if self.eat(Tok::RParen) {
                     // If a comparison operator follows, the parens belonged
                     // to a term — re-parse.
@@ -1479,7 +1455,7 @@ impl Parser {
                     }
                 }
             }
-            self.pos = save;
+            (self.pos, self.depth) = save;
         }
         let l = self.term()?;
         let op = match self.peek() {
@@ -1528,74 +1504,27 @@ impl Parser {
     // ------------------------------------------------------ logic terms ---
 
     fn term(&mut self) -> PResult<Term> {
-        self.term_bitor()
-    }
-
-    fn term_bitor(&mut self) -> PResult<Term> {
-        let mut l = self.term_bitand()?;
-        while *self.peek() == Tok::Pipe {
-            self.bump();
-            let r = self.term_bitand()?;
-            l = Term::bin(BinOp::BvOr, l, r);
-        }
-        Ok(l)
-    }
-
-    fn term_bitand(&mut self) -> PResult<Term> {
-        let mut l = self.term_add()?;
-        while *self.peek() == Tok::Amp {
-            self.bump();
-            let r = self.term_add()?;
-            l = Term::bin(BinOp::BvAnd, l, r);
-        }
-        Ok(l)
-    }
-
-    fn term_add(&mut self) -> PResult<Term> {
-        let mut l = self.term_mul()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let r = self.term_mul()?;
-            l = Term::bin(op, l, r);
-        }
-        Ok(l)
-    }
-
-    fn term_mul(&mut self) -> PResult<Term> {
-        let mut l = self.term_unary()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Mod,
-                _ => break,
-            };
-            self.bump();
-            let r = self.term_unary()?;
-            l = Term::bin(op, l, r);
-        }
-        Ok(l)
+        self.nested(|p| p.climb(0, Self::term_unary, term_op, |l, op, r| Term::bin(op, l, r)))
     }
 
     fn term_unary(&mut self) -> PResult<Term> {
         if self.eat(Tok::Minus) {
-            let t = self.term_unary()?;
+            let t = self.nested(Self::term_unary)?;
             return Ok(Term::neg(t));
         }
         self.term_postfix()
     }
 
     fn term_postfix(&mut self) -> PResult<Term> {
+        let depth = self.depth;
         let mut t = self.term_primary()?;
-        while self.eat(Tok::Dot) {
+        while *self.peek() == Tok::Dot {
+            self.descend()?;
+            self.bump();
             let f = self.ident_or_keyword()?;
             t = Term::field(t, f);
         }
+        self.depth = depth;
         Ok(t)
     }
 
@@ -1671,4 +1600,50 @@ impl Parser {
             other => Err(self.err(format!("expected logical term, found `{other}`"))),
         }
     }
+}
+
+/// Binary expression operators by precedence, loosest first.
+fn expr_op(t: &Tok) -> Option<(u8, BinOpE)> {
+    Some(match t {
+        Tok::OrOr => (0, BinOpE::Or),
+        Tok::AndAnd => (1, BinOpE::And),
+        Tok::Pipe => (2, BinOpE::BitOr),
+        Tok::Amp => (3, BinOpE::BitAnd),
+        Tok::EqEq | Tok::EqEqEq => (4, BinOpE::Eq),
+        Tok::NotEq | Tok::NotEqEq => (4, BinOpE::Ne),
+        Tok::Lt => (5, BinOpE::Lt),
+        Tok::Le => (5, BinOpE::Le),
+        Tok::Gt => (5, BinOpE::Gt),
+        Tok::Ge => (5, BinOpE::Ge),
+        Tok::Plus => (6, BinOpE::Add),
+        Tok::Minus => (6, BinOpE::Sub),
+        Tok::Star => (7, BinOpE::Mul),
+        Tok::Slash => (7, BinOpE::Div),
+        Tok::Percent => (7, BinOpE::Mod),
+        _ => return None,
+    })
+}
+
+/// Predicate connectives by precedence (`||` below `&&`); the payload
+/// says whether the connective is `&&`.
+fn pred_op(t: &Tok) -> Option<(u8, bool)> {
+    match t {
+        Tok::OrOr => Some((0, false)),
+        Tok::AndAnd => Some((1, true)),
+        _ => None,
+    }
+}
+
+/// Binary term operators by precedence, loosest first.
+fn term_op(t: &Tok) -> Option<(u8, BinOp)> {
+    Some(match t {
+        Tok::Pipe => (0, BinOp::BvOr),
+        Tok::Amp => (1, BinOp::BvAnd),
+        Tok::Plus => (2, BinOp::Add),
+        Tok::Minus => (2, BinOp::Sub),
+        Tok::Star => (3, BinOp::Mul),
+        Tok::Slash => (3, BinOp::Div),
+        Tok::Percent => (3, BinOp::Mod),
+        _ => return None,
+    })
 }

@@ -1,6 +1,7 @@
 //! Parser tests over the code shapes that appear in the paper.
 
 use rsc_syntax::ast::*;
+use rsc_syntax::parser::MAX_DEPTH;
 use rsc_syntax::{parse_pred, parse_program, parse_type, AnnArg, AnnTy, Mutability};
 
 #[test]
@@ -379,4 +380,115 @@ fn dangling_sig_error_is_deterministic() {
         assert_eq!(e.message, "sig for `zeta` has no matching function");
         assert_eq!(e.span.line, 1, "blame the first-declared sig: {e}");
     }
+}
+
+/// One source per nesting shape, each nested `n` levels deep: the five
+/// shapes that once overflowed a thread's stack (parentheses, a `+`
+/// chain, an `else if` chain, array literals, blocks), plus the other
+/// recursive and left-folded forms of expressions, types, predicates and
+/// terms.
+fn nesting_shapes(n: usize) -> Vec<(&'static str, String)> {
+    let wrap = |open: &str, inner: &str, close: &str| {
+        format!("{}{inner}{}", open.repeat(n), close.repeat(n))
+    };
+    let arms = " else if (x == 1) { return 1; }".repeat(n);
+    vec![
+        ("parentheses", format!("var x = {};", wrap("(", "1", ")"))),
+        ("sum chain", format!("var x = 1{};", "+1".repeat(n))),
+        (
+            "else-if chain",
+            format!(
+                "function f(x: number): number {{ if (x == 0) {{ return 0; }}{arms} return 2; }}"
+            ),
+        ),
+        (
+            "array literals",
+            format!("var x = {};", wrap("[", "1", "]")),
+        ),
+        ("blocks", wrap("{", "var x = 1;", "}")),
+        ("negations", format!("var x = {}true;", "!".repeat(n))),
+        (
+            "ternaries",
+            format!("var x = {}0;", "true ? 0 : ".repeat(n)),
+        ),
+        ("member chain", format!("var x = o{};", ".f".repeat(n))),
+        ("call chain", format!("var x = f{};", "()".repeat(n))),
+        (
+            "refined types",
+            format!("declare x: {};", wrap("{v: ", "number", " | true}")),
+        ),
+        (
+            "array types",
+            format!("declare x: number{};", "[]".repeat(n)),
+        ),
+        (
+            "type arguments",
+            format!("declare x: {};", wrap("Box<", "number", ">")),
+        ),
+        (
+            "predicate parentheses",
+            format!("declare x: {{v: number | {}}};", wrap("(", "0 <= v", ")")),
+        ),
+        (
+            "conjunctions",
+            format!(
+                "declare x: {{v: number | 0 <= v{}}};",
+                " && 0 <= v".repeat(n)
+            ),
+        ),
+        (
+            "term sums",
+            format!("declare x: {{v: number | v = 1{}}};", "+1".repeat(n)),
+        ),
+        (
+            "term negations",
+            format!("declare x: {{v: number | v = {}1}};", "- ".repeat(n)),
+        ),
+        (
+            "field selections",
+            format!("declare x: {{v: number | v = o{}}};", ".f".repeat(n)),
+        ),
+    ]
+}
+
+/// Runs `f` on a thread with a large stack: a debug build's parser frames
+/// are many times a release build's, and the bound is chosen for release.
+fn with_large_stack(f: impl FnOnce() + Send + 'static) {
+    std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn(f)
+        .expect("spawn")
+        .join()
+        .expect("no panic");
+}
+
+/// Input nested far past [`MAX_DEPTH`] is one parse error at the token
+/// that crosses the bound — not a stack overflow, and not an error at
+/// the end of the input.
+#[test]
+fn deep_nesting_is_one_parse_error_at_the_bound() {
+    with_large_stack(|| {
+        for (shape, src) in nesting_shapes(100_000) {
+            let e = parse_program(&src).expect_err(shape);
+            assert!(e.message.contains("nesting deeper than"), "{shape}: {e}");
+            // Every shape spends at most ~40 bytes of source per level.
+            assert!(
+                (e.span.lo as usize) < 40 * MAX_DEPTH,
+                "{shape}: error at byte {}, past the bound",
+                e.span.lo
+            );
+        }
+    });
+}
+
+/// The bound is a depth, not a size: each shape at a tenth of it parses.
+#[test]
+fn moderate_nesting_parses() {
+    with_large_stack(|| {
+        for (shape, src) in nesting_shapes(MAX_DEPTH / 10) {
+            if let Err(e) = parse_program(&src) {
+                panic!("{shape}: {e}");
+            }
+        }
+    });
 }

@@ -5,10 +5,12 @@
 //! with incremental contexts on or off, and with a disk cache cold or
 //! warm, at any worker count.
 //!
-//! Why this holds: an `IncrContext` answers exactly the conjunction the
-//! fresh solver would encode (activation literals select the same
-//! hypotheses; retained blocking clauses are implied by the clause
-//! database), the VC disk tier stores only Unsat verdicts under a
+//! With incremental contexts off, every query runs on a one-shot
+//! `IncrContext` with no model pool instead of the constraint's
+//! persistent one. Why this holds: a persistent context answers exactly
+//! the conjunction a one-shot context encodes (activation literals
+//! select the same hypotheses; retained blocking clauses are implied by
+//! the clause database), the VC disk tier stores only Unsat verdicts under a
 //! versioned key, and bundle-verdict reuse replays a pure function of
 //! the canonical bundle fingerprint. This suite is the regression net
 //! under those arguments.
@@ -71,6 +73,9 @@ fn corpus() -> Vec<(String, String)> {
     out
 }
 
+/// A persistent context with a model pool per κ-headed constraint
+/// (`incremental_smt: true`) against a one-shot context per query
+/// without a pool (`false`).
 #[test]
 fn incremental_matches_fresh_on_corpus() {
     for (name, src) in corpus() {
