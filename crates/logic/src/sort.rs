@@ -110,11 +110,6 @@ impl SortEnv {
         self.vars.insert(x.into(), s);
     }
 
-    /// Removes the binding for `x`, if any.
-    pub fn unbind(&mut self, x: &Sym) {
-        self.vars.remove(x);
-    }
-
     /// Looks up the sort of variable `x`.
     pub fn lookup(&self, x: &Sym) -> Option<Sort> {
         self.vars.get(x).copied()

@@ -37,11 +37,6 @@ impl Histogram {
         self.sum_us += us;
     }
 
-    /// Record one sample of `ns` nanoseconds (rounded down to µs).
-    pub fn record_ns(&mut self, ns: u64) {
-        self.record_us(ns / 1000);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.total

@@ -38,11 +38,6 @@ impl Registry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Record a sample into histogram `name` (nanoseconds).
-    pub fn observe_ns(&mut self, name: &'static str, ns: u64) {
-        self.histograms.entry(name).or_default().record_ns(ns);
-    }
-
     /// Record a sample into histogram `name` (microseconds).
     pub fn observe_us(&mut self, name: &'static str, us: u64) {
         self.histograms.entry(name).or_default().record_us(us);

@@ -1,7 +1,6 @@
 //! Theory atoms and the propositional formula skeleton.
 
-use std::collections::BTreeMap;
-
+use crate::lia::LinExp;
 use crate::node::NodeId;
 
 /// Index of an atom in the encoder's atom table.
@@ -9,67 +8,9 @@ use crate::node::NodeId;
 pub struct AtomId(pub u32);
 
 /// A linear expression `Σ cᵢ·nᵢ + k` over arena nodes.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
-pub struct NLinExp {
-    /// Node coefficients (never zero).
-    pub coeffs: BTreeMap<NodeId, i128>,
-    /// Constant term.
-    pub konst: i128,
-}
+pub type NLinExp = LinExp<NodeId>;
 
 impl NLinExp {
-    /// The constant expression.
-    pub fn konst(k: i128) -> Self {
-        NLinExp {
-            coeffs: BTreeMap::new(),
-            konst: k,
-        }
-    }
-
-    /// The expression consisting of a single node.
-    pub fn node(n: NodeId) -> Self {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(n, 1);
-        NLinExp { coeffs, konst: 0 }
-    }
-
-    /// Adds `c·n`; `None` (expression unchanged) on i128 overflow.
-    #[must_use]
-    pub fn add_term(&mut self, n: NodeId, c: i128) -> Option<()> {
-        let sum = self.coeffs.get(&n).copied().unwrap_or(0).checked_add(c)?;
-        if sum == 0 {
-            self.coeffs.remove(&n);
-        } else {
-            self.coeffs.insert(n, sum);
-        }
-        Some(())
-    }
-
-    /// `self + other`; `None` on i128 overflow.
-    pub fn add(&self, other: &NLinExp) -> Option<NLinExp> {
-        let mut out = self.clone();
-        for (&n, &c) in &other.coeffs {
-            out.add_term(n, c)?;
-        }
-        out.konst = out.konst.checked_add(other.konst)?;
-        Some(out)
-    }
-
-    /// `k·self`; `None` on i128 overflow.
-    pub fn scale(&self, k: i128) -> Option<NLinExp> {
-        if k == 0 {
-            return Some(NLinExp::konst(0));
-        }
-        Some(NLinExp {
-            coeffs: self
-                .coeffs
-                .iter()
-                .map(|(&n, &c)| Some((n, c.checked_mul(k)?)))
-                .collect::<Option<_>>()?,
-            konst: self.konst.checked_mul(k)?,
-        })
-    }
-
     /// `self - other`; `None` on i128 overflow.
     pub fn sub(&self, other: &NLinExp) -> Option<NLinExp> {
         self.add(&other.scale(-1)?)
@@ -78,18 +19,10 @@ impl NLinExp {
     /// If the expression is exactly one node with coefficient 1 and no
     /// constant, returns it.
     pub fn as_single_node(&self) -> Option<NodeId> {
-        if self.konst == 0 && self.coeffs.len() == 1 {
-            let (&n, &c) = self.coeffs.iter().next().unwrap();
-            if c == 1 {
-                return Some(n);
-            }
+        match self.coeffs.iter().next() {
+            Some((&n, 1)) if self.konst == 0 && self.coeffs.len() == 1 => Some(n),
+            _ => None,
         }
-        None
-    }
-
-    /// True if there are no node terms.
-    pub fn is_const(&self) -> bool {
-        self.coeffs.is_empty()
     }
 }
 
@@ -189,7 +122,7 @@ mod tests {
     fn linexp_algebra() {
         let n0 = NodeId(0);
         let n1 = NodeId(1);
-        let mut a = NLinExp::node(n0);
+        let mut a = NLinExp::var(n0);
         a.add_term(n1, 2).unwrap();
         let b = a.scale(3).unwrap();
         assert_eq!(b.coeffs[&n0], 3);
@@ -201,7 +134,7 @@ mod tests {
     #[test]
     fn linexp_overflow_is_none() {
         let n0 = NodeId(0);
-        let big = NLinExp::node(n0).scale(i128::MAX).unwrap();
+        let big = NLinExp::var(n0).scale(i128::MAX).unwrap();
         assert_eq!(big.scale(2), None);
         assert_eq!(big.add(&big), None);
         assert_eq!(NLinExp::konst(i128::MIN).sub(&NLinExp::konst(1)), None);
@@ -213,8 +146,8 @@ mod tests {
     #[test]
     fn single_node_detection() {
         let n0 = NodeId(0);
-        assert_eq!(NLinExp::node(n0).as_single_node(), Some(n0));
-        assert_eq!(NLinExp::node(n0).scale(2).unwrap().as_single_node(), None);
+        assert_eq!(NLinExp::var(n0).as_single_node(), Some(n0));
+        assert_eq!(NLinExp::var(n0).scale(2).unwrap().as_single_node(), None);
     }
 
     #[test]

@@ -329,7 +329,7 @@ impl<'a> Encoder<'a> {
             Term::IntLit(n) => Ok(NLinExp::konst(*n as i128)),
             Term::Var(_) | Term::Field(..) | Term::App(..) => {
                 let n = self.node_of(t)?;
-                Ok(NLinExp::node(n))
+                Ok(NLinExp::var(n))
             }
             Term::Neg(a) => self.lin(a)?.scale(-1).ok_or_else(overflow),
             Term::Bin(op, a, b) => {
@@ -354,7 +354,7 @@ impl<'a> Encoder<'a> {
                                 vec![x, y],
                                 Sort::Int,
                             ));
-                            Ok(NLinExp::node(n))
+                            Ok(NLinExp::var(n))
                         }
                     }
                     BinOp::Div | BinOp::Mod => {
@@ -373,7 +373,7 @@ impl<'a> Encoder<'a> {
                             self.st
                                 .arena
                                 .intern(Node::App(Sym::from(f), vec![na, nb], Sort::Int));
-                        Ok(NLinExp::node(n))
+                        Ok(NLinExp::var(n))
                     }
                     BinOp::BvAnd | BinOp::BvOr => Err(EncodeError(format!(
                         "bit-vector operation {t} in integer position"

@@ -135,12 +135,6 @@ impl<'a> Euf<'a> {
         }
         EufResult::Consistent
     }
-
-    /// Returns the classes as a map from node to representative (after
-    /// [`Euf::close_over`]).
-    pub fn rep_of(&mut self, n: NodeId) -> NodeId {
-        self.find(n)
-    }
 }
 
 #[cfg(test)]

@@ -118,14 +118,6 @@ impl IncrContext {
         }
     }
 
-    /// Number of items encoded so far (observability).
-    pub fn items_len(&self) -> usize {
-        self.items
-            .values()
-            .map(|slots| slots.iter().flatten().count())
-            .sum()
-    }
-
     /// Allocates SAT literals for atoms interned since the last call.
     fn extend_atom_lits(&mut self) {
         while self.atom_lits.len() < self.st.atoms.len() {

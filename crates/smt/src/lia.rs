@@ -41,18 +41,20 @@
 
 use std::collections::BTreeMap;
 
-/// A linear expression `Σ cᵢ·xᵢ + c` over variables indexed by `u32`.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct LinExp {
+/// A linear expression `Σ cᵢ·xᵢ + c` over keys `K`: variables indexed by
+/// `u32` here, arena nodes in the encoder ([`crate::atom::NLinExp`]).
+/// Every operation is checked: i128 overflow yields `None`.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct LinExp<K = u32> {
     /// Variable coefficients (never zero).
-    pub coeffs: BTreeMap<u32, i128>,
+    pub coeffs: BTreeMap<K, i128>,
     /// The constant term.
     pub konst: i128,
 }
 
-impl LinExp {
+impl<K: Ord + Copy> LinExp<K> {
     /// The constant expression `c`.
-    pub fn konst(c: i128) -> LinExp {
+    pub fn konst(c: i128) -> LinExp<K> {
         LinExp {
             coeffs: BTreeMap::new(),
             konst: c,
@@ -60,17 +62,18 @@ impl LinExp {
     }
 
     /// The expression `x`.
-    pub fn var(x: u32) -> LinExp {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(x, 1);
-        LinExp { coeffs, konst: 0 }
+    pub fn var(x: K) -> LinExp<K> {
+        LinExp {
+            coeffs: BTreeMap::from([(x, 1)]),
+            konst: 0,
+        }
     }
 
     /// Adds `c·x` to the expression; `None` (expression unchanged) on
     /// i128 overflow.
     #[must_use]
-    pub fn add_term(&mut self, x: u32, c: i128) -> Option<()> {
-        let sum = self.coeff(x).checked_add(c)?;
+    pub fn add_term(&mut self, x: K, c: i128) -> Option<()> {
+        let sum = self.coeffs.get(&x).copied().unwrap_or(0).checked_add(c)?;
         if sum == 0 {
             self.coeffs.remove(&x);
         } else {
@@ -80,7 +83,7 @@ impl LinExp {
     }
 
     /// `self + other`; `None` on i128 overflow.
-    pub fn add(&self, other: &LinExp) -> Option<LinExp> {
+    pub fn add(&self, other: &LinExp<K>) -> Option<LinExp<K>> {
         let mut out = self.clone();
         for (&x, &c) in &other.coeffs {
             out.add_term(x, c)?;
@@ -90,7 +93,7 @@ impl LinExp {
     }
 
     /// `k · self`; `None` on i128 overflow.
-    pub fn scale(&self, k: i128) -> Option<LinExp> {
+    pub fn scale(&self, k: i128) -> Option<LinExp<K>> {
         if k == 0 {
             return Some(LinExp::konst(0));
         }
@@ -108,7 +111,9 @@ impl LinExp {
     pub fn is_const(&self) -> bool {
         self.coeffs.is_empty()
     }
+}
 
+impl LinExp {
     /// The coefficient of `x` (0 if absent).
     pub fn coeff(&self, x: u32) -> i128 {
         self.coeffs.get(&x).copied().unwrap_or(0)

@@ -453,12 +453,12 @@ mod tests {
         let atoms = vec![
             AtomData::EufEq(x, y),
             AtomData::LinLe({
-                let mut e = NLinExp::node(lx);
+                let mut e = NLinExp::var(lx);
                 e.konst = -3;
                 e
             }), // len(x) - 3 <= 0
             AtomData::LinLe({
-                let mut e = NLinExp::node(ly).scale(-1).unwrap();
+                let mut e = NLinExp::var(ly).scale(-1).unwrap();
                 e.konst = 5;
                 e
             }), // 5 - len(y) <= 0
@@ -479,9 +479,9 @@ mod tests {
         let fi = arena.intern(Node::App(Sym::from("f"), vec![i], Sort::Ref));
         let fj = arena.intern(Node::App(Sym::from("f"), vec![j], Sort::Ref));
         // i <= j, j <= i, f(i) != f(j)
-        let mut le1 = NLinExp::node(i);
+        let mut le1 = NLinExp::var(i);
         le1.add_term(j, -1).unwrap();
-        let mut le2 = NLinExp::node(j);
+        let mut le2 = NLinExp::var(j);
         le2.add_term(i, -1).unwrap();
         let atoms = vec![
             AtomData::LinLe(le1),
@@ -499,7 +499,7 @@ mod tests {
         let tn = arena.intern(Node::True);
         let fnode = arena.intern(Node::False);
         let x = arena.intern(Node::Var(Sym::from("x"), Sort::Int));
-        let mut e = NLinExp::node(x);
+        let mut e = NLinExp::var(x);
         e.konst = -10; // x <= 10
         let atoms = vec![AtomData::LinLe(e)];
         let v = check_query(&arena, &atoms, &[Some(true)], tn, fnode);

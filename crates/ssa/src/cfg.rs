@@ -16,9 +16,8 @@
 //!   init/body copies, and the head is flagged [`Block::loop_head`] so
 //!   engines know where to widen.
 //!
-//! Reverse postorder ([`Cfg::rpo`]) and immediate dominators
-//! ([`Cfg::dominators`], Cooper–Harper–Kennedy iteration) are provided
-//! as utilities; both are deterministic functions of the body.
+//! Reverse postorder ([`Cfg::rpo`]) is provided as a utility; it is a
+//! deterministic function of the body.
 
 use rsc_logic::Sym;
 use rsc_syntax::types::AnnTy;
@@ -290,57 +289,6 @@ impl<'a> Cfg<'a> {
         post.reverse();
         post
     }
-
-    /// Immediate dominators, one entry per block (`idom[0] == 0`;
-    /// unreachable blocks map to themselves). Cooper–Harvey–Kennedy
-    /// iteration over reverse postorder.
-    pub fn dominators(&self) -> Vec<BlockId> {
-        let rpo = self.rpo();
-        let mut order = vec![usize::MAX; self.blocks.len()];
-        for (i, &b) in rpo.iter().enumerate() {
-            order[b] = i;
-        }
-        let mut idom: Vec<Option<BlockId>> = vec![None; self.blocks.len()];
-        idom[0] = Some(0);
-        let intersect =
-            |idom: &[Option<BlockId>], order: &[usize], mut a: BlockId, mut b: BlockId| {
-                while a != b {
-                    while order[a] > order[b] {
-                        a = idom[a].expect("processed");
-                    }
-                    while order[b] > order[a] {
-                        b = idom[b].expect("processed");
-                    }
-                }
-                a
-            };
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in &self.blocks[b].preds {
-                    if idom[p].is_none() {
-                        continue;
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, &order, cur, p),
-                    });
-                }
-                if let Some(ni) = new_idom {
-                    if idom[b] != Some(ni) {
-                        idom[b] = Some(ni);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        idom.iter()
-            .enumerate()
-            .map(|(b, d)| d.unwrap_or(b))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -409,11 +357,6 @@ mod tests {
         // Entry edge + back edge.
         assert_eq!(cfg.blocks[head].preds.len(), 2);
         assert!(matches!(cfg.blocks[head].term, Terminator::Branch(..)));
-        // The loop head dominates the body and the exit.
-        let idom = cfg.dominators();
-        for e in &cfg.blocks[head].succs {
-            assert_eq!(idom[e.to], head);
-        }
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub use rsc_logic::Sym;
 use rsc_logic::{Pred, Term};
 
 use crate::ast::{
-    Block, ClassDecl, CtorDecl, DeclareDecl, EnumDecl, Expr, FieldDecl, FunDecl, ImportDecl,
-    InterfaceDecl, Item, LValue, MethodDecl, Program, QualifDecl, Stmt, TypeAlias,
+    Block, ClassDecl, CtorDecl, DeclareDecl, EnumDecl, Expr, FieldDecl, FunDecl, InterfaceDecl,
+    Item, LValue, MethodDecl, Program, QualifDecl, Stmt, TypeAlias,
 };
 use crate::span::Span;
 use crate::types::{AnnArg, AnnTy, FunTy};
@@ -161,29 +161,6 @@ pub fn qualify_program(
     let r = Renamer { env, shift, lines };
     let mut scope = Vec::new();
     p.items.iter().map(|it| r.item(it, &mut scope)).collect()
-}
-
-/// Rewrites a file's `import` declarations with shifted spans (the
-/// merged program keeps them as inert metadata so the merged byte
-/// ranges covered by import lines still belong to a parsed construct).
-pub fn shift_imports(imports: &[ImportDecl], shift: u32, lines: u32) -> Vec<ImportDecl> {
-    let r = Renamer {
-        env: &ModuleEnv::default(),
-        shift,
-        lines,
-    };
-    imports
-        .iter()
-        .map(|imp| ImportDecl {
-            names: imp
-                .names
-                .iter()
-                .map(|(n, s)| (n.clone(), r.span(*s)))
-                .collect(),
-            from: imp.from.clone(),
-            span: r.span(imp.span),
-        })
-        .collect()
 }
 
 /// Lexical scope during renaming: a stack of locally-bound names.

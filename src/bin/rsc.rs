@@ -40,7 +40,7 @@ use std::sync::Arc;
 
 use rsc_core::{CheckerOptions, LineIndex};
 use rsc_gen::FuzzConfig;
-use rsc_incr::{DocReport, Serve, VcCache, Workspace};
+use rsc_incr::{DocReport, Json, Serve, VcCache, Workspace};
 use threadpool::Pool;
 
 fn main() {
@@ -228,7 +228,7 @@ fn main() {
     let mut ws = with_disk(Workspace::new(opts));
     let mut failed = false;
     let mut all_spans: Vec<rsc_obs::SpanRecord> = Vec::new();
-    let mut json_files: Vec<String> = Vec::new();
+    let mut json_files: Vec<Json> = Vec::new();
     for file in &files {
         let src = match std::fs::read_to_string(file) {
             Ok(s) => s,
@@ -290,7 +290,8 @@ fn main() {
         }
     }
     if stats_json {
-        println!("{{\"files\":[{}]}}", json_files.join(","));
+        let report = Json::Obj(vec![("files".into(), Json::Arr(json_files))]);
+        println!("{report}");
     }
     if let Some(path) = &profile_path {
         write_trace(path, &all_spans);
@@ -316,90 +317,66 @@ fn stats_json_entry(
     report: &DocReport,
     profile: &rsc_obs::Profile,
     elapsed: std::time::Duration,
-) -> String {
-    use std::fmt::Write;
+) -> Json {
+    fn obj(fields: Vec<(&str, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+    fn num(n: impl TryInto<u64>) -> Json {
+        Json::num(n.try_into().unwrap_or(u64::MAX) as f64)
+    }
     let result = &report.outcome.result;
     let stats = &result.stats;
-    let mut bundles = String::new();
-    for (i, b) in result.bundle_reports.iter().enumerate() {
-        if i > 0 {
-            bundles.push(',');
-        }
-        write!(
-            bundles,
-            "{{\"index\":{i},\"constraints\":{},\"kvars\":{},\"cached\":{},\
-             \"failures\":{},\"smt_queries\":{},\"cache_hits\":{},\
-             \"model_refuted\":{},\"discharged_static\":{},\"solve_us\":{}}}",
-            b.constraints,
-            b.kvars,
-            b.cached,
-            b.failures.len(),
-            b.smt_queries,
-            b.smt.cache_hits,
-            b.smt.model_refuted,
-            b.discharged,
-            b.solve_ns / 1_000,
-        )
-        .unwrap();
-    }
-    let mut phases = String::new();
-    for (i, p) in profile.phase_totals().iter().enumerate() {
-        if i > 0 {
-            phases.push(',');
-        }
-        write!(
-            phases,
-            "{{\"name\":{},\"count\":{},\"total_us\":{}}}",
-            json_str(p.name),
-            p.count,
-            p.total_ns / 1_000,
-        )
-        .unwrap();
-    }
-    format!(
-        "{{\"file\":{},\"ok\":{},\"files_in_closure\":{},\
-         \"stats\":{{\"constraints\":{},\"kvars\":{},\"smt_queries\":{},\
-         \"obligations_discharged\":{},\"model_refuted\":{},\"bundles\":{},\"bundles_reused\":{},\
-         \"diagnostics\":{},\"lints\":{}}},\
-         \"bundles\":[{bundles}],\"phases\":[{phases}],\
-         \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{}}},\
-         \"time_us\":{}}}",
-        json_str(file),
-        result.ok(),
-        report.merged.files.len(),
-        stats.constraints,
-        stats.kvars,
-        stats.smt_queries,
-        stats.obligations_discharged,
-        stats.model_refuted,
-        stats.bundles,
-        stats.bundles_reused,
-        result.diagnostics.len(),
-        result.lints.len(),
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.cache_evictions,
-        elapsed.as_micros(),
-    )
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    let bundles = result.bundle_reports.iter().enumerate().map(|(i, b)| {
+        obj(vec![
+            ("index", num(i)),
+            ("constraints", num(b.constraints)),
+            ("kvars", num(b.kvars)),
+            ("cached", Json::Bool(b.cached)),
+            ("failures", num(b.failures.len())),
+            ("smt_queries", num(b.smt_queries)),
+            ("cache_hits", num(b.smt.cache_hits)),
+            ("model_refuted", num(b.smt.model_refuted)),
+            ("discharged_static", num(b.discharged)),
+            ("solve_us", num(b.solve_ns / 1_000)),
+        ])
+    });
+    let phases = profile.phase_totals().into_iter().map(|p| {
+        obj(vec![
+            ("name", Json::str(p.name)),
+            ("count", num(p.count)),
+            ("total_us", num(p.total_ns / 1_000)),
+        ])
+    });
+    obj(vec![
+        ("file", Json::str(file)),
+        ("ok", Json::Bool(result.ok())),
+        ("files_in_closure", num(report.merged.files.len())),
+        (
+            "stats",
+            obj(vec![
+                ("constraints", num(stats.constraints)),
+                ("kvars", num(stats.kvars)),
+                ("smt_queries", num(stats.smt_queries)),
+                ("obligations_discharged", num(stats.obligations_discharged)),
+                ("model_refuted", num(stats.model_refuted)),
+                ("bundles", num(stats.bundles)),
+                ("bundles_reused", num(stats.bundles_reused)),
+                ("diagnostics", num(result.diagnostics.len())),
+                ("lints", num(result.lints.len())),
+            ]),
+        ),
+        ("bundles", Json::Arr(bundles.collect())),
+        ("phases", Json::Arr(phases.collect())),
+        (
+            "cache",
+            obj(vec![
+                ("hits", num(stats.cache_hits)),
+                ("misses", num(stats.cache_misses)),
+                ("evictions", num(stats.cache_evictions)),
+            ]),
+        ),
+        ("time_us", num(elapsed.as_micros())),
+    ])
 }
 
 /// Renders a per-phase accumulator as `name 1.2ms×3, ...` (name order).

@@ -1,9 +1,11 @@
-//! Solver-configuration equivalence: the incremental-SMT fixpoint and
-//! the persistent `--vc-cache` disk tier are performance features only —
-//! every benchmark of the Figure 6 corpus (clean *and* with seeded bugs)
-//! must produce byte-identical diagnostics, verdicts, and query counts
-//! with incremental contexts on or off, and with a disk cache cold or
-//! warm, at any worker count.
+//! Solver-configuration equivalence: the incremental-SMT fixpoint, the
+//! static discharge and the persistent `--vc-cache` disk tier are
+//! performance features only — every benchmark of the Figure 6 corpus
+//! (clean *and* with seeded bugs) must produce byte-identical
+//! diagnostics, verdicts, and query counts with incremental contexts on
+//! or off, and with a disk cache cold or warm, at any worker count, and
+//! byte-identical diagnostics with the discharge on or off, where each
+//! discharge replaces exactly one query.
 //!
 //! With incremental contexts off, every query runs on a one-shot
 //! `IncrContext` with no model pool instead of the constraint's
@@ -87,6 +89,40 @@ fn incremental_matches_fresh_on_corpus() {
         let incr4 = check_program(&src, options(true, 4));
         assert_equivalent(&name, "jobs=1", &incr, "jobs=4", &incr4);
     }
+}
+
+/// The static discharge only skips queries the solver would answer
+/// valid: with it on or off, every corpus input gives the same
+/// diagnostics, and each discharge stands for exactly one query of the
+/// run without it.
+#[test]
+fn absint_discharges_account_for_every_skipped_query() {
+    let with = |absint: bool| CheckerOptions {
+        absint,
+        ..options(true, 1)
+    };
+    let mut unaccounted = Vec::new();
+    for (name, src) in corpus() {
+        let on = check_program(&src, with(true));
+        let off = check_program(&src, with(false));
+        assert_eq!(
+            render(&on),
+            render(&off),
+            "{name}: diagnostics differ with the discharge on and off"
+        );
+        let (queries, discharged) = (on.stats.smt_queries, on.stats.obligations_discharged);
+        if queries + discharged != off.stats.smt_queries {
+            unaccounted.push(format!(
+                "{name}: {queries} queries + {discharged} discharged on, {} queries off",
+                off.stats.smt_queries
+            ));
+        }
+    }
+    assert!(
+        unaccounted.is_empty(),
+        "on.smt_queries + on.discharged != off.smt_queries:\n{}",
+        unaccounted.join("\n")
+    );
 }
 
 #[test]
