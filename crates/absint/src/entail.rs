@@ -11,19 +11,21 @@
 //!
 //! **The fragment.** Only comparisons are folded and proved:
 //!
-//! * a hypothesis is `false` or an integer or reference comparison;
-//!   every other hypothesis (connectives, boolean truthiness, κs,
-//!   uninterpreted predicates) is ignored;
-//! * a goal is `true` or an integer or reference comparison; every
-//!   other goal is unproven, unless the hypotheses are contradictory.
+//! * a hypothesis is `false`, an integer comparison or an equality
+//!   between reference variables; every other hypothesis
+//!   (connectives, boolean truthiness, κs, uninterpreted predicates)
+//!   is ignored;
+//! * a goal is `true`, an integer comparison or an equality between
+//!   reference variables; every other goal is unproven, unless the
+//!   hypotheses are contradictory.
 //!
 //! Integer comparisons feed intervals per atom, the assumed `≤` rows
 //! (for row subsumption) and unit-coefficient equality substitutions;
 //! a `≠` against a constant shaves an interval endpoint. Reference
-//! comparisons feed a union-find over variables and one `nullv` fact
-//! per class. Contradictory hypotheses prove a goal only when every
-//! free variable of the goal has a binder sort: the solver cannot
-//! state any other goal, so it could not replay the discharge.
+//! equalities feed a union-find over variables. Contradictory
+//! hypotheses prove a goal only when every free variable of the goal
+//! has a binder sort: the solver cannot state any other goal, so it
+//! could not replay the discharge.
 //!
 //! **Soundness contract (discharge-only).** A discharge must be
 //! re-derivable by the SMT solver from the *same* hypotheses, so this
@@ -36,8 +38,8 @@
 //!   the SMT layer, so they are *not linearizable* here — the congruence
 //!   domain never feeds an entailment answer (it powers lints only, see
 //!   `crate::lint`);
-//! * nullness facts mirror ground EUF equalities exactly: `x = nullv`
-//!   and `x ≠ nullv` are tracked per union-find class;
+//! * the reference union-find mirrors ground EUF equalities between
+//!   variables exactly;
 //! * hypotheses with many integer disequalities are rejected outright
 //!   ([`MAX_INT_DISEQS`]): the solver's disequality case-split cap can
 //!   make it give up on conjunctions a relational domain would still
@@ -136,9 +138,6 @@ impl Lin {
 pub struct FactEnv {
     sorts: HashMap<Sym, Sort>,
     itvs: HashMap<Atom, Interval>,
-    /// Per union-find root: `true` when the class is known equal to
-    /// `nullv`, `false` when it is known disequal.
-    nulls: HashMap<Sym, bool>,
     /// Union-find over reference variables (ground EUF equalities).
     parents: HashMap<Sym, Sym>,
     /// Unit-coefficient equality substitutions `x ↦ Σ cᵢ·atomᵢ + k`,
@@ -161,7 +160,6 @@ impl FactEnv {
         FactEnv {
             sorts: binders.iter().cloned().collect(),
             itvs: HashMap::new(),
-            nulls: HashMap::new(),
             parents: HashMap::new(),
             substs: HashMap::new(),
             rows: Vec::new(),
@@ -181,12 +179,7 @@ impl FactEnv {
         // Up to three passes over the hypotheses: assume-order
         // independence for short chains, deterministic by construction.
         for _ in 0..3 {
-            let before = (
-                env.itvs.clone(),
-                env.rows.len(),
-                env.substs.len(),
-                env.nulls.len(),
-            );
+            let before = (env.itvs.clone(), env.rows.len(), env.substs.len());
             env.int_diseqs = 0;
             for h in hyps {
                 env.assume(h);
@@ -197,12 +190,7 @@ impl FactEnv {
             if env.bottom {
                 break;
             }
-            let after = (
-                env.itvs.clone(),
-                env.rows.len(),
-                env.substs.len(),
-                env.nulls.len(),
-            );
+            let after = (env.itvs.clone(), env.rows.len(), env.substs.len());
             if after == before {
                 break;
             }
@@ -222,32 +210,23 @@ impl FactEnv {
         compress_root(&mut self.parents, x)
     }
 
-    /// Merges the classes of `x` and `y` and their `nullv` facts; ⊥ when
-    /// the facts disagree.
+    /// Merges the classes of `x` and `y`.
     fn union(&mut self, x: &Sym, y: &Sym) {
         let rx = self.root(x);
         let ry = self.root(y);
-        if rx == ry {
-            return;
+        if rx != ry {
+            self.parents.insert(rx, ry);
         }
-        if let Some(fx) = self.nulls.remove(&rx) {
-            if *self.nulls.entry(ry.clone()).or_insert(fx) != fx {
-                self.bottom = true;
-                return;
-            }
-        }
-        self.parents.insert(rx, ry);
     }
 
     /// The sort of a comparison operand, as far as the fragment needs
-    /// it: integer terms, reference variables and `nullv`.
+    /// it: integer terms and reference variables.
     fn sort_of(&self, t: &Term) -> Option<Sort> {
         match t {
             Term::Var(x) => self.sorts.get(x).copied(),
             Term::IntLit(_) | Term::Neg(_) => Some(Sort::Int),
             Term::App(f, args) if f.as_str() == "len" && args.len() == 1 => Some(Sort::Int),
             Term::Bin(op, ..) if !matches!(op, BinOp::BvAnd | BinOp::BvOr) => Some(Sort::Int),
-            _ if is_nullv(t) => Some(Sort::Ref),
             _ => None,
         }
     }
@@ -483,25 +462,10 @@ impl FactEnv {
         }
     }
 
-    /// Assumes a reference equality or disequality: `x = y` merges
-    /// classes, `x = nullv` and `x ≠ nullv` record the class's fact.
-    fn assume_ref_cmp(&mut self, op: CmpOp, a: &Term, b: &Term) {
-        match (a, b, op) {
-            (Term::Var(x), Term::Var(y), CmpOp::Eq) => self.union(x, y),
-            (Term::Var(x), t, _) | (t, Term::Var(x), _) if is_nullv(t) => {
-                let eq = op == CmpOp::Eq;
-                let r = self.root(x);
-                if *self.nulls.entry(r).or_insert(eq) != eq {
-                    self.bottom = true;
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Folds one hypothesis into the environment: `false` and integer
-    /// or reference comparisons. Every other shape is ignored
-    /// (conservative: fewer facts, harder entailment).
+    /// Folds one hypothesis into the environment: `false`, integer
+    /// comparisons and reference equalities, which merge union-find
+    /// classes. Every other shape is ignored (conservative: fewer facts,
+    /// harder entailment).
     pub fn assume(&mut self, p: &Pred) {
         if self.bottom {
             return;
@@ -510,8 +474,10 @@ impl FactEnv {
             Pred::False => self.bottom = true,
             Pred::Cmp(op, a, b) => match (self.sort_of(a), self.sort_of(b)) {
                 (Some(Sort::Int), Some(Sort::Int)) => self.assume_int_cmp(*op, a, b),
-                (Some(Sort::Ref), Some(Sort::Ref)) if matches!(op, CmpOp::Eq | CmpOp::Ne) => {
-                    self.assume_ref_cmp(*op, a, b)
+                (Some(Sort::Ref), Some(Sort::Ref)) if *op == CmpOp::Eq => {
+                    if let (Term::Var(x), Term::Var(y)) = (a, b) {
+                        self.union(x, y);
+                    }
                 }
                 _ => {}
             },
@@ -519,8 +485,8 @@ impl FactEnv {
         }
     }
 
-    /// Decides whether the hypotheses entail `goal`: `true` and integer
-    /// or reference comparisons, or any goal over binder-sorted
+    /// Decides whether the hypotheses entail `goal`: `true`, integer
+    /// comparisons and reference equalities, or any goal over binder-sorted
     /// variables when the hypotheses are contradictory. `false` means
     /// "unproven", never "refuted". Read-only, so one environment from
     /// [`FactEnv::of_hyps`] answers any number of goals, in any order,
@@ -535,7 +501,12 @@ impl FactEnv {
             Pred::True => true,
             Pred::Cmp(op, a, b) => match (self.sort_of(a), self.sort_of(b)) {
                 (Some(Sort::Int), Some(Sort::Int)) => self.entails_int_cmp(*op, a, b),
-                (Some(Sort::Ref), Some(Sort::Ref)) => self.entails_ref_cmp(*op, a, b),
+                (Some(Sort::Ref), Some(Sort::Ref)) => match (a, b) {
+                    (Term::Var(x), Term::Var(y)) if *op == CmpOp::Eq => {
+                        self.find(x) == self.find(y)
+                    }
+                    _ => false,
+                },
                 _ => false,
             },
             _ => false,
@@ -580,27 +551,6 @@ impl FactEnv {
             }
         }
     }
-
-    fn entails_ref_cmp(&self, op: CmpOp, a: &Term, b: &Term) -> bool {
-        let null_fact = |x: &Sym| self.nulls.get(&self.find(x)).copied();
-        match (a, b, op) {
-            (Term::Var(x), Term::Var(y), CmpOp::Eq) => self.find(x) == self.find(y),
-            // One class is `nullv`, the other is not.
-            (Term::Var(x), Term::Var(y), CmpOp::Ne) => {
-                matches!((null_fact(x), null_fact(y)), (Some(p), Some(q)) if p != q)
-            }
-            (Term::Var(x), t, CmpOp::Eq | CmpOp::Ne) | (t, Term::Var(x), CmpOp::Eq | CmpOp::Ne)
-                if is_nullv(t) =>
-            {
-                null_fact(x) == Some(op == CmpOp::Eq)
-            }
-            _ => false,
-        }
-    }
-}
-
-fn is_nullv(t: &Term) -> bool {
-    matches!(t, Term::App(f, args) if args.is_empty() && f.as_str() == "nullv")
 }
 
 fn to_i64(v: i128) -> Option<i64> {
@@ -789,26 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn nullness_through_equalities() {
-        let b = vec![(Sym::from("p"), Sort::Ref), (Sym::from("v"), Sort::Ref)];
-        let hyps = vec![
-            Pred::cmp(CmpOp::Ne, T::var("p"), T::app("nullv", vec![])),
-            Pred::cmp(CmpOp::Eq, T::vv(), T::var("p")),
-        ];
-        assert!(entailed_by(
-            &b,
-            &hyps,
-            &Pred::cmp(CmpOp::Ne, T::vv(), T::app("nullv", vec![])),
-        ));
-        // EUF cannot refute nullv = undefv, so neither do we.
-        assert!(!entailed_by(
-            &b,
-            &hyps,
-            &Pred::cmp(CmpOp::Ne, T::vv(), T::app("undefv", vec![])),
-        ));
-    }
-
-    #[test]
     fn len_atoms_flow_through_axioms() {
         let b = vec![
             (Sym::from("a"), Sort::Ref),
@@ -947,14 +877,14 @@ mod tests {
         }
 
         fn literal() -> BoxedStrategy<Pred> {
-            let null = |eq: bool| {
+            let refs = |eq: bool| {
                 let op = if eq { CmpOp::Eq } else { CmpOp::Ne };
-                Pred::cmp(op, T::var("a"), T::app("nullv", vec![]))
+                Pred::cmp(op, T::var("a"), T::var("b"))
             };
             prop_oneof![
                 (cmp_op(), term(), term()).prop_map(|(op, a, b)| Pred::cmp(op, a, b)),
                 (cmp_op(), term(), term()).prop_map(|(op, a, b)| Pred::cmp(op, a, b)),
-                (0u8..2).prop_map(move |eq| null(eq == 1)),
+                (0u8..2).prop_map(move |eq| refs(eq == 1)),
             ]
             .boxed()
         }
@@ -984,6 +914,7 @@ mod tests {
                     (Sym::from("x"), Sort::Int),
                     (Sym::from("y"), Sort::Int),
                     (Sym::from("a"), Sort::Ref),
+                    (Sym::from("b"), Sort::Ref),
                 ];
                 let (hyps, goals) = if three_ints == 1 {
                     binders.push((Sym::from("z"), Sort::Int));

@@ -10,10 +10,10 @@
 //!    *discharge* obligations, never report errors, and every discharge
 //!    must be re-derivable by the solver from the same hypotheses — so
 //!    the entailment procedure is confined to a comparison-only
-//!    fragment the solver also decides: `false` and integer or
-//!    reference comparisons as hypotheses, `true` and integer or
-//!    reference comparisons as goals (linear arithmetic with integer
-//!    tightening, ground equalities and `nullv` facts). Contradictory
+//!    fragment the solver also decides: `false`, integer comparisons
+//!    and reference equalities as hypotheses, `true`, integer
+//!    comparisons and reference equalities as goals (linear arithmetic
+//!    with integer tightening and ground equalities). Contradictory
 //!    hypotheses prove only goals over binder-sorted variables, the
 //!    goals the solver can state. The `rsc fuzz` differential oracle
 //!    replays discharged obligations through the solver to enforce the

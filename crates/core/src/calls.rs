@@ -346,11 +346,7 @@ impl Checker {
                 unify_base(&pt.base, &self.resolve_infer(at).base, &mut base_map);
             }
         }
-        let scope: Vec<(Sym, Sort)> = env
-            .binds
-            .iter()
-            .map(|(x, t)| (x.clone(), t.sort()))
-            .collect();
+        let scope = env.scope();
         let mut tvar_map: HashMap<Sym, RType> = HashMap::new();
         for a in &rf.tparams {
             let template = match base_map.get(a) {
@@ -457,11 +453,7 @@ impl Checker {
         if matches!(joined.base, Base::Union(_)) {
             return joined;
         }
-        let scope: Vec<(Sym, Sort)> = env
-            .binds
-            .iter()
-            .map(|(x, t)| (x.clone(), t.sort()))
-            .collect();
+        let scope = env.scope();
         let k = self.cs.fresh_kvar(
             joined.sort(),
             scope,

@@ -4,12 +4,14 @@
 //! hierarchies with bit-vector flags, IGJ mutability, two-phase checking
 //! of overloads, and constructor cooking.
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use rsc_liquid::{
-    bundle_fingerprint, global_fingerprint, partition, solve_with, Blame, CEnv, ConstraintBundle,
-    ConstraintSet, LiquidResult, ObligationKind,
+    bundle_fingerprint, global_fingerprint, partition, solve_with, Blame, CBind, CEnv,
+    ConstraintBundle, ConstraintSet, LiquidResult, ObligationKind,
 };
 use rsc_logic::{CmpOp, Pred, Sort, SortScope, Subst, Sym, Term};
 use rsc_smt::{CacheCounters, SolverStats, VcCache};
@@ -254,11 +256,23 @@ impl CheckResult {
     }
 }
 
+/// One binding `x : T` of a typing environment, shared by the
+/// environment and its clones (branches, loop bodies, deferred
+/// closures). It carries its constraint-environment form, embedded on
+/// first use, so every constraint generated under the binding shares
+/// one [`CBind`].
+#[derive(Debug)]
+pub(crate) struct Binding {
+    pub(crate) name: Sym,
+    pub(crate) ty: RType,
+    embedded: OnceCell<Arc<CBind>>,
+}
+
 /// A typing environment Γ: SSA bindings, guard predicates, rigid type
 /// variables, the expected return type, and the cooking state.
 #[derive(Clone, Debug)]
 pub struct Env {
-    pub(crate) binds: Vec<(Sym, RType)>,
+    pub(crate) binds: Vec<Rc<Binding>>,
     pub(crate) guards: Vec<Pred>,
     pub(crate) tparams: HashSet<Sym>,
     pub(crate) ret: RType,
@@ -284,15 +298,27 @@ impl Env {
     }
 
     pub(crate) fn bind(&mut self, x: impl Into<Sym>, t: RType) {
-        self.binds.push((x.into(), t));
+        self.binds.push(Rc::new(Binding {
+            name: x.into(),
+            ty: t,
+            embedded: OnceCell::new(),
+        }));
     }
 
     pub(crate) fn lookup(&self, x: &Sym) -> Option<&RType> {
         self.binds
             .iter()
             .rev()
-            .find(|(y, _)| y == x)
-            .map(|(_, t)| t)
+            .find(|b| b.name == *x)
+            .map(|b| &b.ty)
+    }
+
+    /// The variables in scope with their sorts (a κ-variable's scope).
+    pub(crate) fn scope(&self) -> Vec<(Sym, Sort)> {
+        self.binds
+            .iter()
+            .map(|b| (b.name.clone(), b.ty.sort()))
+            .collect()
     }
 
     pub(crate) fn guard(&mut self, p: Pred) {
@@ -402,13 +428,12 @@ pub fn generate_artifacts(
     cache: Arc<VcCache>,
 ) -> CheckArtifacts {
     let cache_before = cache.counters();
-    let mut diags = Vec::new();
     let ct = {
         let _sp = rsc_obs::span!("class-table");
         match ClassTable::build(&ir.aliases, &ir.enums, &ir.interfaces, &classes_of(ir)) {
             Ok(t) => t,
             Err(e) => {
-                diags.push(Diagnostic::error(e.0, Span::dummy()));
+                let diags = vec![Diagnostic::error(e.0, Span::dummy())];
                 return CheckArtifacts::empty(diags, opts, cache, cache_before);
             }
         }
@@ -418,24 +443,7 @@ pub fn generate_artifacts(
         Arc::make_mut(&mut cs.quals).clear();
     }
     ct.register_sorts(Arc::make_mut(&mut cs.sort_env));
-    let checker = Checker {
-        ct,
-        cs,
-        opts,
-        diags,
-        deferred: HashMap::new(),
-        funs: HashMap::new(),
-        declares: HashMap::new(),
-        ctor_param_fields: HashMap::new(),
-        infer: HashMap::new(),
-        next_infer: 0,
-        next_tmp: 0,
-        units: Vec::new(),
-        current_unit: 0,
-        next_unit: 1,
-        vc_cache: cache,
-    };
-    let mut art = checker.generate(ir, cache_before);
+    let mut art = Checker::new(ct, cs, opts, cache).generate(ir, cache_before);
     if opts.lints {
         let _sp = rsc_obs::span!("absint");
         art.lints = rsc_absint::lint_program(ir)
@@ -692,6 +700,28 @@ fn classes_of(ir: &IrProgram) -> Vec<rsc_syntax::ast::ClassDecl> {
 
 impl Checker {
     // ------------------------------------------------------------ driver ---
+
+    /// A checker over a class table and a constraint set with no
+    /// constraints yet.
+    fn new(ct: ClassTable, cs: ConstraintSet, opts: CheckerOptions, cache: Arc<VcCache>) -> Self {
+        Checker {
+            ct,
+            cs,
+            opts,
+            diags: Vec::new(),
+            deferred: HashMap::new(),
+            funs: HashMap::new(),
+            declares: HashMap::new(),
+            ctor_param_fields: HashMap::new(),
+            infer: HashMap::new(),
+            next_infer: 0,
+            next_tmp: 0,
+            units: Vec::new(),
+            current_unit: 0,
+            next_unit: 1,
+            vc_cache: cache,
+        }
+    }
 
     fn generate(mut self, ir: &IrProgram, cache_before: CacheCounters) -> CheckArtifacts {
         let gen_span = rsc_obs::span!("constraint-gen");
@@ -978,15 +1008,23 @@ impl Checker {
         }
     }
 
+    /// The constraint environment of `env`. Each binding is embedded
+    /// once, on its first use, and shared by every later constraint.
     pub(crate) fn to_cenv(&self, env: &Env) -> CEnv {
-        let mut c = CEnv::new();
-        for (x, t) in &env.binds {
-            c.bind(x.clone(), t.sort(), self.embed_pred(t));
+        let binds = env.binds.iter().map(|b| {
+            let embedded = b.embedded.get_or_init(|| {
+                Arc::new(CBind {
+                    name: b.name.clone(),
+                    sort: b.ty.sort(),
+                    pred: self.embed_pred(&b.ty),
+                })
+            });
+            Arc::clone(embedded)
+        });
+        CEnv {
+            binds: binds.collect(),
+            guards: env.guards.clone(),
         }
-        for g in &env.guards {
-            c.guard(g.clone());
-        }
-        c
     }
 
     // -------------------------------------------------------- constraints ---
@@ -999,6 +1037,9 @@ impl Checker {
         vv_sort: Sort,
         blame: &Blame,
     ) {
+        if matches!(rhs, Pred::True) {
+            return;
+        }
         let cenv = self.to_cenv(env);
         let before = self.cs.subs.len();
         self.cs.push_sub(cenv, lhs, rhs, vv_sort, blame);
@@ -1592,4 +1633,47 @@ fn scan_ctor_params(c: &IrClass) -> Vec<(Sym, usize)> {
     }
     walk(&ctor.body, &params, &mut out);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Γ is built once per binding: every constraint pushed under an
+    /// environment, under its clones and as a split-off conjunct shares
+    /// the binding's one embedding, and a `true` right-hand side builds
+    /// nothing.
+    #[test]
+    fn each_binding_is_embedded_once() {
+        let ct = ClassTable::build(&[], &[], &[], &[]).expect("empty class table");
+        let opts = CheckerOptions::default();
+        let mut ck = Checker::new(ct, ConstraintSet::new(), opts, VcCache::shared());
+        let mut env = Env::new();
+        env.bind("x", RType::number());
+        env.bind("y", RType::number());
+        let blame = Blame::synthetic("t");
+        let goal = |k| Pred::cmp(CmpOp::Le, Term::int(k), Term::vv());
+
+        ck.push_sub_pred(&env, Pred::True, Pred::True, Sort::Int, &blame);
+        assert!(ck.cs.subs.is_empty());
+        assert!(env.binds.iter().all(|b| b.embedded.get().is_none()));
+
+        let both = Pred::and(vec![goal(0), goal(1)]);
+        ck.push_sub_pred(&env, Pred::True, both, Sort::Int, &blame);
+        let mut branch = env.clone();
+        branch.bind("z", RType::number());
+        ck.push_sub_pred(&branch, Pred::True, goal(2), Sort::Int, &blame);
+        assert_eq!(ck.cs.subs.len(), 3);
+        assert_eq!(ck.units.len(), 3);
+
+        let first = &ck.cs.subs[0].env.binds;
+        assert_eq!(first.len(), 2);
+        for c in &ck.cs.subs {
+            assert!(first
+                .iter()
+                .zip(&c.env.binds)
+                .all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
+        assert_eq!(ck.cs.subs[2].env.binds.len(), 3);
+    }
 }

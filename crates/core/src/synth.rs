@@ -303,11 +303,7 @@ impl Checker {
                 // Templates for the loop-head Φ variables: the inferred
                 // loop invariants (§2.2.2).
                 let mut templates: Vec<(Sym, RType)> = Vec::new();
-                let mut scope: Vec<(Sym, Sort)> = env
-                    .binds
-                    .iter()
-                    .map(|(x, t)| (x.clone(), t.sort()))
-                    .collect();
+                let mut scope = env.scope();
                 let mut inits = Vec::new();
                 for phi in phis {
                     let ti = env
@@ -395,11 +391,7 @@ impl Checker {
             (None, None) => Base::Union(vec![]),
         };
         let t = RType::trivial(b);
-        let scope: Vec<(Sym, Sort)> = env
-            .binds
-            .iter()
-            .map(|(x, ty)| (x.clone(), ty.sort()))
-            .collect();
+        let scope = env.scope();
         let k = self.cs.fresh_kvar(t.sort(), scope, origin.to_string());
         RType {
             base: t.base,
@@ -647,11 +639,7 @@ impl Checker {
             IrExpr::ArrayLit(elems, span) => {
                 let tys: Vec<RType> = elems.iter().map(|x| self.synth(x, env)).collect();
                 let elem = if let Some(first) = tys.first() {
-                    let scope: Vec<(Sym, Sort)> = env
-                        .binds
-                        .iter()
-                        .map(|(x, t)| (x.clone(), t.sort()))
-                        .collect();
+                    let scope = env.scope();
                     let k = self
                         .cs
                         .fresh_kvar(first.sort(), scope, "array literal element");

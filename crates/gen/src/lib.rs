@@ -2,7 +2,7 @@
 //!
 //! Adversarial testing for the RSC checker: a typing-rule-directed
 //! generator that emits *well-refinement-typed programs by
-//! construction* ([`generate`]), a mutation mode that breaks exactly
+//! construction* ([`generate()`]), a mutation mode that breaks exactly
 //! one obligation per program ([`mutate`]), and six differential
 //! oracles ([`oracle`]) any violation of which is a real bug:
 //!

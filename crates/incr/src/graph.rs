@@ -2,15 +2,17 @@
 //!
 //! Nodes are checkable units — top-level functions, class constructors
 //! and methods, and the synthetic top-level body — each carrying two
-//! content fingerprints: a `body_hash` over its SSA body with *all*
-//! span information (byte offsets and line numbers) normalized away —
-//! spans are provenance, and since blame is re-attached from each
-//! run's own constraints (see `rsc_liquid::blame`), a pure line shift
-//! changes no check result and should not report a unit dirty — and
-//! an `iface_hash` over its declared signature. Edges follow
-//! syntactic references: calls by name, method names reached through
-//! field access (a deliberate overapproximation — receiver types are not
-//! resolved here), and `new C(...)` constructor uses.
+//! content fingerprints: a `body_hash` over its SSA body and an
+//! `iface_hash` over its declared signature. Both are derived [`Hash`]es
+//! of the IR, in which spans hash to nothing: spans are provenance, and
+//! since blame is re-attached from each run's own constraints (see
+//! `rsc_liquid::blame`), a pure line shift changes no check result and
+//! should not report a unit dirty.
+//!
+//! Edges follow syntactic references: calls by name, method names
+//! reached through field access (a deliberate overapproximation —
+//! receiver types are not resolved here), and `new C(...)` constructor
+//! uses.
 //!
 //! A unit's *check input hash* combines its own hashes, the interface
 //! hashes of its dependencies, the **body** hashes of any unannotated
@@ -19,89 +21,29 @@
 //! enums, interfaces, ambient declares, qualifiers, class declarations,
 //! all of which feed the class table and qualifier mining).
 //!
-//! The graph powers the session's *reporting and fast path*: a
-//! whole-program hash short-circuits no-op re-checks, and
+//! The graph powers the session's *reporting*:
 //! [`DepGraph::dirty_against`] names the units whose inputs changed.
-//! Which bundles actually re-solve is decided one level lower, by exact
+//! (The session's no-op fast path is keyed on source text instead,
+//! because it must see span changes.) Which bundles actually re-solve
+//! is decided one level lower, by exact
 //! canonical bundle identity (`rsc_liquid::bundle_fingerprint`) — that
 //! is strictly more precise and is what the byte-identical guarantee
 //! rests on; the graph's dirty set is the human-readable explanation.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 
 use rsc_ssa::{Body, IrExpr, IrProgram};
 
-/// Erases `Span { lo: …, hi: …, line: … }` renderings entirely. Spans
-/// are provenance: blame is re-attached from each run's constraints
-/// and bundle fingerprints exclude it, so two snapshots differing only
-/// in span positions — a comment-only edit that shifts every line —
-/// produce identical check results and must hash equal here (otherwise
-/// the dirty-unit report would name every unit while zero bundles
-/// re-solve).
-///
-/// The rewrite only fires on the exact shape the `Span` Debug derive
-/// emits (`lo: <digits>, hi: <digits>, line: <digits>`); anything else
-/// — e.g. a program *string literal* that merely contains
-/// "Span { lo: " — is copied verbatim. A literal that mimics the full
-/// shape digit-for-digit can still collapse two unit hashes, which at
-/// worst mislabels the dirty-unit *report*: these hashes never gate
-/// correctness (bundle fingerprints decide what re-solves, and the
-/// session fast path uses the raw, un-normalized program hash).
-fn normalize_spans(s: &str) -> String {
-    const PAT: &str = "Span { lo: ";
-    fn eat_digits(s: &str) -> Option<&str> {
-        let end = s.find(|c: char| !c.is_ascii_digit())?;
-        if end == 0 {
-            return None;
-        }
-        Some(&s[end..])
-    }
-    /// `rest` right after `PAT`: returns the remainder after the full
-    /// `<digits>, hi: <digits>, line: <digits>` shape when it matches.
-    fn span_tail(rest: &str) -> Option<&str> {
-        let rest = eat_digits(rest)?;
-        let rest = rest.strip_prefix(", hi: ")?;
-        let rest = eat_digits(rest)?;
-        let rest = rest.strip_prefix(", line: ")?;
-        eat_digits(rest)
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(i) = rest.find(PAT) {
-        match span_tail(&rest[i + PAT.len()..]) {
-            Some(tail) => {
-                out.push_str(&rest[..i]);
-                out.push_str("Span { ");
-                rest = tail;
-            }
-            None => {
-                out.push_str(&rest[..i + PAT.len()]);
-                rest = &rest[i + PAT.len()..];
-            }
-        }
-    }
-    out.push_str(rest);
-    out
-}
-
-fn hash_str(parts: &[&str]) -> u64 {
+/// The structural hash of `v`: its derived [`Hash`], in which spans
+/// hash to nothing (`rsc_syntax::Span` is provenance — blame is
+/// re-attached from each run's constraints and bundle fingerprints
+/// exclude it), so two snapshots differing only in span positions — a
+/// comment-only edit that shifts every line — hash equal here.
+fn hash_of<T: Hash + ?Sized>(v: &T) -> u64 {
     let mut h = DefaultHasher::new();
-    for p in parts {
-        h.write(normalize_spans(p).as_bytes());
-        h.write_u8(1);
-    }
-    h.finish()
-}
-
-/// Hashes verbatim — no span normalization. Used for the whole-program
-/// fast-path hash, where a collision would *reuse a stale result* (the
-/// one place these hashes gate correctness), so no textual rewriting of
-/// any kind is applied.
-fn hash_raw(s: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    h.write(s.as_bytes());
+    v.hash(&mut h);
     h.finish()
 }
 
@@ -110,7 +52,7 @@ fn hash_raw(s: &str) -> u64 {
 pub struct UnitNode {
     /// Stable display name: `fun:f`, `ctor:C`, `method:C.m`, or `top`.
     pub name: String,
-    /// Hash of the unit's SSA body (spans normalized away).
+    /// Hash of the unit's SSA body (spans excluded).
     pub body_hash: u64,
     /// Hash of the unit's declared interface (signatures).
     pub iface_hash: u64,
@@ -140,10 +82,6 @@ pub struct DepGraph {
     /// interfaces, ambient declares, qualifiers) — an input to every
     /// unit's check.
     pub globals_hash: u64,
-    /// Hash of the entire SSA program, verbatim (no span
-    /// normalization): equal hashes mean a re-check is a guaranteed
-    /// no-op (the session fast path).
-    pub program_hash: u64,
     /// Memoized [`DepGraph::check_input_hash`] per unit, computed once
     /// at build time so per-edit diffs are O(units), not O(units ×
     /// reachable).
@@ -292,8 +230,8 @@ impl DepGraph {
                 &mut resolve,
                 format!("fun:{}", f.name),
                 vec![f.name.to_string()],
-                hash_str(&[&format!("{:?}{:?}", f.params, f.body)]),
-                hash_str(&[&format!("{:?}", f.sigs)]),
+                hash_of(&(&f.params, &f.body)),
+                hash_of(&f.sigs),
                 f.sigs.is_empty(),
                 f.span.lo,
                 exported.contains(f.name.as_str()),
@@ -312,8 +250,8 @@ impl DepGraph {
                     &mut resolve,
                     format!("ctor:{cname}"),
                     vec![format!("new:{cname}")],
-                    hash_str(&[&format!("{:?}{:?}", ctor.params, ctor.body)]),
-                    hash_str(&[&format!("{:?}", ctor.params)]),
+                    hash_of(&(&ctor.params, &ctor.body)),
+                    hash_of(&ctor.params),
                     false,
                     ctor.span.lo,
                     class_exported,
@@ -331,8 +269,8 @@ impl DepGraph {
                     &mut resolve,
                     format!("method:{cname}.{}", m.name),
                     vec![m.name.to_string()],
-                    hash_str(&[&format!("{:?}", m.body)]),
-                    hash_str(&[&format!("{:?}{:?}", m.recv, m.sig)]),
+                    hash_of(&m.body),
+                    hash_of(&(m.recv, &m.sig)),
                     false,
                     m.span.lo,
                     class_exported,
@@ -349,7 +287,7 @@ impl DepGraph {
                 &mut resolve,
                 "top".to_string(),
                 vec![],
-                hash_str(&[&format!("{:?}", ir.top)]),
+                hash_of(&ir.top),
                 0,
                 false,
                 u32::MAX,
@@ -373,23 +311,18 @@ impl DepGraph {
             units[i].deps = deps.into_iter().collect();
         }
 
-        let globals_hash = hash_str(&[&format!(
-            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-            ir.aliases,
-            ir.quals,
-            ir.enums,
-            ir.interfaces,
-            ir.declares,
-            ir.classes
-                .iter()
-                .map(|c| format!("{:?}", c.decl))
-                .collect::<Vec<_>>(),
-        )]);
-        let program_hash = hash_raw(&format!("{ir:?}"));
+        let decls: Vec<_> = ir.classes.iter().map(|c| &c.decl).collect();
+        let globals_hash = hash_of(&(
+            &ir.aliases,
+            &ir.quals,
+            &ir.enums,
+            &ir.interfaces,
+            &ir.declares,
+            decls,
+        ));
         let mut graph = DepGraph {
             units,
             globals_hash,
-            program_hash,
             input_hashes: Vec::new(),
         };
         graph.input_hashes = (0..graph.units.len())
@@ -542,13 +475,25 @@ mod tests {
     fn comment_only_edit_dirties_nothing() {
         // A comment insertion shifts every span but changes no check
         // input: the dirty report must be empty (fingerprints re-solve
-        // nothing, and blame lines come from the current run)…
+        // nothing, and blame lines come from the current run).
         let g1 = graph(BASE);
         let g2 = graph(&format!("// shifted\n\n{BASE}"));
         assert_eq!(g2.dirty_against(&g1), Vec::<String>::new());
-        // …while the raw fast-path hash still sees the shift (serving
-        // the previous result verbatim would report stale lines).
-        assert_ne!(g1.program_hash, g2.program_hash);
+    }
+
+    /// Spans are left out of the hash structurally, not by rewriting a
+    /// rendering, so a string literal that spells a span is content
+    /// like any other.
+    #[test]
+    fn span_lookalike_literals_hash_apart() {
+        let body = |lit: &str| {
+            let g = graph(&format!("function f(): string {{ return \"{lit}\"; }}"));
+            g.units[0].body_hash
+        };
+        assert_ne!(
+            body("Span { lo: 1, hi: 2, line: 3 }"),
+            body("Span { lo: 4, hi: 5, line: 6 }")
+        );
     }
 
     const LIB: &str = r#"
@@ -591,14 +536,5 @@ mod tests {
         assert!(step.exported && !helper.exported);
         assert!(step.span_lo < helper.span_lo);
         assert_eq!(g.units.last().unwrap().span_lo, u32::MAX);
-    }
-
-    #[test]
-    fn identical_programs_share_the_program_hash() {
-        assert_eq!(graph(BASE).program_hash, graph(BASE).program_hash);
-        assert_ne!(
-            graph(BASE).program_hash,
-            graph(&BASE.replace("x + 1", "x + 3")).program_hash
-        );
     }
 }

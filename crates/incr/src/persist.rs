@@ -16,7 +16,7 @@
 //!
 //! # Soundness
 //!
-//! A bundle fingerprint folds in the canonical renderings of every
+//! A bundle fingerprint hashes the canonical structure of every
 //! constraint, the qualifier set, and the sort environment (via the
 //! run-global fingerprint) — a verdict is a pure function of it. The
 //! same versioning contract as the VC tier applies on top: files are
@@ -28,7 +28,7 @@
 //!
 //! # Format and crash tolerance
 //!
-//! After a `rsc-bundle-cache v3 {version:016x}\n` header the file is a
+//! After a `rsc-bundle-cache v4 {version:016x}\n` header the file is a
 //! sequence of fixed-layout little-endian records:
 //!
 //! ```text
@@ -39,8 +39,9 @@
 //! u32  failure count, then that many u32 bundle-local indices
 //! ```
 //!
-//! A file of an older layout has a different magic, so it is dropped
-//! like any other foreign file.
+//! A file of an older layout, or with fingerprints computed another
+//! way (v3 hashed rendered predicates, v4 hashes their structure), has
+//! a different magic, so it is dropped like any other foreign file.
 //!
 //! Writes are append-only and loading is last-record-wins, so two
 //! processes appending the same fingerprint stay consistent. A torn
@@ -53,7 +54,7 @@ use std::sync::Mutex;
 use rsc_core::RetainedBundle;
 use rsc_smt::SolverStats;
 
-const MAGIC: &str = "rsc-bundle-cache v3";
+const MAGIC: &str = "rsc-bundle-cache v4";
 
 /// The bundle-verdict disk tier: a fingerprint-keyed, append-only store
 /// of [`RetainedBundle`]s for one cache version. See the module docs.
@@ -289,18 +290,22 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A file written in the v2 layout (six counters, no
-    /// `model_refuted`) is foreign to a v3 store: dropped, never misread.
+    /// Files of older stores are foreign to a v4 store: dropped, never
+    /// misread. v2 has another layout (six counters, no
+    /// `model_refuted`); v3 has this layout but fingerprints of rendered
+    /// predicates, which no v4 fingerprint would ever look up.
     #[test]
     fn older_layout_is_ignored() {
         let dir = scratch_dir("v2");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("bundles-{:016x}.rbc", 4u64));
-        let mut bytes = format!("rsc-bundle-cache v2 {:016x}\n", 4u64).into_bytes();
-        bytes.extend_from_slice(&[0u8; 16 + 8 * 9 + 4]);
-        std::fs::write(&path, bytes).unwrap();
-        assert_eq!(BundleStore::open(&dir, 4).unwrap().loaded(), 0);
-        assert!(!path.exists());
+        for (magic, counters) in [("rsc-bundle-cache v2", 9), ("rsc-bundle-cache v3", 10)] {
+            let mut bytes = format!("{magic} {:016x}\n", 4u64).into_bytes();
+            bytes.extend_from_slice(&vec![0u8; 16 + 8 * counters + 4]);
+            std::fs::write(&path, bytes).unwrap();
+            assert_eq!(BundleStore::open(&dir, 4).unwrap().loaded(), 0);
+            assert!(!path.exists());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,9 @@
 //! Persistent check sessions: re-check an evolving program, re-solving
 //! only what changed.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -52,6 +54,8 @@ pub struct SessionOutcome {
 
 /// State carried from the previous successful generation run.
 struct State {
+    /// The fast-path key of the snapshot the run checked.
+    source_key: u64,
     graph: DepGraph,
     retained: HashMap<u128, RetainedBundle>,
     last: SessionOutcome,
@@ -87,6 +91,14 @@ struct DiskState {
     version: u64,
     vc: DiskCache,
     bundles: BundleStore,
+}
+
+/// A hash of one source text: the fast-path key of a single-text
+/// session, and the workspace's key for a file's memoized facts.
+pub(crate) fn text_hash(s: &str) -> u64 {
+    let mut h = DefaultHasher::new();
+    h.write(s.as_bytes());
+    h.finish()
 }
 
 /// The on-disk cache version for a run: the run-global solve
@@ -217,11 +229,15 @@ impl CheckSession {
     /// Checks `src`, reusing whatever the previous run proved.
     pub fn check(&mut self, src: &str) -> SessionOutcome {
         let start = Instant::now();
+        let key = text_hash(src);
+        if let Some(out) = self.fast_path(key, start) {
+            return out;
+        }
         let prog = match rsc_syntax::parse_program(src) {
             Ok(p) => p,
             Err(e) => return self.front_error(e.message, e.span, start),
         };
-        self.check_prog(&prog, start)
+        self.check_prog(&prog, key, start)
     }
 
     /// Checks an already-parsed program, reusing whatever the previous
@@ -230,32 +246,46 @@ impl CheckSession {
     /// source text whose parse yields the qualified AST). The session
     /// invariant is the same as [`CheckSession::check`]: the result is
     /// byte-identical to a cold `check_program_ast` of the same AST.
-    pub fn check_ast(&mut self, prog: &rsc_syntax::Program) -> SessionOutcome {
+    ///
+    /// `source_key` names the sources `prog` was built from, spans
+    /// included — for example a hash of every file's name and text.
+    /// Equal keys must mean equal programs: when the key repeats the
+    /// previous run's, the session returns that run's result verbatim.
+    pub fn check_ast(&mut self, prog: &rsc_syntax::Program, source_key: u64) -> SessionOutcome {
         let start = Instant::now();
-        self.check_prog(prog, start)
+        if let Some(out) = self.fast_path(source_key, start) {
+            return out;
+        }
+        self.check_prog(prog, source_key, start)
     }
 
-    fn check_prog(&mut self, prog: &rsc_syntax::Program, start: Instant) -> SessionOutcome {
+    /// The fast path: the previous result, verbatim, when `key` names
+    /// the snapshot it was generated from (e.g. a watch loop waking up
+    /// on an mtime touch). The key is span-exact, so a comment-only
+    /// edit, whose diagnostics move, never takes it.
+    fn fast_path(&self, key: u64, start: Instant) -> Option<SessionOutcome> {
+        let state = self.state.as_ref().filter(|s| s.source_key == key)?;
+        let mut out = state.last.clone();
+        out.incr.fast_path = true;
+        out.incr.reused = out.incr.bundles;
+        out.incr.solved = 0;
+        out.incr.dirty_units = Vec::new();
+        out.incr.total_micros = start.elapsed().as_micros() as u64;
+        Some(out)
+    }
+
+    fn check_prog(
+        &mut self,
+        prog: &rsc_syntax::Program,
+        source_key: u64,
+        start: Instant,
+    ) -> SessionOutcome {
         let _sp = rsc_obs::span!("check");
         let ir = match rsc_ssa::transform_program(prog) {
             Ok(i) => i,
             Err(e) => return self.front_error(e.message, e.span, start),
         };
         let graph = DepGraph::build(&ir);
-
-        // Fast path: byte-for-byte identical SSA program (e.g. a watch
-        // loop waking up on an mtime touch) — nothing can change.
-        if let Some(state) = &self.state {
-            if state.graph.program_hash == graph.program_hash {
-                let mut out = state.last.clone();
-                out.incr.fast_path = true;
-                out.incr.reused = out.incr.bundles;
-                out.incr.solved = 0;
-                out.incr.dirty_units = Vec::new();
-                out.incr.total_micros = start.elapsed().as_micros() as u64;
-                return out;
-            }
-        }
 
         let prev = self.state.take();
         let dirty_units = prev
@@ -295,6 +325,7 @@ impl CheckSession {
         };
         let outcome = SessionOutcome { result, incr };
         self.state = Some(State {
+            source_key,
             graph,
             retained,
             last: outcome.clone(),
@@ -399,6 +430,28 @@ mod tests {
         assert!(again.incr.fast_path);
         assert_eq!(render(&first.result), render(&again.result));
         assert_eq!(again.incr.solved, 0);
+    }
+
+    /// The fast-path key is the source text, spans included: an
+    /// identical snapshot takes the fast path, while a comment-only
+    /// edit (every span moves, no constraint changes) re-generates and
+    /// reuses every bundle, so its diagnostics follow the new lines.
+    #[test]
+    fn fast_path_key_is_span_exact() {
+        let bad = PROG.replace("return 0 - x;", "return x;");
+        let mut s = CheckSession::new(CheckerOptions::default());
+        let first = s.check(&bad);
+        assert!(!first.result.ok());
+        assert!(s.check(&bad).incr.fast_path);
+
+        let commented = format!("// a comment line\n{bad}");
+        let shifted = s.check(&commented);
+        assert!(!shifted.incr.fast_path);
+        assert_eq!(shifted.incr.solved, 0);
+        assert_eq!(shifted.incr.reused, shifted.incr.bundles);
+        let cold = check_program(&commented, CheckerOptions::default());
+        assert_eq!(render(&shifted.result), render(&cold));
+        assert_ne!(render(&shifted.result), render(&first.result));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! (the PR-4 server owned a single session, so every document switch
 //! re-checked cold — the bug this module fixes). A [`Workspace`] owns
 //! one [`CheckSession`] per URI/path, all sharing one
-//! [`VcCache`](rsc_smt::VcCache) (sound: cache keys are canonical VC
+//! [`VcCache`] (sound: cache keys are canonical VC
 //! fingerprints, independent of which document produced them).
 //!
 //! # Modules, merging and qualification
@@ -73,7 +73,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -84,7 +84,7 @@ use rsc_syntax::qualify::{self, ModuleEnv};
 use rsc_syntax::{module_id, Span};
 
 use crate::graph::DepGraph;
-use crate::session::{CheckSession, IncrStats, SessionOutcome};
+use crate::session::{text_hash, CheckSession, IncrStats, SessionOutcome};
 
 // ------------------------------------------------------------ resolution ---
 
@@ -195,9 +195,19 @@ struct FileFacts {
 /// so the cache is bounded by the number of files ever seen.
 type FactsCache = HashMap<String, (u64, FileFacts)>;
 
-fn text_hash(s: &str) -> u64 {
+/// The session fast-path key of a resolved closure: every file's name,
+/// text and resolved import targets, in closure order — everything the
+/// qualified program is built from, spans included.
+fn closure_key(files: &[ModuleFile]) -> u64 {
     let mut h = DefaultHasher::new();
-    h.write(s.as_bytes());
+    for f in files {
+        f.name.hash(&mut h);
+        f.text.hash(&mut h);
+        h.write_usize(f.imports.len());
+        for imp in &f.imports {
+            imp.target.hash(&mut h);
+        }
+    }
     h.finish()
 }
 
@@ -892,7 +902,8 @@ impl Workspace {
         // the session's retained state for the fix.
         let checked = resolved.and_then(|files| {
             let merged = Merged::build(&files);
-            let outcome = doc.session.check_ast(&qualified_program(&merged, &files)?);
+            let program = qualified_program(&merged, &files)?;
+            let outcome = doc.session.check_ast(&program, closure_key(&files));
             Ok((files, merged, outcome))
         });
         let (report, ok) = match checked {

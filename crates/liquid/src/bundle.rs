@@ -63,21 +63,14 @@ impl Uf {
 /// bindings, guards, both refinements).
 fn kvars_of(c: &SubC) -> Vec<KVarId> {
     let mut out: Vec<KVarId> = Vec::new();
-    let mut push = |p: &rsc_logic::Pred| {
-        for (k, _) in p.kvars() {
+    let preds = c.env.binds.iter().map(|b| &b.pred);
+    for p in preds.chain(&c.env.guards).chain([&c.lhs, &c.rhs]) {
+        for k in p.kvars() {
             if !out.contains(&k) {
                 out.push(k);
             }
         }
-    };
-    for (_, _, p) in &c.env.binds {
-        push(p);
     }
-    for g in &c.env.guards {
-        push(g);
-    }
-    push(&c.lhs);
-    push(&c.rhs);
     out
 }
 

@@ -1,19 +1,53 @@
 //! Constraint environments and subtyping constraints over templates.
+//!
+//! A constraint environment Γ is a list of bindings `x : {v:sort | p}`
+//! plus guards. Constraint generation emits thousands of constraints
+//! under a handful of growing environments, so bindings are built once
+//! and shared: each [`CBind`] sits behind an [`Arc`], and every
+//! constraint generated under it, including every conjunct
+//! [`ConstraintSet::push_sub`] splits off, holds a pointer to the same
+//! allocation. This is the Liquid-style nesting of binders
+//! (`∀x:b. p ⇒ c`) without the tree: readers walk a constraint's
+//! bindings in order, and the ones that visit many constraints
+//! (fingerprinting) can recognize a binding they have already seen by
+//! its address.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use rsc_logic::{KVar, KVarId, Pred, Qualifier, Sort, SortEnv, Subst, Sym};
+use rsc_logic::{KVar, KVarId, Pred, Qualifier, Sort, SortEnv, Subst, Sym, Term};
 
 use crate::blame::{clip, Blame};
+
+/// One binding `name : {v:sort | pred}` of a constraint environment.
+#[derive(Debug)]
+pub struct CBind {
+    /// The bound variable.
+    pub name: Sym,
+    /// Its sort.
+    pub sort: Sort,
+    /// Its refinement, over the value variable `v`.
+    pub pred: Pred,
+}
+
+impl CBind {
+    /// The binding's fact `[name/v]pred`, or `None` when the refinement
+    /// is `true` (no fact).
+    pub(crate) fn embed(&self) -> Option<Pred> {
+        if matches!(self.pred, Pred::True) {
+            return None;
+        }
+        Some(Subst::one("v", Term::var(self.name.clone())).apply_pred(&self.pred))
+    }
+}
 
 /// A constraint environment Γ: ordered bindings `x : {v:sort | pred}` plus
 /// path-sensitivity guard predicates.
 #[derive(Clone, Debug, Default)]
 pub struct CEnv {
-    /// Bindings in dependency order. The predicate is over the value
-    /// variable `v`.
-    pub binds: Vec<(Sym, Sort, Pred)>,
+    /// Bindings in dependency order, shared with every other constraint
+    /// generated under them.
+    pub binds: Vec<Arc<CBind>>,
     /// Guard predicates (branch conditions).
     pub guards: Vec<Pred>,
 }
@@ -26,7 +60,11 @@ impl CEnv {
 
     /// Pushes a binding.
     pub fn bind(&mut self, x: impl Into<Sym>, sort: Sort, pred: Pred) {
-        self.binds.push((x.into(), sort, pred));
+        self.binds.push(Arc::new(CBind {
+            name: x.into(),
+            sort,
+            pred,
+        }));
     }
 
     /// Pushes a guard predicate.
@@ -38,35 +76,24 @@ impl CEnv {
     /// guards. Predicates may still contain κ-variables; the solver
     /// substitutes the current assignment before calling the SMT solver.
     pub fn embed(&self) -> Vec<Pred> {
-        let mut out = Vec::new();
-        for (x, _, p) in &self.binds {
-            if matches!(p, Pred::True) {
-                continue;
-            }
-            let s = Subst::one("v", rsc_logic::Term::var(x.clone()));
-            out.push(s.apply_pred(p));
-        }
-        out.extend(self.guards.iter().cloned());
+        let (mut out, guards) = self.embed_split();
+        out.extend(guards);
         out
     }
 
     /// The variables in scope with their sorts (for qualifier
     /// instantiation and SMT sorting).
     pub fn scope(&self) -> Vec<(Sym, Sort)> {
-        self.binds.iter().map(|(x, s, _)| (x.clone(), *s)).collect()
+        self.binds
+            .iter()
+            .map(|b| (b.name.clone(), b.sort))
+            .collect()
     }
 
     /// The embedding split into binding facts and guard predicates.
     /// Guards carry path-sensitivity and are never relevance-filtered.
     pub fn embed_split(&self) -> (Vec<Pred>, Vec<Pred>) {
-        let mut binds = Vec::new();
-        for (x, _, p) in &self.binds {
-            if matches!(p, Pred::True) {
-                continue;
-            }
-            let s = Subst::one("v", rsc_logic::Term::var(x.clone()));
-            binds.push(s.apply_pred(p));
-        }
+        let binds = self.binds.iter().filter_map(|b| b.embed()).collect();
         (binds, self.guards.clone())
     }
 }
@@ -166,8 +193,10 @@ impl ConstraintSet {
 
     /// Adds a subtyping constraint, splitting conjunctive right-hand sides
     /// so every stored constraint has either a concrete rhs or a single κ
-    /// application. Each stored constraint receives a copy of `blame`;
-    /// the expected/actual refinement renderings are *not* produced here
+    /// application. The split constraints share `env`'s bindings (a copy
+    /// of the pointers, not of the bindings). Each stored constraint
+    /// receives a copy of `blame`; the expected/actual refinement
+    /// renderings are *not* produced here
     /// — rendering every constraint would put two `Pred` pretty-prints
     /// on the generation hot path for strings only failures ever read.
     /// Failure sites call [`SubC::blame_with_renderings`] instead.

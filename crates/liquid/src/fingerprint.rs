@@ -1,21 +1,29 @@
 //! Stable cross-run identity for constraint bundles.
 //!
 //! Incremental check sessions re-generate the whole constraint set on
-//! every edit (generation is cheap) but only want to *re-solve* the
-//! bundles whose constraint problem actually changed. The obstacle is
-//! that κ-variable ids are allocated by a single run-global counter:
-//! adding one κ early in the program renumbers every κ after it, so the
-//! raw rendering of an untouched downstream bundle still changes between
-//! runs.
+//! every edit but only want to *re-solve* the bundles whose constraint
+//! problem actually changed. The obstacle is that κ-variable ids are
+//! allocated by a single run-global counter: adding one κ early in the
+//! program renumbers every κ after it, so the raw structure of an
+//! untouched downstream bundle still changes between runs.
 //!
-//! [`bundle_fingerprint`] therefore renumbers κ ids *canonically within
-//! the bundle* — `κ0, κ1, …` in order of first occurrence over the
-//! bundle's constraints — before hashing. Bundles are closed under
-//! κ-sharing by construction (see [`crate::partition`]), and the solver
-//! treats κ ids as opaque keys (candidate initialization is per-κ,
-//! iteration follows constraint order), so two bundles with equal
-//! canonical renderings are the *same* fixpoint problem and produce the
-//! same verdict, bit for bit.
+//! [`bundle_fingerprint`] therefore hashes κ ids by their *canonical
+//! within-bundle number* — `κ0, κ1, …` in order of first occurrence over
+//! the bundle's constraints. Bundles are closed under κ-sharing by
+//! construction (see [`crate::partition`]), and the solver treats κ ids
+//! as opaque keys (candidate initialization is per-κ, iteration follows
+//! constraint order), so two bundles with equal canonical structure are
+//! the *same* fixpoint problem and produce the same verdict, bit for bit.
+//!
+//! Identities hash structure, never text: predicates, terms and sorts go
+//! through their derived [`Hash`], except that the walk over a
+//! predicate's connectives substitutes each κ id's canonical number.
+//! Environment bindings are shared between the constraints generated
+//! under them (see [`crate::CEnv`]), so each binding is digested once per
+//! bundle and later occurrences reuse the digest by the binding's
+//! address. The digest is what a fresh walk would compute — every κ in
+//! the binding was numbered on its first walk — so equal bundles get
+//! equal fingerprints however their bindings happen to be shared.
 //!
 //! The qualifier pool and sort environment are run-global inputs to
 //! every bundle's fixpoint; [`global_fingerprint`] hashes them once per
@@ -28,12 +36,13 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
+use std::mem::discriminant;
 
-use rsc_logic::{KVarId, Pred, Qualifier, SortEnv, Sym};
+use rsc_logic::{FunSig, KVarId, Pred, Qualifier, Sort, SortEnv, Sym};
 
 use crate::bundle::ConstraintBundle;
-use crate::constraint::SubC;
+use crate::constraint::{CBind, SubC};
 
 /// Two independently salted 64-bit hashers, combined into a `u128`.
 struct Fp {
@@ -50,80 +59,106 @@ impl Fp {
         Fp { a, b }
     }
 
-    fn write(&mut self, s: &str) {
-        self.a.write(s.as_bytes());
-        self.b.write(s.as_bytes());
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.a.write_u64(v);
-        self.b.write_u64(v);
-    }
-
-    fn finish(self) -> u128 {
+    fn finish128(&self) -> u128 {
         ((self.a.finish() as u128) << 64) | self.b.finish() as u128
     }
 }
 
-/// Rewrites every κ id in `p` to its canonical within-bundle number
-/// (assigned on first occurrence), leaving everything else intact, so
-/// that `Display` of the result is invariant under global κ renumbering.
-fn canon_kvars(p: &Pred, map: &mut HashMap<KVarId, u32>, next: &mut u32) -> Pred {
-    match p {
-        Pred::KVar(k, s) => {
-            let cid = *map.entry(*k).or_insert_with(|| {
-                let id = *next;
-                *next += 1;
-                id
-            });
-            Pred::KVar(KVarId(cid), s.clone())
+impl Hasher for Fp {
+    fn write(&mut self, bytes: &[u8]) {
+        self.a.write(bytes);
+        self.b.write(bytes);
+    }
+
+    /// The first half only; fingerprints use [`Fp::finish128`].
+    fn finish(&self) -> u64 {
+        self.a.finish()
+    }
+}
+
+/// One bundle's hashing state: the canonical κ numbering and the digests
+/// of the bindings met so far, by address.
+#[derive(Default)]
+struct Canon {
+    kvars: HashMap<KVarId, u32>,
+    binds: HashMap<*const CBind, u128>,
+}
+
+impl Canon {
+    /// κ's canonical number, assigned on first occurrence.
+    fn kvar(&mut self, k: KVarId) -> u32 {
+        let next = self.kvars.len() as u32;
+        *self.kvars.entry(k).or_insert(next)
+    }
+
+    /// Hashes `p` structurally, with κ ids replaced by their canonical
+    /// numbers.
+    fn pred(&mut self, p: &Pred, out: &mut Fp) {
+        match p {
+            Pred::And(ps) | Pred::Or(ps) => {
+                discriminant(p).hash(out);
+                out.write_usize(ps.len());
+                for q in ps {
+                    self.pred(q, out);
+                }
+            }
+            Pred::Not(q) => {
+                discriminant(p).hash(out);
+                self.pred(q, out);
+            }
+            Pred::Imp(a, b) | Pred::Iff(a, b) => {
+                discriminant(p).hash(out);
+                self.pred(a, out);
+                self.pred(b, out);
+            }
+            Pred::KVar(k, theta) => {
+                discriminant(p).hash(out);
+                out.write_u32(self.kvar(*k));
+                theta.hash(out);
+            }
+            // No κ below these: the derived hash is the structure.
+            Pred::True | Pred::False | Pred::Cmp(..) | Pred::App(..) | Pred::TermPred(_) => {
+                p.hash(out)
+            }
         }
-        Pred::And(ps) => Pred::And(ps.iter().map(|q| canon_kvars(q, map, next)).collect()),
-        Pred::Or(ps) => Pred::Or(ps.iter().map(|q| canon_kvars(q, map, next)).collect()),
-        Pred::Not(q) => Pred::Not(Box::new(canon_kvars(q, map, next))),
-        Pred::Imp(a, b) => Pred::Imp(
-            Box::new(canon_kvars(a, map, next)),
-            Box::new(canon_kvars(b, map, next)),
-        ),
-        Pred::Iff(a, b) => Pred::Iff(
-            Box::new(canon_kvars(a, map, next)),
-            Box::new(canon_kvars(b, map, next)),
-        ),
-        other => other.clone(),
     }
-}
 
-fn write_pred(p: &Pred, map: &mut HashMap<KVarId, u32>, next: &mut u32, out: &mut Fp) {
-    out.write(&canon_kvars(p, map, next).to_string());
-    out.write("\u{2}");
-}
+    /// The digest of one binding, computed on its first occurrence in the
+    /// bundle and reused by address after that.
+    fn bind(&mut self, b: &CBind) -> u128 {
+        let key: *const CBind = b;
+        if let Some(d) = self.binds.get(&key) {
+            return *d;
+        }
+        let mut h = Fp::new();
+        b.name.hash(&mut h);
+        b.sort.hash(&mut h);
+        self.pred(&b.pred, &mut h);
+        let d = h.finish128();
+        self.binds.insert(key, d);
+        d
+    }
 
-// NOTE: `c.blame` is deliberately NOT hashed. Blame is pure provenance
-// (spans, obligation kinds, rendered refinements) and never influences
-// a verdict, so excluding it is what lets comment/whitespace-only edits
-// — which shift every span in the file — keep every bundle fingerprint
-// intact and re-solve zero bundles in an incremental session. Consumers
-// re-attach blame from the current run's constraints.
-fn write_sub(c: &SubC, map: &mut HashMap<KVarId, u32>, next: &mut u32, out: &mut Fp) {
-    out.write("C|");
-    out.write(&c.vv_sort.to_string());
-    out.write("|");
-    for (x, s, p) in &c.env.binds {
-        out.write(x.as_str());
-        out.write(":");
-        out.write(&s.to_string());
-        out.write("=");
-        write_pred(p, map, next, out);
+    // `c.blame` is deliberately NOT hashed. Blame is pure provenance
+    // (spans, obligation kinds, rendered refinements) and never
+    // influences a verdict, so excluding it is what lets
+    // comment/whitespace-only edits — which shift every span in the file
+    // — keep every bundle fingerprint intact and re-solve zero bundles
+    // in an incremental session. Consumers re-attach blame from the
+    // current run's constraints.
+    fn sub(&mut self, c: &SubC, out: &mut Fp) {
+        c.vv_sort.hash(out);
+        out.write_usize(c.env.binds.len());
+        for b in &c.env.binds {
+            out.write_u128(self.bind(b));
+        }
+        out.write_usize(c.env.guards.len());
+        for g in &c.env.guards {
+            self.pred(g, out);
+        }
+        self.pred(&c.lhs, out);
+        self.pred(&c.rhs, out);
     }
-    out.write("|guards|");
-    for g in &c.env.guards {
-        write_pred(g, map, next, out);
-    }
-    out.write("|lhs|");
-    write_pred(&c.lhs, map, next, out);
-    out.write("|rhs|");
-    write_pred(&c.rhs, map, next, out);
-    out.write("\u{1}");
 }
 
 /// Hashes the run-global solve inputs shared by every bundle: the
@@ -132,27 +167,13 @@ fn write_sub(c: &SubC, map: &mut HashMap<KVarId, u32>, next: &mut u32, out: &mut
 /// uninterpreted-function signatures, name-sorted).
 pub fn global_fingerprint(quals: &[Qualifier], sort_env: &SortEnv) -> u64 {
     let mut h = DefaultHasher::new();
-    for q in quals {
-        h.write(format!("{q:?}").as_bytes());
-        h.write(b"\x01");
-    }
-    let mut vars: Vec<(&Sym, String)> = sort_env.vars().map(|(x, s)| (x, s.to_string())).collect();
-    vars.sort();
-    for (x, s) in vars {
-        h.write(x.as_str().as_bytes());
-        h.write(b":");
-        h.write(s.as_bytes());
-    }
-    let mut funs: Vec<(&Sym, String)> = sort_env
-        .funs()
-        .map(|(f, sig)| (f, format!("{sig:?}")))
-        .collect();
-    funs.sort();
-    for (f, sig) in funs {
-        h.write(f.as_str().as_bytes());
-        h.write(b"!");
-        h.write(sig.as_bytes());
-    }
+    quals.hash(&mut h);
+    let mut vars: Vec<(&Sym, Sort)> = sort_env.vars().collect();
+    vars.sort_unstable_by(|x, y| x.0.cmp(y.0));
+    vars.hash(&mut h);
+    let mut funs: Vec<(&Sym, &FunSig)> = sort_env.funs().collect();
+    funs.sort_unstable_by(|x, y| x.0.cmp(y.0));
+    funs.hash(&mut h);
     h.finish()
 }
 
@@ -164,32 +185,26 @@ pub fn global_fingerprint(quals: &[Qualifier], sort_env: &SortEnv) -> u64 {
 pub fn bundle_fingerprint(b: &ConstraintBundle, global: u64) -> u128 {
     let mut out = Fp::new();
     out.write_u64(global);
-    let mut map: HashMap<KVarId, u32> = HashMap::new();
-    let mut next = 0u32;
+    let mut canon = Canon::default();
+    out.write_usize(b.cs.subs.len());
     for c in &b.cs.subs {
-        write_sub(c, &mut map, &mut next, &mut out);
+        canon.sub(c, &mut out);
     }
     // κ metadata, in canonical-id order. κs that never occur in a
     // constraint cannot influence any verdict and are skipped.
-    let mut metas: Vec<(u32, KVarId)> = map.iter().map(|(k, cid)| (*cid, *k)).collect();
-    metas.sort();
-    for (cid, k) in metas {
-        out.write("K|");
-        out.write_u64(cid as u64);
-        if let Some(kv) = b.cs.kvars.get(&k) {
-            out.write("|");
-            out.write(&kv.vv_sort.to_string());
-            out.write("|");
-            for (x, s) in &kv.scope {
-                out.write(x.as_str());
-                out.write(":");
-                out.write(&s.to_string());
-                out.write(",");
+    let mut metas: Vec<(u32, KVarId)> = canon.kvars.iter().map(|(k, cid)| (*cid, *k)).collect();
+    metas.sort_unstable();
+    for (_, k) in metas {
+        match b.cs.kvars.get(&k) {
+            Some(kv) => {
+                out.write_u8(1);
+                kv.vv_sort.hash(&mut out);
+                kv.scope.hash(&mut out);
             }
+            None => out.write_u8(0),
         }
-        out.write("\u{1}");
     }
-    out.finish()
+    out.finish128()
 }
 
 #[cfg(test)]
@@ -281,6 +296,61 @@ mod tests {
             build(line3, 1),
             "a predicate change must change the fingerprint"
         );
+    }
+
+    /// A bundle of three constraints under one environment `i:κ, n`,
+    /// pushed either with the environment's bindings shared (one
+    /// allocation each, as constraint generation pushes them) or with
+    /// every constraint's bindings allocated separately. `n_bound`
+    /// is the refinement of `n`.
+    fn three_under_one_env(shared: bool, n_bound: i64) -> u128 {
+        let mut cs = ConstraintSet::new();
+        let k = cs.fresh_kvar(Sort::Int, vec![(Sym::from("n"), Sort::Int)], "phi");
+        let kapp = Pred::KVar(k, Subst::new());
+        let env = || {
+            let mut env = CEnv::new();
+            env.bind("i", Sort::Int, kapp.clone());
+            env.bind(
+                "n",
+                Sort::Int,
+                Pred::cmp(CmpOp::Le, Term::int(n_bound), Term::vv()),
+            );
+            env
+        };
+        let one = env();
+        let goals = [
+            kapp.clone(),
+            Pred::cmp(CmpOp::Le, Term::int(0), Term::vv()),
+            Pred::cmp(CmpOp::Lt, Term::vv(), Term::var("n")),
+        ];
+        for goal in goals {
+            let env = if shared { one.clone() } else { env() };
+            cs.push_sub(
+                env,
+                Pred::vv_eq(Term::var("i")),
+                goal,
+                Sort::Int,
+                &Blame::synthetic("c"),
+            );
+        }
+        let bundles = partition(cs, &[0, 0, 0]);
+        assert_eq!(bundles.len(), 1);
+        bundle_fingerprint(&bundles[0], 7)
+    }
+
+    /// Sharing is representation, not content: the digest memo is keyed
+    /// by address, but its values are what a fresh walk computes.
+    #[test]
+    fn shared_and_separate_bindings_agree() {
+        assert_eq!(three_under_one_env(true, 0), three_under_one_env(false, 0));
+    }
+
+    /// A change inside one shared binding reaches every constraint
+    /// under it.
+    #[test]
+    fn a_shared_binding_change_splits() {
+        assert_ne!(three_under_one_env(true, 0), three_under_one_env(true, 1));
+        assert_ne!(three_under_one_env(false, 0), three_under_one_env(false, 1));
     }
 
     /// The global component (qualifier pool / sort env) splits keys.

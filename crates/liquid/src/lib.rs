@@ -27,6 +27,6 @@ mod solve;
 
 pub use blame::{Blame, ObligationKind};
 pub use bundle::{partition, ConstraintBundle};
-pub use constraint::{CEnv, ConstraintSet, SubC};
+pub use constraint::{CBind, CEnv, ConstraintSet, SubC};
 pub use fingerprint::{bundle_fingerprint, global_fingerprint};
 pub use solve::{filter_relevant, solve, solve_with, LiquidResult, Solution, SolveOptions};

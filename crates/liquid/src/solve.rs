@@ -150,11 +150,9 @@ fn constraint_deps(c: &SubC) -> Vec<KVarId> {
     if let Pred::KVar(k, _) = &c.rhs {
         ks.insert(*k);
     }
-    let (bind_preds, guard_preds) = c.env.embed_split();
-    for p in bind_preds.iter().chain(guard_preds.iter()).chain([&c.lhs]) {
-        for (k, _) in p.kvars() {
-            ks.insert(k);
-        }
+    let binds = c.env.binds.iter().map(|b| &b.pred);
+    for p in binds.chain(&c.env.guards).chain([&c.lhs]) {
+        ks.extend(p.kvars());
     }
     ks.into_iter().collect()
 }

@@ -197,16 +197,16 @@ impl Pred {
         }
     }
 
-    /// Collects all κ-variable occurrences (id and pending substitution).
-    pub fn kvars(&self) -> Vec<(KVarId, Subst)> {
+    /// The ids of all κ-variable occurrences, in order (with repeats).
+    pub fn kvars(&self) -> Vec<KVarId> {
         let mut out = Vec::new();
         self.kvars_into(&mut out);
         out
     }
 
-    fn kvars_into(&self, out: &mut Vec<(KVarId, Subst)>) {
+    fn kvars_into(&self, out: &mut Vec<KVarId>) {
         match self {
-            Pred::KVar(k, s) => out.push((*k, s.clone())),
+            Pred::KVar(k, _) => out.push(*k),
             Pred::And(ps) | Pred::Or(ps) => ps.iter().for_each(|p| p.kvars_into(out)),
             Pred::Not(p) => p.kvars_into(out),
             Pred::Imp(a, b) | Pred::Iff(a, b) => {

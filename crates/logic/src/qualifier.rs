@@ -11,7 +11,7 @@ use crate::{CmpOp, Pred, Sort, Subst, Sym, Term};
 /// of a matching sort. For example the qualifier `v < len(★a)` with
 /// `★a : ref` instantiates to `v < len(a)` for every reference `a` in
 /// scope — which is how rsc discovers `idx<a>` in the `minIndex` example.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct Qualifier {
     /// Name for diagnostics.
     pub name: String,

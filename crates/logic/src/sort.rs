@@ -39,7 +39,7 @@ impl fmt::Display for Sort {
 }
 
 /// The sort signature of an uninterpreted function symbol.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum FunSig {
     /// Fixed argument sorts and result sort.
     Fixed(Vec<Sort>, Sort),

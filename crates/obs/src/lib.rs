@@ -12,7 +12,7 @@
 //! accounting with two hard properties:
 //!
 //! * **Disabled is (almost) free.** Collection is off by default and
-//!   gated on one [`AtomicBool`]; a disabled [`span!`] is a relaxed
+//!   gated on one [`AtomicBool`](std::sync::atomic::AtomicBool); a disabled [`span!`] is a relaxed
 //!   atomic load returning a `None` guard — no clock read, no
 //!   allocation, no lock. The CI `observability` leg asserts the bound.
 //! * **Collection never feeds back into verdicts.** Spans record wall

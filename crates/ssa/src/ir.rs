@@ -13,7 +13,7 @@ use rsc_syntax::Span;
 
 /// An IRSC expression (pure except for calls, `new`, and the assignment
 /// forms, which the checker types effectfully).
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub enum IrExpr {
     /// SSA variable.
     Var(Sym, Span),
@@ -83,7 +83,7 @@ impl IrExpr {
 ///
 /// A source is `None` when the corresponding branch does not fall through
 /// (it returns), in which case the φ degenerates.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct Phi {
     /// The fresh joined variable.
     pub new: Sym,
@@ -96,7 +96,7 @@ pub struct Phi {
 }
 
 /// A loop Φ-variable: `new = φ(init_src, body_src)`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct LoopPhi {
     /// The fresh loop-head variable.
     pub new: Sym,
@@ -110,7 +110,7 @@ pub struct LoopPhi {
 }
 
 /// An SSA-translated function body: a tree of bindings ending in returns.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub enum Body {
     /// `return e` (or a void return / implicit function end).
     Ret(Option<IrExpr>, Span),
@@ -182,7 +182,7 @@ pub enum Body {
 }
 
 /// A function after SSA translation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct IrFun {
     /// Function name.
     pub name: Sym,

@@ -66,7 +66,7 @@ pub enum Item {
 }
 
 /// `type idx<a> = {v: nat | v < len(a)};`
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct TypeAlias {
     /// Alias name.
     pub name: Sym,
@@ -80,7 +80,7 @@ pub struct TypeAlias {
 }
 
 /// A user-supplied Liquid qualifier.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct QualifDecl {
     /// Qualifier name.
     pub name: Sym,
@@ -94,7 +94,7 @@ pub struct QualifDecl {
 }
 
 /// A bit-vector flag enumeration (§4.3).
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct EnumDecl {
     /// Enum name (used as a 32-bit bit-vector type).
     pub name: Sym,
@@ -105,7 +105,7 @@ pub struct EnumDecl {
 }
 
 /// Field mutability inside a class or interface.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum FieldMut {
     /// `immutable f : T` — assignable only in the constructor; may appear
     /// in refinements.
@@ -116,7 +116,7 @@ pub enum FieldMut {
 }
 
 /// A field declaration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct FieldDecl {
     /// Field name.
     pub name: Sym,
@@ -129,7 +129,7 @@ pub struct FieldDecl {
 }
 
 /// A constructor declaration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct CtorDecl {
     /// Parameters (name, type).
     pub params: Vec<(Sym, AnnTy)>,
@@ -140,7 +140,7 @@ pub struct CtorDecl {
 }
 
 /// A method declaration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct MethodDecl {
     /// Method name.
     pub name: Sym,
@@ -155,7 +155,7 @@ pub struct MethodDecl {
 }
 
 /// A class declaration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct ClassDecl {
     /// Class name.
     pub name: Sym,
@@ -176,7 +176,7 @@ pub struct ClassDecl {
 }
 
 /// An interface declaration (structural object type, §4.1).
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct InterfaceDecl {
     /// Interface name.
     pub name: Sym,
@@ -194,7 +194,7 @@ pub struct InterfaceDecl {
 
 /// A function declaration, possibly overloaded via preceding `sig` items
 /// (checked by two-phase typing, §2.1.2).
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct FunDecl {
     /// Function name.
     pub name: Sym,
@@ -210,7 +210,7 @@ pub struct FunDecl {
 }
 
 /// `declare mulThm1 : (a: nat, b: {v:number | v >= 2}) => {v:boolean | ...};`
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct DeclareDecl {
     /// Declared name.
     pub name: Sym,
@@ -221,7 +221,7 @@ pub struct DeclareDecl {
 }
 
 /// A block of statements.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Hash, Debug, Default)]
 pub struct Block {
     /// Statements in order.
     pub stmts: Vec<Stmt>,
@@ -230,7 +230,7 @@ pub struct Block {
 }
 
 /// An assignment target.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub enum LValue {
     /// `x = …`
     Var(Sym, Span),
@@ -241,7 +241,7 @@ pub enum LValue {
 }
 
 /// A statement.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub enum Stmt {
     /// `var x = e;` with optional annotation.
     VarDecl {
@@ -307,7 +307,7 @@ pub enum Stmt {
 }
 
 /// Unary operators.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum UnOp {
     /// Logical negation.
     Not,
@@ -318,7 +318,7 @@ pub enum UnOp {
 }
 
 /// Binary operators.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum BinOpE {
     /// `+`
     Add,
@@ -353,7 +353,7 @@ pub enum BinOpE {
 }
 
 /// An expression.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub enum Expr {
     /// Integer literal.
     Num(i64, Span),

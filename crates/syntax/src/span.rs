@@ -1,9 +1,15 @@
 //! Source spans and the byte-offset → line:column index.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A source region: byte offsets plus the 1-based line of the start.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+///
+/// Spans are provenance, not content: [`Hash`] ignores them, so a
+/// derived hash of a tree that carries spans (the SSA IR, annotation
+/// types) identifies its structure, and a comment-only edit that moves
+/// every span leaves it unchanged. Equality still compares positions.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Span {
     /// Start byte offset.
     pub lo: u32,
@@ -11,6 +17,10 @@ pub struct Span {
     pub hi: u32,
     /// 1-based line number of `lo`.
     pub line: u32,
+}
+
+impl Hash for Span {
+    fn hash<H: Hasher>(&self, _: &mut H) {}
 }
 
 impl Span {

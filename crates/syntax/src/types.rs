@@ -75,7 +75,7 @@ impl fmt::Display for Mutability {
 }
 
 /// An argument of a named type application.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum AnnArg {
     /// A type argument.
     Ty(AnnTy),
@@ -86,7 +86,7 @@ pub enum AnnArg {
 }
 
 /// A (possibly polymorphic, dependent) function type.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct FunTy {
     /// Type parameters (`<A, B>`).
     pub tparams: Vec<Sym>,
@@ -98,7 +98,7 @@ pub struct FunTy {
 }
 
 /// A surface type annotation.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum AnnTy {
     /// A named type: primitive, class, interface, enum, alias application
     /// or type variable.

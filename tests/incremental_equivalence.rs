@@ -86,6 +86,56 @@ fn seeded_mutations_in_and_out() {
     }
 }
 
+/// Exact incremental reuse on the seven corpus programs, pinned against
+/// `tests/golden/reuse-counters.txt`. One session per program checks
+/// the clean program cold, then the seeded bug in, the bug out, a
+/// comment line prepended (which moves every span and changes no
+/// constraint) and the revert; each step records its bundle, solved and
+/// reused counts and whether it took the fast path. Bundle identity
+/// decides reuse, so these counts may only move with a deliberate change
+/// to what a bundle fingerprint distinguishes.
+///
+/// Regenerate the fixture with `UPDATE_GOLDEN=1 cargo test -q --test
+/// incremental_equivalence reuse_counters` after an intentional change.
+#[test]
+fn reuse_counters_match_golden() {
+    let mut rendered = String::new();
+    for &(name, from, to) in seeded_mutations() {
+        let clean = load_benchmark(name).expect("benchmark file");
+        let steps = [
+            ("cold", clean.clone()),
+            ("bug-in", clean.replacen(from, to, 1)),
+            ("bug-out", clean.clone()),
+            ("comment-only", format!("// a comment line\n{clean}")),
+            ("revert", clean.clone()),
+        ];
+        let mut session = CheckSession::new(CheckerOptions::default());
+        for (step, src) in &steps {
+            let incr = session.check(src).incr;
+            rendered.push_str(&format!(
+                "{name} {step}: bundles={} solved={} reused={} fast_path={}\n",
+                incr.bundles, incr.solved, incr.reused, incr.fast_path
+            ));
+        }
+    }
+    let golden =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/reuse-counters.txt");
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&golden, &rendered).expect("write golden fixture");
+        return;
+    }
+    let expected = std::fs::read_to_string(&golden).unwrap_or_else(|e| {
+        panic!(
+            "missing golden fixture {} ({e}); run with UPDATE_GOLDEN=1 to create it",
+            golden.display()
+        )
+    });
+    assert_eq!(
+        rendered, expected,
+        "incremental reuse drifted from tests/golden/reuse-counters.txt"
+    );
+}
+
 /// Session totals must stay meaningful under reuse: retained bundles
 /// report their recorded counters (`cached: true`), and the per-bundle
 /// query counts still sum to the run total exactly as they do cold.
