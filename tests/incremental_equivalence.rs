@@ -136,6 +136,53 @@ fn reuse_counters_match_golden() {
     );
 }
 
+/// The cross-run identities of the seven corpus programs, pinned against
+/// `tests/golden/fingerprints.txt`: the `global_fingerprint` of each
+/// program and the `bundle_fingerprint` of each of its bundles, in
+/// source order. `BundleStore` files key retained verdicts by these
+/// values, so a change that moves one leaves every existing store cold
+/// (and must bump its header). They hash symbol text, never symbol
+/// identity: interning or re-ordering the symbol table moves nothing.
+///
+/// Regenerate the fixture with `UPDATE_GOLDEN=1 cargo test -q --test
+/// incremental_equivalence fingerprints` after an intentional change.
+#[test]
+fn fingerprints_match_golden() {
+    let mut rendered = String::new();
+    for &name in rsc_bench::benchmark_names() {
+        let src = load_benchmark(name).expect("benchmark file");
+        let prog = rsc_syntax::parse_program(&src).expect("corpus parses");
+        let ir = rsc_ssa::transform_program(&prog).expect("corpus lowers");
+        let opts = CheckerOptions::default();
+        let art = rsc_core::generate_artifacts(
+            &ir,
+            opts,
+            rsc_smt::VcCache::shared_with_capacity(opts.cache_capacity),
+        );
+        rendered.push_str(&format!("{name} global={:016x}\n", art.global_fp));
+        for (i, b) in art.bundles.iter().enumerate() {
+            let fp = rsc_liquid::bundle_fingerprint(b, art.global_fp);
+            rendered.push_str(&format!("{name} bundle {i}: {fp:032x}\n"));
+        }
+    }
+    let golden =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fingerprints.txt");
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&golden, &rendered).expect("write golden fixture");
+        return;
+    }
+    let expected = std::fs::read_to_string(&golden).unwrap_or_else(|e| {
+        panic!(
+            "missing golden fixture {} ({e}); run with UPDATE_GOLDEN=1 to create it",
+            golden.display()
+        )
+    });
+    assert_eq!(
+        rendered, expected,
+        "fingerprints drifted from tests/golden/fingerprints.txt"
+    );
+}
+
 /// Session totals must stay meaningful under reuse: retained bundles
 /// report their recorded counters (`cached: true`), and the per-bundle
 /// query counts still sum to the run total exactly as they do cold.
