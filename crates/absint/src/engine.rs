@@ -14,7 +14,8 @@
 //! The engine never errs: an unreachable block simply keeps no
 //! environment, and every unknown expression evaluates to ⊤.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use rsc_logic::FxHashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rsc_logic::Sym;
 use rsc_ssa::{Body, Cfg, Edge, IrExpr, IrFun, IrProgram, Stmt};
@@ -28,7 +29,7 @@ const NARROWING_PASSES: usize = 2;
 /// An abstract environment: per-variable facts. Absent variables are ⊤.
 #[derive(Clone, Debug, Default)]
 pub struct AbsEnv {
-    vals: HashMap<Sym, AbsVal>,
+    vals: FxHashMap<Sym, AbsVal>,
     /// The whole environment is unreachable.
     unreachable: bool,
 }
@@ -65,7 +66,7 @@ impl AbsEnv {
         if other.unreachable {
             return self.clone();
         }
-        let mut vals = HashMap::new();
+        let mut vals = FxHashMap::default();
         for (x, a) in &self.vals {
             if let Some(b) = other.vals.get(x) {
                 let j = a.join(b);
@@ -88,7 +89,7 @@ impl AbsEnv {
         if next.unreachable {
             return self.clone();
         }
-        let mut vals = HashMap::new();
+        let mut vals = FxHashMap::default();
         for (x, a) in &self.vals {
             if let Some(b) = next.vals.get(x) {
                 let w = a.widen(b);
@@ -131,7 +132,7 @@ pub struct BodyFacts {
     /// Entry environment per block id.
     pub entries: Vec<Option<AbsEnv>>,
     /// Per-SSA-value facts at the definition point.
-    pub defs: HashMap<Sym, AbsVal>,
+    pub defs: FxHashMap<Sym, AbsVal>,
 }
 
 /// Per-program facts: one [`BodyFacts`] worth of per-value summaries for
@@ -545,7 +546,7 @@ fn assume_eq(env: &mut AbsEnv, a: &IrExpr, b: &IrExpr, eq: bool) {
 }
 
 /// Transfers one block's statements over `env` (in place).
-fn transfer_block(block_stmts: &[Stmt<'_>], env: &mut AbsEnv, defs: &mut HashMap<Sym, AbsVal>) {
+fn transfer_block(block_stmts: &[Stmt<'_>], env: &mut AbsEnv, defs: &mut FxHashMap<Sym, AbsVal>) {
     for s in block_stmts {
         if let Stmt::Let { x, rhs, .. } = s {
             let v = eval(rhs, env);
@@ -555,7 +556,7 @@ fn transfer_block(block_stmts: &[Stmt<'_>], env: &mut AbsEnv, defs: &mut HashMap
     }
 }
 
-fn record_def(defs: &mut HashMap<Sym, AbsVal>, x: &Sym, v: AbsVal) {
+fn record_def(defs: &mut FxHashMap<Sym, AbsVal>, x: &Sym, v: AbsVal) {
     match defs.get_mut(x) {
         Some(old) => *old = old.join(&v),
         None => {
@@ -566,7 +567,11 @@ fn record_def(defs: &mut HashMap<Sym, AbsVal>, x: &Sym, v: AbsVal) {
 
 /// Transfers one out-edge: applies the branch assumption, then the
 /// φ-copies. Returns `None` when the edge is infeasible.
-fn transfer_edge(env: &AbsEnv, edge: &Edge<'_>, defs: &mut HashMap<Sym, AbsVal>) -> Option<AbsEnv> {
+fn transfer_edge(
+    env: &AbsEnv,
+    edge: &Edge<'_>,
+    defs: &mut FxHashMap<Sym, AbsVal>,
+) -> Option<AbsEnv> {
     let mut out = env.clone();
     if let Some((cond, pol)) = edge.assume {
         assume(&mut out, cond, pol);
@@ -597,7 +602,7 @@ pub fn analyze_body(body: &Body) -> BodyFacts {
 
     let mut entries: Vec<Option<AbsEnv>> = vec![None; cfg.blocks.len()];
     entries[0] = Some(AbsEnv::default());
-    let mut defs: HashMap<Sym, AbsVal> = HashMap::new();
+    let mut defs: FxHashMap<Sym, AbsVal> = FxHashMap::default();
 
     // Ascending phase with widening at loop heads.
     let mut work: BTreeSet<usize> = rpo.iter().map(|&b| order[b]).collect();

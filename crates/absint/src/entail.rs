@@ -51,8 +51,7 @@
 //! term whose i128 arithmetic overflows; an interval bound that
 //! overflows is unbounded.
 
-use std::collections::HashMap;
-
+use rsc_logic::FxHashMap;
 use rsc_logic::{BinOp, CmpOp, Pred, Sort, Sym, Term};
 
 use crate::domain::Interval;
@@ -136,15 +135,15 @@ impl Lin {
 /// The abstract state of one obligation's hypotheses.
 #[derive(Clone, Debug)]
 pub struct FactEnv {
-    sorts: HashMap<Sym, Sort>,
-    itvs: HashMap<Atom, Interval>,
+    sorts: FxHashMap<Sym, Sort>,
+    itvs: FxHashMap<Atom, Interval>,
     /// Union-find over reference variables (ground EUF equalities).
-    parents: HashMap<Sym, Sym>,
+    parents: FxHashMap<Sym, Sym>,
     /// Unit-coefficient equality substitutions `x ↦ Σ cᵢ·atomᵢ + k`,
     /// mirroring the solver's Gaussian elimination step. Acyclic by
     /// construction: a recorded right-hand side is always fully
     /// expanded, so it never mentions an already-substituted variable.
-    substs: HashMap<Sym, Lin>,
+    substs: FxHashMap<Sym, Lin>,
     /// Assumed inequality rows, each normalized to `l ≤ 0` and fully
     /// expanded. Used for row subsumption: a goal `g ≤ 0` holds when
     /// `g − r` is interval-bounded by 0 for some row `r` (a Farkas
@@ -159,9 +158,9 @@ impl FactEnv {
     pub fn new(binders: &[(Sym, Sort)]) -> FactEnv {
         FactEnv {
             sorts: binders.iter().cloned().collect(),
-            itvs: HashMap::new(),
-            parents: HashMap::new(),
-            substs: HashMap::new(),
+            itvs: FxHashMap::default(),
+            parents: FxHashMap::default(),
+            substs: FxHashMap::default(),
             rows: Vec::new(),
             bottom: false,
             int_diseqs: 0,
@@ -558,7 +557,7 @@ fn to_i64(v: i128) -> Option<i64> {
 }
 
 /// The union-find root of `x` in `parents`.
-fn find_root(parents: &HashMap<Sym, Sym>, x: &Sym) -> Sym {
+fn find_root(parents: &FxHashMap<Sym, Sym>, x: &Sym) -> Sym {
     let mut r = x;
     while let Some(p) = parents.get(r) {
         if p == r {
@@ -571,7 +570,7 @@ fn find_root(parents: &HashMap<Sym, Sym>, x: &Sym) -> Sym {
 
 /// The union-find root of `x`, pointing every node on its path straight
 /// at the root.
-fn compress_root(parents: &mut HashMap<Sym, Sym>, x: &Sym) -> Sym {
+fn compress_root(parents: &mut FxHashMap<Sym, Sym>, x: &Sym) -> Sym {
     let r = find_root(parents, x);
     let mut cur = x.clone();
     while let Some(p) = parents.get(&cur).cloned() {
@@ -589,7 +588,7 @@ fn compress_root(parents: &mut HashMap<Sym, Sym>, x: &Sym) -> Sym {
 /// something the solver leaves uninterpreted (or untracked), or
 /// overflows i128.
 fn lin_over(
-    sorts: &HashMap<Sym, Sort>,
+    sorts: &FxHashMap<Sym, Sort>,
     t: &Term,
     root: &mut dyn FnMut(&Sym) -> Sym,
 ) -> Option<Lin> {

@@ -18,8 +18,7 @@
 //! original index, so merging per-bundle results in bundle order
 //! reproduces the sequential diagnostic order exactly.
 
-use std::collections::HashMap;
-
+use rsc_logic::FxHashMap;
 use rsc_logic::KVarId;
 
 use crate::constraint::{ConstraintSet, SubC};
@@ -89,7 +88,7 @@ pub fn partition(cs: ConstraintSet, unit_of: &[usize]) -> Vec<ConstraintBundle> 
 
     // Merge units sharing a κ.
     let per_constraint: Vec<Vec<KVarId>> = cs.subs.iter().map(kvars_of).collect();
-    let mut kvar_home: HashMap<KVarId, usize> = HashMap::new();
+    let mut kvar_home: FxHashMap<KVarId, usize> = FxHashMap::default();
     for (ci, ks) in per_constraint.iter().enumerate() {
         for k in ks {
             match kvar_home.get(k) {
@@ -103,7 +102,7 @@ pub fn partition(cs: ConstraintSet, unit_of: &[usize]) -> Vec<ConstraintBundle> 
 
     // Group constraint indices by root unit, in source order.
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new(); // (root, members)
-    let mut root_slot: HashMap<usize, usize> = HashMap::new();
+    let mut root_slot: FxHashMap<usize, usize> = FxHashMap::default();
     for (ci, &unit) in unit_of.iter().enumerate() {
         let root = uf.find(unit);
         let slot = *root_slot.entry(root).or_insert_with(|| {

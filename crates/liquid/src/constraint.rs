@@ -12,7 +12,7 @@
 //! (fingerprinting) can recognize a binding they have already seen by
 //! its address.
 
-use std::collections::HashMap;
+use rsc_logic::FxHashMap;
 use std::sync::Arc;
 
 use rsc_logic::{KVar, KVarId, Pred, Qualifier, Sort, SortEnv, Subst, Sym, Term};
@@ -143,7 +143,7 @@ impl SubC {
 #[derive(Debug, Default)]
 pub struct ConstraintSet {
     /// κ-variable metadata (scope for well-formedness).
-    pub kvars: HashMap<KVarId, KVar>,
+    pub kvars: FxHashMap<KVarId, KVar>,
     /// Subtyping constraints.
     pub subs: Vec<SubC>,
     /// Qualifiers available to the fixpoint (shared across bundles).

@@ -34,8 +34,9 @@
 //! edits) accidental collision is negligible, and a collision could only
 //! cause a *stale verdict for an equal-looking problem*, never a crash.
 
+use rsc_logic::FxHashMap;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+
 use std::hash::{Hash, Hasher};
 use std::mem::discriminant;
 
@@ -80,8 +81,8 @@ impl Hasher for Fp {
 /// of the bindings met so far, by address.
 #[derive(Default)]
 struct Canon {
-    kvars: HashMap<KVarId, u32>,
-    binds: HashMap<*const CBind, u128>,
+    kvars: FxHashMap<KVarId, u32>,
+    binds: FxHashMap<*const CBind, u128>,
 }
 
 impl Canon {

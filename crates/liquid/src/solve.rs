@@ -50,8 +50,9 @@
 //!   an earlier check satisfy every survivor. On the cold corpus it
 //!   answers 2,086 of the 4,551 liquid queries per pass.
 
+use rsc_logic::{FxHashMap, FxHashSet};
 use std::cell::OnceCell;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 use rsc_absint::FactEnv;
 use rsc_logic::{KVarId, Pred, Sort, SortScope, Sym, Term};
@@ -64,7 +65,7 @@ use crate::constraint::{ConstraintSet, SubC};
 /// instances.
 #[derive(Clone, Debug, Default)]
 pub struct Solution {
-    assignment: HashMap<KVarId, Vec<Pred>>,
+    assignment: FxHashMap<KVarId, Vec<Pred>>,
 }
 
 impl Solution {
@@ -186,7 +187,7 @@ pub fn solve_with(cs: &ConstraintSet, smt: &mut Solver, opts: SolveOptions) -> L
         // predicates (e.g. `v < ★p` and `v < len(★a)` over rich scopes),
         // and `Vec::contains` made initialization quadratic in the
         // candidate count.
-        let mut seen: HashSet<Pred> = HashSet::new();
+        let mut seen: FxHashSet<Pred> = FxHashSet::default();
         // Well-sortedness scope: `v` then the κ's scope, layered over
         // the shared sort environment without cloning it (and built
         // once per κ, not per qualifier).
@@ -250,17 +251,17 @@ pub fn solve_with(cs: &ConstraintSet, smt: &mut Solver, opts: SolveOptions) -> L
         .collect();
     // Memoization state: per-κ weakening versions, each constraint's κ
     // dependencies, and the dependency-version snapshot at its last check.
-    let mut versions: HashMap<KVarId, u64> = HashMap::new();
-    let deps: HashMap<usize, Vec<KVarId>> = kvar_headed
+    let mut versions: FxHashMap<KVarId, u64> = FxHashMap::default();
+    let deps: FxHashMap<usize, Vec<KVarId>> = kvar_headed
         .iter()
         .map(|&ci| (ci, constraint_deps(&cs.subs[ci])))
         .collect();
-    let mut last_checked: HashMap<usize, Vec<u64>> = HashMap::new();
+    let mut last_checked: FxHashMap<usize, Vec<u64>> = FxHashMap::default();
     // One persistent incremental context per κ-headed constraint. The
     // constraint's binder overlay (its scope + `v`) is fixed across
     // iterations, which is exactly the context-reuse invariant
     // `rsc_smt::incr` requires.
-    let mut ctxs: HashMap<usize, IncrContext> = HashMap::new();
+    let mut ctxs: FxHashMap<usize, IncrContext> = FxHashMap::default();
     let mut iteration = 0u64;
     loop {
         let _sp = rsc_obs::span!("fixpoint-iter", unit = iteration);
@@ -416,8 +417,8 @@ struct HypGroups<'a> {
     guards: &'a [Pred],
     hyp_fvs: Vec<BTreeSet<Sym>>,
     base_seeds: BTreeSet<Sym>,
-    by_key: HashMap<Vec<Sym>, usize>,
-    by_mask: HashMap<Vec<bool>, usize>,
+    by_key: FxHashMap<Vec<Sym>, usize>,
+    by_mask: FxHashMap<Vec<bool>, usize>,
     groups: Vec<HypGroup>,
 }
 
@@ -433,8 +434,8 @@ impl<'a> HypGroups<'a> {
             guards,
             hyp_fvs: all_hyps.iter().map(Pred::free_vars).collect(),
             base_seeds,
-            by_key: HashMap::new(),
-            by_mask: HashMap::new(),
+            by_key: FxHashMap::default(),
+            by_mask: FxHashMap::default(),
             groups: Vec::new(),
         }
     }

@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 mod eval;
+mod fx;
 mod kvar;
 mod pred;
 mod qualifier;
@@ -49,6 +50,7 @@ mod sym;
 mod term;
 
 pub use eval::{eval_pred, eval_term, Interp, Value};
+pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use kvar::{KVar, KVarId};
 pub use pred::{CmpOp, Pred};
 pub use qualifier::{prelude_qualifiers, Qualifier};

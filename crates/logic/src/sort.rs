@@ -1,4 +1,4 @@
-use std::collections::HashMap;
+use crate::FxHashMap;
 use std::fmt;
 
 use crate::{BinOp, CmpOp, Pred, Sym, Term};
@@ -74,8 +74,8 @@ impl FunSig {
 /// field selectors registered on demand.
 #[derive(Clone, Debug, Default)]
 pub struct SortEnv {
-    vars: HashMap<Sym, Sort>,
-    funs: HashMap<Sym, FunSig>,
+    vars: FxHashMap<Sym, Sort>,
+    funs: FxHashMap<Sym, FunSig>,
 }
 
 /// An error produced while sorting a term or predicate.

@@ -6,11 +6,10 @@
 //! combinations of variables and constants — blasted here once, at encode
 //! time, so the theory combination never sees bit-vectors.
 
-use std::collections::HashMap;
-
 use crate::atom::BvTerm;
 use crate::node::NodeId;
 use crate::sat::{Lit, SatSolver};
+use rsc_logic::FxHashMap;
 
 const WIDTH: usize = 32;
 
@@ -27,7 +26,7 @@ pub enum Bit {
 /// fresh variables allocated for each opaque node slot.
 #[derive(Default)]
 pub struct Blaster {
-    slots: HashMap<NodeId, Vec<Bit>>,
+    slots: FxHashMap<NodeId, Vec<Bit>>,
 }
 
 impl Blaster {

@@ -51,8 +51,9 @@
 //! but only between `Unsat` and `Unknown`, i.e. in the conservative
 //! reject-more direction, and deterministically so for a given mode.)
 
+use rsc_logic::{FxHashMap, FxHashSet};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::fmt::Write;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,7 +108,7 @@ impl CacheCounters {
 #[derive(Debug, Default)]
 pub struct VcCache {
     /// Canonical key → generation of last touch.
-    shards: [Mutex<HashMap<String, u64>>; SHARDS],
+    shards: [Mutex<FxHashMap<String, u64>>; SHARDS],
     /// Max entries per shard (0 = unbounded).
     shard_cap: usize,
     generation: AtomicU64,
@@ -143,7 +144,7 @@ impl VcCache {
         Arc::new(VcCache::with_capacity(capacity))
     }
 
-    fn shard(&self, key: &str) -> &Mutex<HashMap<String, u64>> {
+    fn shard(&self, key: &str) -> &Mutex<FxHashMap<String, u64>> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % SHARDS]
@@ -356,7 +357,7 @@ pub fn canonical_query_refs(env: &dyn SortLookup, preds: &[&Pred]) -> CanonicalQ
     //    occurrence over the sorted sequence (free_vars is a BTreeSet, so
     //    the within-predicate order is deterministic too).
     let mut order: Vec<Sym> = Vec::new();
-    let mut seen: HashSet<Sym> = HashSet::new();
+    let mut seen: FxHashSet<Sym> = FxHashSet::default();
     for (_, p) in &rendered {
         for x in p.free_vars() {
             if seen.insert(x.clone()) {
@@ -445,7 +446,7 @@ pub struct DiskCache {
     version: u64,
     /// Keys known to be on disk already (loaded or flushed), so a flush
     /// appends only the delta.
-    persisted: Mutex<HashSet<String>>,
+    persisted: Mutex<FxHashSet<String>>,
     loaded: usize,
 }
 
@@ -464,7 +465,7 @@ impl DiskCache {
     pub fn open(dir: &std::path::Path, version: u64) -> std::io::Result<DiskCache> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("vc-{version:016x}.vcc"));
-        let mut persisted = HashSet::new();
+        let mut persisted = FxHashSet::default();
         match std::fs::read(&path) {
             Ok(bytes) => {
                 let header = format!("{DISK_MAGIC} {version:016x}\n");

@@ -2,8 +2,7 @@
 //! representation: a propositional [`Formula`] over theory [`AtomData`]s,
 //! with terms hash-consed into the [`Arena`].
 
-use std::collections::HashMap;
-
+use rsc_logic::FxHashMap;
 use rsc_logic::{sort_of_in, BinOp, CmpOp, Pred, Sort, SortLookup, Sym, Term};
 
 use crate::atom::{AtomData, AtomId, BvTerm, Formula, NLinExp};
@@ -40,14 +39,14 @@ pub struct EncoderState {
     pub arena: Arena,
     /// The atom table.
     pub atoms: Vec<AtomData>,
-    atom_map: HashMap<AtomData, AtomId>,
+    atom_map: FxHashMap<AtomData, AtomId>,
     /// Defining equations (`e = 0`) asserted in every theory check.
     pub defs: Vec<NLinExp>,
     /// The lifted node each entry of `defs` defines (parallel to `defs`):
     /// lets a scoped theory check select exactly the definitions whose
     /// lifted node is reachable from the query.
     pub def_nodes: Vec<NodeId>,
-    lifted_cache: HashMap<NLinExp, NodeId>,
+    lifted_cache: FxHashMap<NLinExp, NodeId>,
     /// The arena node for `true`.
     pub true_node: NodeId,
     /// The arena node for `false`.
@@ -63,10 +62,10 @@ impl EncoderState {
         EncoderState {
             arena,
             atoms: Vec::new(),
-            atom_map: HashMap::new(),
+            atom_map: FxHashMap::default(),
             defs: Vec::new(),
             def_nodes: Vec::new(),
-            lifted_cache: HashMap::new(),
+            lifted_cache: FxHashMap::default(),
             true_node,
             false_node,
         }

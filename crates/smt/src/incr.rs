@@ -52,7 +52,8 @@
 //! all consequences of the asserted items' theory semantics, so an
 //! `Unsat` here is an `Unsat` of the original conjunction.
 
-use std::collections::{BTreeSet, HashMap};
+use rsc_logic::FxHashMap;
+use std::collections::BTreeSet;
 
 use rsc_logic::{Pred, SortLookup};
 
@@ -103,7 +104,7 @@ pub struct IncrContext {
     /// use `true`; goals are refuted, so they use `false`). Keying by
     /// predicate alone lets the hot lookup borrow the caller's `&Pred`
     /// instead of cloning one per query item.
-    items: HashMap<Pred, [Option<Slot>; 2]>,
+    items: FxHashMap<Pred, [Option<Slot>; 2]>,
 }
 
 impl IncrContext {
@@ -114,7 +115,7 @@ impl IncrContext {
             st: EncoderState::new(),
             blaster: Blaster::new(),
             atom_lits: Vec::new(),
-            items: HashMap::new(),
+            items: FxHashMap::default(),
         }
     }
 

@@ -38,8 +38,7 @@
 //! check satisfy every candidate that survived it, so they cannot refute
 //! one; the pool is dropped with the check.
 
-use std::collections::HashMap;
-
+use rsc_logic::FxHashMap;
 use rsc_logic::{eval_pred, Interp, Pred, Sort, Sym, Value};
 
 use crate::euf::Euf;
@@ -49,10 +48,10 @@ use crate::node::{Arena, ConstKind, Node, NodeId};
 /// A concrete model lifted from one refuting query (module docs).
 #[derive(Clone, Debug, Default)]
 pub struct Model {
-    vars: HashMap<Sym, Value>,
-    apps: HashMap<Sym, HashMap<Vec<Value>, Value>>,
+    vars: FxHashMap<Sym, Value>,
+    apps: FxHashMap<Sym, FxHashMap<Vec<Value>, Value>>,
     /// `field$f` tables, keyed by the field name `f`.
-    fields: HashMap<Sym, HashMap<Value, Value>>,
+    fields: FxHashMap<Sym, FxHashMap<Value, Value>>,
 }
 
 impl Interp for Model {
@@ -70,7 +69,11 @@ impl Interp for Model {
 }
 
 /// Inserts `key ↦ value`; false when `key` already maps elsewhere.
-fn insert_fn<K: std::hash::Hash + Eq>(table: &mut HashMap<K, Value>, key: K, value: Value) -> bool {
+fn insert_fn<K: std::hash::Hash + Eq>(
+    table: &mut FxHashMap<K, Value>,
+    key: K,
+    value: Value,
+) -> bool {
     match table.entry(key) {
         std::collections::hash_map::Entry::Occupied(e) => *e.get() == value,
         std::collections::hash_map::Entry::Vacant(e) => {
@@ -102,7 +105,7 @@ impl Model {
             }))
             .try_fold(0i128, |m, v| Some(m.max(v.checked_abs()?)))?
             .checked_add(1)?;
-        let mut free: HashMap<NodeId, i128> = HashMap::new();
+        let mut free: FxHashMap<NodeId, i128> = FxHashMap::default();
         let mut values: Vec<Option<Value>> = Vec::with_capacity(nodes.len());
         for &n in nodes {
             let rep = euf.find(n);
@@ -181,7 +184,7 @@ impl Model {
 pub struct ModelPool {
     models: Vec<Model>,
     /// Per model: whether each list it was evaluated on holds, by id.
-    holds: Vec<HashMap<usize, bool>>,
+    holds: Vec<FxHashMap<usize, bool>>,
 }
 
 impl ModelPool {
@@ -208,7 +211,7 @@ impl ModelPool {
             return false;
         }
         self.models.push(model);
-        self.holds.push(HashMap::from([(list, true)]));
+        self.holds.push(FxHashMap::from_iter([(list, true)]));
         true
     }
 }

@@ -1,7 +1,6 @@
 //! Hash-consed term arena shared by the EUF and LIA theory solvers.
 
-use std::collections::HashMap;
-
+use rsc_logic::FxHashMap;
 use rsc_logic::{Sort, Sym};
 
 /// Index of a node in the [`Arena`].
@@ -49,7 +48,7 @@ pub enum ConstKind {
 pub struct Arena {
     nodes: Vec<Node>,
     sorts: Vec<Sort>,
-    map: HashMap<Node, NodeId>,
+    map: FxHashMap<Node, NodeId>,
 }
 
 impl Arena {

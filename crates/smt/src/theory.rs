@@ -18,6 +18,7 @@
 //! pair is probed.
 
 use rsc_logic::Sort;
+use rsc_logic::{FxHashMap, FxHashSet};
 
 use crate::atom::{AtomData, AtomId, NLinExp};
 use crate::euf::{Euf, EufResult};
@@ -81,8 +82,8 @@ pub fn minimize_core(
 /// propagating until a fixpoint (e.g. `x - 5 = 0` gives `x = 5`, which may
 /// determine further equations). A row whose substitution overflows i128
 /// is left alone: deriving fewer values is always sound.
-fn derive_constants(eqs: &[LinExp]) -> std::collections::HashMap<u32, i128> {
-    let mut values: std::collections::HashMap<u32, i128> = std::collections::HashMap::new();
+fn derive_constants(eqs: &[LinExp]) -> FxHashMap<u32, i128> {
+    let mut values: FxHashMap<u32, i128> = FxHashMap::default();
     let mut work: Vec<LinExp> = eqs.to_vec();
     loop {
         let mut changed = false;
@@ -365,7 +366,7 @@ pub fn check_scoped(
                 .as_ref()
                 .is_some_and(|m| matches!((m.get(&x), m.get(&y)), (Some(a), Some(b)) if a != b))
         };
-        let mut bounded: std::collections::HashSet<u32> = std::collections::HashSet::new();
+        let mut bounded: FxHashSet<u32> = FxHashSet::default();
         for e in prob
             .les
             .iter()
