@@ -71,7 +71,7 @@ impl AbsEnv {
             if let Some(b) = other.vals.get(x) {
                 let j = a.join(b);
                 if j != AbsVal::TOP {
-                    vals.insert(x.clone(), j);
+                    vals.insert(*x, j);
                 }
             }
         }
@@ -94,7 +94,7 @@ impl AbsEnv {
             if let Some(b) = next.vals.get(x) {
                 let w = a.widen(b);
                 if w != AbsVal::TOP {
-                    vals.insert(x.clone(), w);
+                    vals.insert(*x, w);
                 }
             }
         }
@@ -112,7 +112,7 @@ impl AbsEnv {
         let mut out = self.clone();
         for (x, a) in &self.vals {
             if let Some(b) = next.vals.get(x) {
-                out.vals.insert(x.clone(), a.narrow(b));
+                out.vals.insert(*x, a.narrow(b));
             }
         }
         out
@@ -398,7 +398,7 @@ pub fn assume(env: &mut AbsEnv, cond: &IrExpr, polarity: bool) {
             if v.bottom {
                 env.unreachable = true;
             } else {
-                env.set(x.clone(), v);
+                env.set(*x, v);
             }
         }
         IrExpr::Unary(UnOp::Not, inner, _) => assume(env, inner, !polarity),
@@ -464,7 +464,7 @@ fn assume_rel(env: &mut AbsEnv, a: &IrExpr, b: &IrExpr, kind: RelKind) {
                 env.unreachable = true;
                 return;
             }
-            env.set(x.clone(), v);
+            env.set(*x, v);
         }
     }
     if let IrExpr::Var(y, _) = b {
@@ -476,7 +476,7 @@ fn assume_rel(env: &mut AbsEnv, a: &IrExpr, b: &IrExpr, kind: RelKind) {
                 env.unreachable = true;
                 return;
             }
-            env.set(y.clone(), v);
+            env.set(*y, v);
         }
     }
 }
@@ -493,7 +493,7 @@ fn assume_eq(env: &mut AbsEnv, a: &IrExpr, b: &IrExpr, eq: bool) {
                     return;
                 }
                 v.null = Nullness::Null;
-                env.set(x.clone(), v);
+                env.set(*x, v);
             }
             // `x != null` does NOT make x non-null: it may still be
             // `undefined` (and vice versa). No refinement.
@@ -508,10 +508,10 @@ fn assume_eq(env: &mut AbsEnv, a: &IrExpr, b: &IrExpr, eq: bool) {
                 return;
             }
             if let IrExpr::Var(x, _) = a {
-                env.set(x.clone(), m);
+                env.set(*x, m);
             }
             if let IrExpr::Var(y, _) = b {
-                env.set(y.clone(), m);
+                env.set(*y, m);
             }
         }
         _ => {
@@ -529,7 +529,7 @@ fn assume_eq(env: &mut AbsEnv, a: &IrExpr, b: &IrExpr, eq: bool) {
                 if v.bottom {
                     env.unreachable = true;
                 } else {
-                    env.set(x.clone(), v);
+                    env.set(*x, v);
                 }
             };
             if let (IrExpr::Var(x, _), Some(k)) = (a, vb.itv.as_const()) {
@@ -551,7 +551,7 @@ fn transfer_block(block_stmts: &[Stmt<'_>], env: &mut AbsEnv, defs: &mut FxHashM
         if let Stmt::Let { x, rhs, .. } = s {
             let v = eval(rhs, env);
             record_def(defs, x, v);
-            env.set((*x).clone(), v);
+            env.set(*(*x), v);
         }
     }
 }
@@ -560,7 +560,7 @@ fn record_def(defs: &mut FxHashMap<Sym, AbsVal>, x: &Sym, v: AbsVal) {
     match defs.get_mut(x) {
         Some(old) => *old = old.join(&v),
         None => {
-            defs.insert(x.clone(), v);
+            defs.insert(*x, v);
         }
     }
 }
@@ -584,7 +584,7 @@ fn transfer_edge(
     for (dst, src) in &edge.copies {
         let v = read.get(src);
         record_def(defs, dst, v);
-        out.set(dst.clone(), v);
+        out.set(*dst, v);
     }
     Some(out)
 }

@@ -293,7 +293,7 @@ impl FactEnv {
         let Atom::Var(x) = atom else { return };
         // c·x + rest = 0  ⇒  x = rest·(−1/c).
         let mut rest = d.clone();
-        rest.coeffs.retain(|(a, _)| *a != Atom::Var(x.clone()));
+        rest.coeffs.retain(|(a, _)| *a != Atom::Var(x));
         let Some(rhs) = rest.scale(-c) else { return };
         self.substs.insert(x, rhs);
     }
@@ -565,19 +565,19 @@ fn find_root(parents: &FxHashMap<Sym, Sym>, x: &Sym) -> Sym {
         }
         r = p;
     }
-    r.clone()
+    *r
 }
 
 /// The union-find root of `x`, pointing every node on its path straight
 /// at the root.
 fn compress_root(parents: &mut FxHashMap<Sym, Sym>, x: &Sym) -> Sym {
     let r = find_root(parents, x);
-    let mut cur = x.clone();
+    let mut cur = *x;
     while let Some(p) = parents.get(&cur).cloned() {
         if p == r {
             break;
         }
-        parents.insert(cur.clone(), r.clone());
+        parents.insert(cur, r);
         cur = p;
     }
     r
@@ -594,7 +594,7 @@ fn lin_over(
 ) -> Option<Lin> {
     match t {
         Term::IntLit(n) => Some(Lin::konst(i128::from(*n))),
-        Term::Var(x) if sorts.get(x) == Some(&Sort::Int) => Some(Lin::atom(Atom::Var(x.clone()))),
+        Term::Var(x) if sorts.get(x) == Some(&Sort::Int) => Some(Lin::atom(Atom::Var(*x))),
         Term::Neg(a) => lin_over(sorts, a, root)?.scale(-1),
         Term::App(f, args) if f.as_str() == "len" && args.len() == 1 => match &args[0] {
             Term::Var(x) if sorts.get(x) == Some(&Sort::Ref) => Some(Lin::atom(Atom::Len(root(x)))),

@@ -116,7 +116,7 @@ fn lint_body(body: &Body, lints: &mut Vec<Lint>) {
                             });
                         }
                     }
-                    env.set((*x).clone(), v);
+                    env.set(*(*x), v);
                 }
                 Stmt::Effect { e, .. } => scan_indices(e, &env, lints),
                 Stmt::Fun { .. } => {} // analyzed as its own unit

@@ -237,7 +237,7 @@ impl Checker {
                             params: fun
                                 .params
                                 .iter()
-                                .map(|(x, t)| (x.clone(), apply_tvars(t, &map)))
+                                .map(|(x, t)| (*x, apply_tvars(t, &map)))
                                 .collect(),
                             ret: apply_tvars(&fun.ret, &map),
                         };
@@ -249,7 +249,7 @@ impl Checker {
                     params: fun
                         .params
                         .iter()
-                        .map(|(x, t)| (x.clone(), t.subst(&theta)))
+                        .map(|(x, t)| (*x, t.subst(&theta)))
                         .collect(),
                     ret: fun.ret.subst(&theta),
                 };
@@ -274,7 +274,7 @@ impl Checker {
                         // Re-dispatch with the narrowed receiver by
                         // rebinding a temp of the object type.
                         let tmp = self.fresh_tmp();
-                        env.bind(tmp.clone(), objpart.clone().selfify(recv_term.clone()));
+                        env.bind(tmp, objpart.clone().selfify(recv_term.clone()));
                         let obj2 = rsc_ssa::IrExpr::Var(tmp, span);
                         self.synth_method_call(&obj2, m, args, span, env)
                     }
@@ -300,7 +300,7 @@ impl Checker {
             return t;
         }
         let tmp = self.fresh_tmp();
-        env.bind(tmp.clone(), ty.clone());
+        env.bind(tmp, ty.clone());
         Term::var(tmp)
     }
 
@@ -368,7 +368,7 @@ impl Checker {
                     RType::trivial(Base::Infer(u))
                 }
             };
-            tvar_map.insert(a.clone(), template);
+            tvar_map.insert(*a, template);
         }
         // Dependent substitution: parameter names ↦ argument terms.
         let mut theta = Subst::new();
@@ -384,7 +384,7 @@ impl Checker {
                     Term::app("undefv", vec![])
                 }
             };
-            theta.push(x.clone(), term);
+            theta.push(*x, term);
         }
         // Check arguments.
         for (i, (_, pt)) in rf.params.iter().enumerate() {
@@ -524,7 +524,7 @@ impl Checker {
             let at = self.synth(a, env);
             let term = self.term_of_or_tmp_pub(a, &at, env);
             if let Some((x, _)) = params.get(i) {
-                theta.push(x.clone(), term.clone());
+                theta.push(*x, term.clone());
             }
             arg_terms.push(term);
             arg_tys.push(at);
@@ -553,16 +553,14 @@ impl Checker {
                         .map(|fi| fi.imm)
                         .unwrap_or(false);
                     if is_imm {
-                        pred = Pred::and(vec![
-                            pred,
-                            Pred::eq(Term::field(Term::vv(), f.clone()), t.clone()),
-                        ]);
+                        pred =
+                            Pred::and(vec![pred, Pred::eq(Term::field(Term::vv(), f), t.clone())]);
                     }
                 }
             }
         }
         RType {
-            base: Base::Obj(cname.clone(), Mutability::Mutable, vec![]),
+            base: Base::Obj(*cname, Mutability::Mutable, vec![]),
             pred,
         }
     }
@@ -669,7 +667,7 @@ impl Checker {
                 // (and the source value identity when the term is a variable).
                 let strengthened = target.clone().strengthen(te.pred.clone());
                 match &term {
-                    Term::Var(x) => strengthened.selfify(Term::var(x.clone())),
+                    Term::Var(x) => strengthened.selfify(Term::var(*x)),
                     _ => strengthened,
                 }
             }
@@ -689,7 +687,7 @@ impl Checker {
 fn unify_base(decl: &Base, arg: &Base, out: &mut HashMap<Sym, Base>) {
     match (decl, arg) {
         (Base::TVar(a), b) => {
-            out.entry(a.clone()).or_insert_with(|| b.clone());
+            out.entry(*a).or_insert_with(|| b.clone());
         }
         (Base::Arr(d, _), Base::Arr(x, _)) => unify_base(&d.base, &x.base, out),
         (Base::Obj(_, _, ds), Base::Obj(_, _, xs)) => {

@@ -315,10 +315,7 @@ impl Env {
 
     /// The variables in scope with their sorts (a κ-variable's scope).
     pub(crate) fn scope(&self) -> Vec<(Sym, Sort)> {
-        self.binds
-            .iter()
-            .map(|b| (b.name.clone(), b.ty.sort()))
-            .collect()
+        self.binds.iter().map(|b| (b.name, b.ty.sort())).collect()
     }
 
     pub(crate) fn guard(&mut self, p: Pred) {
@@ -729,7 +726,7 @@ impl Checker {
         for d in &ir.declares {
             match self.ct.resolve(&d.ty) {
                 Ok(t) => {
-                    self.declares.insert(d.name.clone(), t);
+                    self.declares.insert(d.name, t);
                 }
                 Err(e) => self.diags.push(Diagnostic::error(e.0, d.span)),
             }
@@ -740,12 +737,12 @@ impl Checker {
         }
         // Top-level functions.
         for f in &ir.funs {
-            self.funs.insert(f.name.clone(), f.clone());
+            self.funs.insert(f.name, f.clone());
         }
         // Constructor scans (which immutable fields get which ctor param).
         for c in &ir.classes {
             let map = scan_ctor_params(c);
-            self.ctor_param_fields.insert(c.decl.name.clone(), map);
+            self.ctor_param_fields.insert(c.decl.name, map);
         }
         if self.opts.mine_qualifiers {
             self.mine_qualifiers(ir);
@@ -758,8 +755,7 @@ impl Checker {
         // partitioner below merges units that share a κ-variable.
         for f in &ir.funs {
             if f.sigs.is_empty() {
-                self.deferred
-                    .insert(f.name.clone(), (f.clone(), Env::new()));
+                self.deferred.insert(f.name, (f.clone(), Env::new()));
             } else {
                 self.begin_unit();
                 self.check_fun(f, &Env::new());
@@ -826,12 +822,12 @@ impl Checker {
             if i == 0 {
                 vv_sort = sort;
             } else {
-                params.push((x.clone(), sort));
+                params.push((*x, sort));
             }
         }
         // Rename the first parameter to v.
         let body = if let Some((x0, _)) = q.params.first() {
-            Subst::one(x0.clone(), Term::vv()).apply_pred(&self.resolve_pred(&q.body))
+            Subst::one(*x0, Term::vv()).apply_pred(&self.resolve_pred(&q.body))
         } else {
             self.resolve_pred(&q.body)
         };
@@ -856,11 +852,9 @@ impl Checker {
                             }
                         }
                     }
-                    Term::field(go_term(ct, b), f.clone())
+                    Term::field(go_term(ct, b), *f)
                 }
-                Term::App(f, args) => {
-                    Term::app(f.clone(), args.iter().map(|a| go_term(ct, a)).collect())
-                }
+                Term::App(f, args) => Term::app(*f, args.iter().map(|a| go_term(ct, a)).collect()),
                 Term::Bin(op, a, b) => Term::bin(*op, go_term(ct, a), go_term(ct, b)),
                 Term::Neg(a) => Term::neg(go_term(ct, a)),
                 other => other.clone(),
@@ -874,9 +868,7 @@ impl Checker {
                 Pred::Imp(a, b) => Pred::imp(go(ct, a), go(ct, b)),
                 Pred::Iff(a, b) => Pred::iff(go(ct, a), go(ct, b)),
                 Pred::Cmp(op, a, b) => Pred::cmp(*op, go_term(ct, a), go_term(ct, b)),
-                Pred::App(f, args) => {
-                    Pred::App(f.clone(), args.iter().map(|a| go_term(ct, a)).collect())
-                }
+                Pred::App(f, args) => Pred::App(*f, args.iter().map(|a| go_term(ct, a)).collect()),
                 Pred::TermPred(t) => Pred::TermPred(go_term(ct, t)),
                 other => other.clone(),
             }
@@ -893,7 +885,7 @@ impl Checker {
             if let Ok(rf) = ct.resolve_funty(ft, &tp) {
                 let mut scope: Vec<(Sym, Sort)> = vec![(Sym::from("this"), Sort::Ref)];
                 for (x, t) in &rf.params {
-                    scope.push((x.clone(), t.sort()));
+                    scope.push((*x, t.sort()));
                 }
                 for (_, t) in &rf.params {
                     out.push((t.clone(), scope.clone()));
@@ -939,8 +931,8 @@ impl Checker {
                     match sort {
                         Some(s) => {
                             let p = Sym::from(format!("★{}", params.len()));
-                            params.push((p.clone(), s));
-                            subst.push(fv.clone(), Term::var(p));
+                            params.push((p, s));
+                            subst.push(fv, Term::var(p));
                         }
                         None => {
                             ok = false;
@@ -1014,7 +1006,7 @@ impl Checker {
         let binds = env.binds.iter().map(|b| {
             let embedded = b.embedded.get_or_init(|| {
                 Arc::new(CBind {
-                    name: b.name.clone(),
+                    name: b.name,
                     sort: b.ty.sort(),
                     pred: self.embed_pred(&b.ty),
                 })
@@ -1228,12 +1220,12 @@ impl Checker {
                 let mut rename = Subst::new();
                 for ((x1, _), (x2, _)) in f1.params.iter().zip(f2.params.iter()) {
                     if x1 != x2 {
-                        rename.push(x1.clone(), Term::var(x2.clone()));
+                        rename.push(*x1, Term::var(*x2));
                     }
                 }
                 let mut env2 = env.clone();
                 for (x2, t2p) in &f2.params {
-                    env2.bind(x2.clone(), t2p.clone());
+                    env2.bind(*x2, t2p.clone());
                 }
                 for ((_, t1p), (_, t2p)) in f1.params.iter().zip(f2.params.iter()) {
                     let t1r = t1p.subst(&rename);
@@ -1452,7 +1444,7 @@ impl Checker {
             IrExpr::Undefined(_) => Some(Term::app("undefv", vec![])),
             IrExpr::Var(x, _) => {
                 if env.lookup(x).is_some() {
-                    Some(Term::var(x.clone()))
+                    Some(Term::var(*x))
                 } else {
                     None
                 }
@@ -1475,7 +1467,7 @@ impl Checker {
                     Base::Obj(c, _, _) => {
                         let fi = self.ct.lookup_field(c, f)?;
                         if fi.imm {
-                            Some(Term::field(tb, f.clone()))
+                            Some(Term::field(tb, *f))
                         } else {
                             None
                         }
@@ -1532,7 +1524,7 @@ impl Checker {
             IrExpr::Field(b, f, _) => {
                 if let IrExpr::Var(n, _) = b.as_ref() {
                     if env.lookup(n).is_none() && self.ct.enums.contains_key(n) {
-                        return Some(RType::trivial(Base::Bv(n.clone())));
+                        return Some(RType::trivial(Base::Bv(*n)));
                     }
                 }
                 let bt = self.quick_type(b, env)?;
@@ -1611,7 +1603,7 @@ fn scan_ctor_params(c: &IrClass) -> Vec<(Sym, usize)> {
     let Some(ctor) = &c.ctor else {
         return out;
     };
-    let params: Vec<Sym> = ctor.params.iter().map(|(p, _)| p.clone()).collect();
+    let params: Vec<Sym> = ctor.params.iter().map(|(p, _)| *p).collect();
     fn walk(b: &Body, params: &[Sym], out: &mut Vec<(Sym, usize)>) {
         match b {
             Body::Effect { e, rest, .. } => {
@@ -1619,7 +1611,7 @@ fn scan_ctor_params(c: &IrClass) -> Vec<(Sym, usize)> {
                     if matches!(recv.as_ref(), IrExpr::This(_)) {
                         if let IrExpr::Var(x, _) = val.as_ref() {
                             if let Some(i) = params.iter().position(|p| p == x) {
-                                out.push((f.clone(), i));
+                                out.push((*f, i));
                             }
                         }
                     }

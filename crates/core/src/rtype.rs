@@ -182,24 +182,18 @@ impl Base {
     fn subst(&self, s: &Subst) -> Base {
         match self {
             Base::Arr(e, m) => Base::Arr(Box::new(e.subst(s)), *m),
-            Base::Obj(c, m, args) => {
-                Base::Obj(c.clone(), *m, args.iter().map(|a| a.subst(s)).collect())
-            }
+            Base::Obj(c, m, args) => Base::Obj(*c, *m, args.iter().map(|a| a.subst(s)).collect()),
             Base::Fun(f) => {
                 // Avoid capturing parameter names: drop bindings for them.
                 let mut s2 = Subst::new();
                 for (x, t) in s.iter() {
                     if !f.params.iter().any(|(p, _)| p == x) {
-                        s2.push(x.clone(), t.clone());
+                        s2.push(*x, t.clone());
                     }
                 }
                 Base::Fun(Rc::new(RFun {
                     tparams: f.tparams.clone(),
-                    params: f
-                        .params
-                        .iter()
-                        .map(|(x, t)| (x.clone(), t.subst(&s2)))
-                        .collect(),
+                    params: f.params.iter().map(|(x, t)| (*x, t.subst(&s2))).collect(),
                     ret: f.ret.subst(&s2),
                 }))
             }

@@ -46,7 +46,7 @@ impl Checker {
             for (i, (sx, _)) in rf.params.iter().enumerate() {
                 if let Some(px) = f.params.get(i) {
                     if sx != px {
-                        rename.push(sx.clone(), Term::var(px.clone()));
+                        rename.push(*sx, Term::var(*px));
                     }
                 }
             }
@@ -57,7 +57,7 @@ impl Checker {
                     // `undefined` in this overload.
                     None => RType::undefined(),
                 };
-                env.bind(px.clone(), ty);
+                env.bind(*px, ty);
             }
             // `arguments` for value-based overloading (§2.1.2).
             let arity = rf.params.len().min(f.params.len());
@@ -89,7 +89,7 @@ impl Checker {
         for (i, (ex, _)) in expected.params.iter().enumerate() {
             if let Some(px) = fun.params.get(i) {
                 if ex != px {
-                    rename.push(ex.clone(), Term::var(px.clone()));
+                    rename.push(*ex, Term::var(*px));
                 }
             }
         }
@@ -98,7 +98,7 @@ impl Checker {
                 Some((_, t)) => t.subst(&rename),
                 None => RType::undefined(),
             };
-            env.bind(px.clone(), ty);
+            env.bind(*px, ty);
         }
         env.ret = expected.ret.subst(&rename);
         env.ret_span = span;
@@ -109,14 +109,14 @@ impl Checker {
     /// Checks a class: constructor (cooking mode) and every method (with
     /// `this` at the method's receiver mutability).
     pub(crate) fn check_class(&mut self, c: &IrClass) {
-        let cname = c.decl.name.clone();
+        let cname = c.decl.name;
         let tp: std::collections::HashSet<Sym> = c.decl.tparams.iter().cloned().collect();
         if let Some(ctor) = &c.ctor {
             // Each constructor and method is its own parallel-solve unit.
             self.begin_unit();
             let mut env = Env::new();
             env.tparams = tp.clone();
-            env.in_ctor_of = Some(cname.clone());
+            env.in_ctor_of = Some(cname);
             if let Some(info) = self.ct.objs.get(&cname) {
                 if let Some(params) = info.ctor_params.clone() {
                     for (x, t) in params {
@@ -143,14 +143,11 @@ impl Checker {
                 .decl
                 .tparams
                 .iter()
-                .map(|a| RType::trivial(Base::TVar(a.clone())))
+                .map(|a| RType::trivial(Base::TVar(*a)))
                 .collect();
-            env.bind(
-                "this",
-                RType::trivial(Base::Obj(cname.clone(), mi.recv, targs)),
-            );
+            env.bind("this", RType::trivial(Base::Obj(cname, mi.recv, targs)));
             for (x, t) in &mi.fun.params {
-                env.bind(x.clone(), t.clone());
+                env.bind(*x, t.clone());
             }
             env.ret = mi.fun.ret.clone();
             env.ret_span = m.span;
@@ -163,7 +160,7 @@ impl Checker {
     pub(crate) fn check_body(&mut self, b: &Body, env: &mut Env) {
         match b {
             Body::Ret(val, span) => {
-                if let Some(cname) = env.in_ctor_of.clone() {
+                if let Some(cname) = env.in_ctor_of {
                     self.ctor_exit(env, &cname, *span);
                     return;
                 }
@@ -204,7 +201,7 @@ impl Checker {
                     },
                     None => t,
                 };
-                env.bind(x.clone(), bound);
+                env.bind(*x, bound);
                 self.check_body(rest, env);
             }
             Body::Effect { e, rest, .. } => {
@@ -214,11 +211,11 @@ impl Checker {
             Body::LetFun { fun, rest, .. } => {
                 if fun.sigs.is_empty() {
                     self.deferred
-                        .insert(fun.name.clone(), ((**fun).clone(), env.clone()));
+                        .insert(fun.name, ((**fun).clone(), env.clone()));
                 } else {
                     let tp = env.tparams.clone();
                     if let Ok(rf) = self.ct.resolve_funty(&fun.sigs[0], &tp) {
-                        env.bind(fun.name.clone(), RType::trivial(Base::Fun(Rc::new(rf))));
+                        env.bind(fun.name, RType::trivial(Base::Fun(Rc::new(rf))));
                     }
                     self.check_fun(fun, &env.clone());
                 }
@@ -250,11 +247,11 @@ impl Checker {
                     let t_then = phi
                         .then_src
                         .as_ref()
-                        .and_then(|s| env1.lookup(s).cloned().map(|t| (s.clone(), t)));
+                        .and_then(|s| env1.lookup(s).cloned().map(|t| (*s, t)));
                     let t_else = phi
                         .else_src
                         .as_ref()
-                        .and_then(|s| env2.lookup(s).cloned().map(|t| (s.clone(), t)));
+                        .and_then(|s| env2.lookup(s).cloned().map(|t| (*s, t)));
                     let template = self.phi_template(
                         env,
                         t_then.as_ref().map(|(_, t)| t),
@@ -263,19 +260,19 @@ impl Checker {
                     );
                     if *then_falls {
                         if let Some((s, t)) = &t_then {
-                            let lhs = t.clone().selfify(Term::var(s.clone()));
+                            let lhs = t.clone().selfify(Term::var(*s));
                             let blame = Blame::new(K::Assignment, "phi join (then)", *span);
                             self.sub(&env1, &lhs, &template, &blame);
                         }
                     }
                     if *else_falls {
                         if let Some((s, t)) = &t_else {
-                            let lhs = t.clone().selfify(Term::var(s.clone()));
+                            let lhs = t.clone().selfify(Term::var(*s));
                             let blame = Blame::new(K::Assignment, "phi join (else)", *span);
                             self.sub(&env2, &lhs, &template, &blame);
                         }
                     }
-                    env.bind(phi.new.clone(), template);
+                    env.bind(phi.new, template);
                 }
                 // The continuation inherits the guard of whichever branch
                 // falls through (e.g. after `if (c) return;`, ¬c holds).
@@ -311,7 +308,7 @@ impl Checker {
                         .cloned()
                         .unwrap_or_else(RType::undefined);
                     let ti = self.resolve_infer(&ti);
-                    scope.push((phi.new.clone(), ti.sort()));
+                    scope.push((phi.new, ti.sort()));
                     inits.push(ti);
                 }
                 for (phi, ti) in phis.iter().zip(&inits) {
@@ -324,11 +321,11 @@ impl Checker {
                         base: ti.base.clone(),
                         pred: Pred::KVar(k, Subst::new()),
                     };
-                    templates.push((phi.new.clone(), template));
+                    templates.push((phi.new, template));
                 }
                 // Entry: init values flow into the invariants.
                 for ((phi, ti), (_, template)) in phis.iter().zip(&inits).zip(&templates) {
-                    let lhs = ti.clone().selfify(Term::var(phi.init_src.clone()));
+                    let lhs = ti.clone().selfify(Term::var(phi.init_src));
                     let t = template.clone();
                     let blame = Blame::new(
                         K::LoopInvariant,
@@ -339,7 +336,7 @@ impl Checker {
                 }
                 let mut env_loop = env.clone();
                 for (x, t) in &templates {
-                    env_loop.bind(x.clone(), t.clone());
+                    env_loop.bind(*x, t.clone());
                 }
                 self.synth(cond, &mut env_loop);
                 let (gp, gn) = if self.opts.path_sensitivity {
@@ -357,7 +354,7 @@ impl Checker {
                 for (phi, (_, template)) in phis.iter().zip(&templates) {
                     if let Some(src) = &phi.body_src {
                         if let Some(t) = env_body.lookup(src).cloned() {
-                            let lhs = t.selfify(Term::var(src.clone()));
+                            let lhs = t.selfify(Term::var(*src));
                             let tpl = template.clone();
                             let blame = Blame::new(
                                 K::LoopInvariant,
@@ -403,9 +400,9 @@ impl Checker {
         match (&a.base, &b.base) {
             (Base::Obj(c1, m, x), Base::Obj(c2, _, _)) => {
                 if self.ct.is_subclass(c1, c2) {
-                    Base::Obj(c2.clone(), *m, x.clone())
+                    Base::Obj(*c2, *m, x.clone())
                 } else if self.ct.is_subclass(c2, c1) {
-                    Base::Obj(c1.clone(), *m, x.clone())
+                    Base::Obj(*c1, *m, x.clone())
                 } else {
                     Base::Union(vec![
                         RType::trivial(a.base.clone()),
@@ -482,7 +479,7 @@ impl Checker {
             }
             IrExpr::Var(x, span) => {
                 if let Some(t) = env.lookup(x) {
-                    return t.clone().selfify(Term::var(x.clone()));
+                    return t.clone().selfify(Term::var(*x));
                 }
                 if let Some(t) = self.declares.get(x) {
                     return t.clone();
@@ -696,7 +693,7 @@ impl Checker {
             return t;
         }
         let tmp = self.fresh_tmp();
-        env.bind(tmp.clone(), ty.clone());
+        env.bind(tmp, ty.clone());
         Term::var(tmp)
     }
 
@@ -756,7 +753,7 @@ impl Checker {
                 if let Some(members) = self.ct.enums.get(n) {
                     return match members.get(f) {
                         Some(v) => RType {
-                            base: Base::Bv(n.clone()),
+                            base: Base::Bv(*n),
                             pred: Pred::vv_eq(Term::bv(*v)),
                         },
                         None => {
@@ -806,12 +803,12 @@ impl Checker {
                 let ty = ty.subst(&Subst::one("this", recv.clone()));
                 if fi.imm {
                     // T-FIELD-I: immutable parts are selfified.
-                    ty.selfify(Term::field(recv, f.clone()))
+                    ty.selfify(Term::field(recv, *f))
                 } else {
                     // T-FIELD-M: ∃z:T — unpack the existential by binding a
                     // fresh witness (no strengthening via the field itself).
                     let z = self.fresh_tmp();
-                    env.bind(z.clone(), ty.clone());
+                    env.bind(z, ty.clone());
                     ty.selfify(Term::var(z))
                 }
             }
@@ -965,10 +962,10 @@ fn rewrite_this_fields(p: &Pred) -> Pred {
                 if matches!(b.as_ref(), Term::Var(x) if x.as_str() == "this") {
                     Term::var(format!("$field${f}"))
                 } else {
-                    Term::field(go_term(b), f.clone())
+                    Term::field(go_term(b), *f)
                 }
             }
-            Term::App(f, args) => Term::app(f.clone(), args.iter().map(go_term).collect()),
+            Term::App(f, args) => Term::app(*f, args.iter().map(go_term).collect()),
             Term::Bin(op, a, b) => Term::bin(*op, go_term(a), go_term(b)),
             Term::Neg(a) => Term::neg(go_term(a)),
             other => other.clone(),
@@ -986,10 +983,10 @@ fn rewrite_vv_fields(p: &Pred) -> Pred {
                 if matches!(b.as_ref(), Term::Var(x) if x.as_str() == "v") {
                     Term::var(format!("$field${f}"))
                 } else {
-                    Term::field(go_term(b), f.clone())
+                    Term::field(go_term(b), *f)
                 }
             }
-            Term::App(f, args) => Term::app(f.clone(), args.iter().map(go_term).collect()),
+            Term::App(f, args) => Term::app(*f, args.iter().map(go_term).collect()),
             Term::Bin(op, a, b) => Term::bin(*op, go_term(a), go_term(b)),
             Term::Neg(a) => Term::neg(go_term(a)),
             other => other.clone(),
@@ -1006,7 +1003,7 @@ fn map_pred_terms(p: &Pred, f: &dyn Fn(&Term) -> Term) -> Pred {
         Pred::Imp(a, b) => Pred::imp(map_pred_terms(a, f), map_pred_terms(b, f)),
         Pred::Iff(a, b) => Pred::iff(map_pred_terms(a, f), map_pred_terms(b, f)),
         Pred::Cmp(op, a, b) => Pred::cmp(*op, f(a), f(b)),
-        Pred::App(g, args) => Pred::App(g.clone(), args.iter().map(f).collect()),
+        Pred::App(g, args) => Pred::App(*g, args.iter().map(f).collect()),
         Pred::TermPred(t) => Pred::TermPred(f(t)),
         other => other.clone(),
     }
@@ -1022,11 +1019,9 @@ pub(crate) fn apply_tvars(t: &RType, map: &HashMap<Sym, RType>) -> RType {
             t.base.clone()
         }
         Base::Arr(e, m) => Base::Arr(Box::new(apply_tvars(e, map)), *m),
-        Base::Obj(c, m, args) => Base::Obj(
-            c.clone(),
-            *m,
-            args.iter().map(|x| apply_tvars(x, map)).collect(),
-        ),
+        Base::Obj(c, m, args) => {
+            Base::Obj(*c, *m, args.iter().map(|x| apply_tvars(x, map)).collect())
+        }
         Base::Union(ps) => Base::Union(ps.iter().map(|x| apply_tvars(x, map)).collect()),
         Base::Fun(f) => {
             let mut inner = map.clone();
@@ -1038,7 +1033,7 @@ pub(crate) fn apply_tvars(t: &RType, map: &HashMap<Sym, RType>) -> RType {
                 params: f
                     .params
                     .iter()
-                    .map(|(x, ty)| (x.clone(), apply_tvars(ty, &inner)))
+                    .map(|(x, ty)| (*x, apply_tvars(ty, &inner)))
                     .collect(),
                 ret: apply_tvars(&f.ret, &inner),
             }))

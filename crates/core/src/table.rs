@@ -90,18 +90,17 @@ impl ClassTable {
     ) -> Result<ClassTable, ResolveError> {
         let mut ct = ClassTable::default();
         for a in aliases {
-            ct.aliases.insert(a.name.clone(), a.clone());
+            ct.aliases.insert(a.name, a.clone());
         }
         for e in enums {
-            ct.enums
-                .insert(e.name.clone(), e.members.iter().cloned().collect());
+            ct.enums.insert(e.name, e.members.iter().cloned().collect());
         }
         // Pre-declare object names so mutually recursive references resolve.
         for i in interfaces {
             ct.objs.insert(
-                i.name.clone(),
+                i.name,
                 ObjInfo {
-                    name: i.name.clone(),
+                    name: i.name,
                     is_interface: true,
                     tparams: i.tparams.clone(),
                     extends: i.extends.clone(),
@@ -114,9 +113,9 @@ impl ClassTable {
         }
         for c in classes {
             ct.objs.insert(
-                c.name.clone(),
+                c.name,
                 ObjInfo {
-                    name: c.name.clone(),
+                    name: c.name,
                     is_interface: false,
                     tparams: c.tparams.clone(),
                     extends: c.extends.iter().cloned().collect(),
@@ -142,7 +141,7 @@ impl ClassTable {
             let mut methods = Vec::new();
             for m in &c.methods {
                 methods.push(MethodInfo {
-                    name: m.name.clone(),
+                    name: m.name,
                     recv: m.recv,
                     fun: ct.resolve_funty(&m.sig, &tp)?,
                 });
@@ -151,7 +150,7 @@ impl ClassTable {
                 Some(ctor) => {
                     let mut ps = Vec::new();
                     for (x, t) in &ctor.params {
-                        ps.push((x.clone(), ct.resolve_in(t, &tp)?));
+                        ps.push((*x, ct.resolve_in(t, &tp)?));
                     }
                     Some(ps)
                 }
@@ -174,7 +173,7 @@ impl ClassTable {
             .iter()
             .map(|f| {
                 Ok(FieldInfo {
-                    name: f.name.clone(),
+                    name: f.name,
                     imm: f.mutability == FieldMut::Immutable,
                     ty: self.resolve_in(&f.ty, tp)?,
                 })
@@ -191,7 +190,7 @@ impl ClassTable {
             .iter()
             .map(|m| {
                 Ok(MethodInfo {
-                    name: m.name.clone(),
+                    name: m.name,
                     recv: m.recv,
                     fun: self.resolve_funty(&m.sig, tp)?,
                 })
@@ -225,7 +224,7 @@ impl ClassTable {
 
     /// Finds a field by walking up the hierarchy.
     pub fn lookup_field(&self, class: &Sym, f: &Sym) -> Option<&FieldInfo> {
-        let mut names = vec![class.clone()];
+        let mut names = vec![*class];
         names.extend(self.ancestors(class));
         for n in names {
             if let Some(o) = self.objs.get(&n) {
@@ -239,7 +238,7 @@ impl ClassTable {
 
     /// Finds a method by walking up the hierarchy.
     pub fn lookup_method(&self, class: &Sym, m: &Sym) -> Option<&MethodInfo> {
-        let mut names = vec![class.clone()];
+        let mut names = vec![*class];
         names.extend(self.ancestors(class));
         for n in names {
             if let Some(o) = self.objs.get(&n) {
@@ -255,7 +254,7 @@ impl ClassTable {
     pub fn all_fields(&self, class: &Sym) -> Vec<FieldInfo> {
         let mut names = self.ancestors(class);
         names.reverse();
-        names.push(class.clone());
+        names.push(*class);
         let mut out: Vec<FieldInfo> = Vec::new();
         for n in names {
             if let Some(o) = self.objs.get(&n) {
@@ -275,13 +274,13 @@ impl ClassTable {
     pub fn inv_pred(&self, class: &Sym, t: &Term) -> Pred {
         let mut parts = vec![Pred::App(
             Sym::from("impl"),
-            vec![t.clone(), Term::str(class.clone())],
+            vec![t.clone(), Term::str(*class)],
         )];
         for a in self.ancestors(class) {
             parts.push(Pred::App(Sym::from("impl"), vec![t.clone(), Term::str(a)]));
         }
         let self_subst = Subst::one("v", t.clone());
-        let mut names = vec![class.clone()];
+        let mut names = vec![*class];
         names.extend(self.ancestors(class));
         for n in &names {
             if let Some(o) = self.objs.get(n) {
@@ -292,7 +291,7 @@ impl ClassTable {
             if fi.imm && !matches!(fi.ty.pred, Pred::True) {
                 // p[t.f / v, t / this]
                 let mut s = Subst::new();
-                s.push("v", Term::field(t.clone(), fi.name.clone()));
+                s.push("v", Term::field(t.clone(), fi.name));
                 s.push("this", t.clone());
                 parts.push(s.apply_pred(&fi.ty.pred));
             }
@@ -309,7 +308,7 @@ impl ClassTable {
         for o in self.objs.values() {
             for fi in &o.fields {
                 let s = fi.ty.sort();
-                let entry = seen.entry(fi.name.clone()).or_insert(s);
+                let entry = seen.entry(fi.name).or_insert(s);
                 // Conflicting sorts across classes degrade to Int: the
                 // embedding drops ill-sorted hypotheses conservatively.
                 if *entry != s {
@@ -350,7 +349,7 @@ impl ClassTable {
                 let p = if vv.as_str() == "v" {
                     pred.clone()
                 } else {
-                    Subst::one(vv.clone(), Term::vv()).apply_pred(pred)
+                    Subst::one(*vv, Term::vv()).apply_pred(pred)
                 };
                 Ok(b.strengthen(p))
             }
@@ -396,7 +395,7 @@ impl ClassTable {
         tp.extend(ft.tparams.iter().cloned());
         let mut params = Vec::new();
         for (x, t) in &ft.params {
-            params.push((x.clone(), self.go(t, &tp, tsubst, depth + 1)?));
+            params.push((*x, self.go(t, &tp, tsubst, depth + 1)?));
         }
         let ret = self.go(&ft.ret, &tp, tsubst, depth + 1)?;
         Ok(RFun {
@@ -423,17 +422,17 @@ impl ClassTable {
                 "void" => return Ok(RType::void()),
                 "undefined" => return Ok(RType::undefined()),
                 "null" => return Ok(RType::null()),
-                "bitvector32" => return Ok(RType::trivial(Base::Bv(n.clone()))),
+                "bitvector32" => return Ok(RType::trivial(Base::Bv(*n))),
                 _ => {}
             }
             if let Some(t) = tsubst.get(n) {
                 return Ok(t.clone());
             }
             if tparams.contains(n) {
-                return Ok(RType::trivial(Base::TVar(n.clone())));
+                return Ok(RType::trivial(Base::TVar(*n)));
             }
             if self.enums.contains_key(n) {
-                return Ok(RType::trivial(Base::Bv(n.clone())));
+                return Ok(RType::trivial(Base::Bv(*n)));
             }
         }
         if let Some(alias) = self.aliases.get(n) {
@@ -454,7 +453,7 @@ impl ClassTable {
                 }
             }
             let _ = o;
-            return Ok(RType::trivial(Base::Obj(n.clone(), mutability, targs)));
+            return Ok(RType::trivial(Base::Obj(*n, mutability, targs)));
         }
         Err(ResolveError(format!("unknown type `{n}`")))
     }
@@ -481,12 +480,12 @@ impl ClassTable {
             let used_as_type = ann_uses_as_type(&alias.body, p);
             match (used_as_type, a) {
                 (true, AnnArg::Ty(t)) => {
-                    new_tsubst.insert(p.clone(), self.go(t, tparams, tsubst, depth + 1)?);
+                    new_tsubst.insert(*p, self.go(t, tparams, tsubst, depth + 1)?);
                 }
-                (false, AnnArg::Term(t)) => term_subst.push(p.clone(), t.clone()),
+                (false, AnnArg::Term(t)) => term_subst.push(*p, t.clone()),
                 (false, AnnArg::Ty(AnnTy::Name(x, xs))) if xs.is_empty() => {
                     // A bare identifier parsed as a type but used as a term.
-                    term_subst.push(p.clone(), Term::var(x.clone()));
+                    term_subst.push(*p, Term::var(*x));
                 }
                 _ => {
                     return Err(ResolveError(format!(

@@ -545,14 +545,14 @@ pub fn qualified_program(merged: &Merged, files: &[ModuleFile]) -> Result<Progra
             };
             for (name, _) in &imp.names {
                 let q = qualify::qualified_name(&ids[t], name.as_str());
-                env.renames.insert(name.clone(), qualify::Sym::from(q));
+                env.renames.insert(*name, qualify::Sym::from(q));
             }
         }
         // …then the file's own declarations, which shadow same-named
         // imports (import-then-shadow keeps the local meaning).
         for n in &decls[i] {
             let q = qualify::qualified_name(&ids[i], n.as_str());
-            env.renames.insert(n.clone(), qualify::Sym::from(q));
+            env.renames.insert(*n, qualify::Sym::from(q));
         }
         // Names declared only in other closure files are foreign here:
         // referencing one without an import is an error at the use site.
@@ -563,7 +563,7 @@ pub fn qualified_program(merged: &Merged, files: &[ModuleFile]) -> Result<Progra
             for n in other {
                 if !env.renames.contains_key(n) {
                     env.foreign
-                        .entry(n.clone())
+                        .entry(*n)
                         .or_insert_with(|| files[j].name.clone());
                 }
             }

@@ -64,14 +64,14 @@ impl FrscInterp {
         for item in &p.items {
             match item {
                 Item::Class(c) => {
-                    self.classes.insert(c.name.clone(), c.clone());
+                    self.classes.insert(c.name, c.clone());
                 }
                 Item::Enum(e) => {
                     self.enums
-                        .insert(e.name.clone(), e.members.iter().cloned().collect());
+                        .insert(e.name, e.members.iter().cloned().collect());
                 }
                 Item::Declare(d) => {
-                    self.declares.insert(d.name.clone(), ());
+                    self.declares.insert(d.name, ());
                 }
                 Item::Fun(f) => {
                     let idx = self.closures.len();
@@ -80,7 +80,7 @@ impl FrscInterp {
                         captured: HashMap::new(),
                     });
                     let r = self.heap.alloc(Obj::Closure { fun: idx });
-                    self.globals.insert(f.name.clone(), Value::Ref(r));
+                    self.globals.insert(f.name, Value::Ref(r));
                 }
                 _ => {}
             }
@@ -124,14 +124,14 @@ impl FrscInterp {
             Stmt::Seq(ss, _) => self.exec_block(ss, env),
             Stmt::VarDecl { name, init, .. } => {
                 let v = self.eval(init, env)?;
-                env.insert(name.clone(), v);
+                env.insert(*name, v);
                 Ok(Flow::Normal)
             }
             Stmt::Assign { target, value, .. } => {
                 match target {
                     LValue::Var(x, _) => {
                         let v = self.eval(value, env)?;
-                        env.insert(x.clone(), v);
+                        env.insert(*x, v);
                     }
                     LValue::Field(obj, f, _) => {
                         let o = self.eval(obj, env)?;
@@ -141,7 +141,7 @@ impl FrscInterp {
                         };
                         match self.heap.get_mut(r) {
                             Some(Obj::Instance { fields, .. }) => {
-                                fields.insert(f.clone(), v);
+                                fields.insert(*f, v);
                             }
                             _ => {
                                 return Err(RuntimeError::BadField(format!(
@@ -204,7 +204,7 @@ impl FrscInterp {
                     captured: env.clone(),
                 });
                 let r = self.heap.alloc(Obj::Closure { fun: idx });
-                env.insert(f.name.clone(), Value::Ref(r));
+                env.insert(f.name, Value::Ref(r));
                 Ok(Flow::Normal)
             }
         }
@@ -466,7 +466,7 @@ impl FrscInterp {
                         }
                     }
                 }
-                class.clone()
+                *class
             }
             _ => {
                 return Err(RuntimeError::BadField(format!(
@@ -482,10 +482,7 @@ impl FrscInterp {
         };
         let mut frame: HashMap<Sym, Value> = self.globals.clone();
         for (i, (pname, _)) in method.sig.params.iter().enumerate() {
-            frame.insert(
-                pname.clone(),
-                argv.get(i).cloned().unwrap_or(Value::Undefined),
-            );
+            frame.insert(*pname, argv.get(i).cloned().unwrap_or(Value::Undefined));
         }
         frame.insert(Sym::from("this"), Value::Ref(r));
         match self.exec_block(&body.stmts, &mut frame)? {
@@ -495,13 +492,13 @@ impl FrscInterp {
     }
 
     fn lookup_method(&self, class: &Sym, m: &Sym) -> Option<MethodDecl> {
-        let mut cur = Some(class.clone());
+        let mut cur = Some(*class);
         while let Some(cname) = cur {
             let c = self.classes.get(&cname)?;
             if let Some(md) = c.methods.iter().find(|md| &md.name == m) {
                 return Some(md.clone());
             }
-            cur = c.extends.clone();
+            cur = c.extends;
         }
         None
     }
@@ -523,7 +520,7 @@ impl FrscInterp {
         let mut frame = self.globals.clone();
         frame.extend(clos.captured.clone());
         for (i, p) in decl.params.iter().enumerate() {
-            frame.insert(p.clone(), argv.get(i).cloned().unwrap_or(Value::Undefined));
+            frame.insert(*p, argv.get(i).cloned().unwrap_or(Value::Undefined));
         }
         // `arguments` array-like (value-based overloading, §2.1.2).
         let args_arr = self.heap.alloc(Obj::Arr(argv));
@@ -558,16 +555,13 @@ impl FrscInterp {
             .cloned()
             .ok_or_else(|| RuntimeError::Unbound(format!("class {cname}")))?;
         let r = self.heap.alloc(Obj::Instance {
-            class: cname.clone(),
+            class: *cname,
             fields: HashMap::new(),
         });
         if let Some(ctor) = &class.ctor {
             let mut frame = self.globals.clone();
             for (i, (pname, _)) in ctor.params.iter().enumerate() {
-                frame.insert(
-                    pname.clone(),
-                    argv.get(i).cloned().unwrap_or(Value::Undefined),
-                );
+                frame.insert(*pname, argv.get(i).cloned().unwrap_or(Value::Undefined));
             }
             frame.insert(Sym::from("this"), Value::Ref(r));
             self.exec_block(&ctor.body.stmts.clone(), &mut frame)?;

@@ -50,14 +50,14 @@ impl IrscInterp {
     /// `return`, or `undefined`.
     pub fn run(&mut self, p: &IrProgram) -> Result<Value, RuntimeError> {
         for c in &p.classes {
-            self.classes.insert(c.decl.name.clone(), c.clone());
+            self.classes.insert(c.decl.name, c.clone());
         }
         for e in &p.enums {
             self.enums
-                .insert(e.name.clone(), e.members.iter().cloned().collect());
+                .insert(e.name, e.members.iter().cloned().collect());
         }
         for d in &p.declares {
-            self.declares.insert(d.name.clone(), ());
+            self.declares.insert(d.name, ());
         }
         for f in &p.funs {
             let idx = self.closures.len();
@@ -66,7 +66,7 @@ impl IrscInterp {
                 captured: HashMap::new(),
             });
             let r = self.heap.alloc(Obj::Closure { fun: idx });
-            self.globals.insert(f.name.clone(), Value::Ref(r));
+            self.globals.insert(f.name, Value::Ref(r));
         }
         let mut env = self.globals.clone();
         Ok(self.body(&p.top, &mut env)?.unwrap_or(Value::Undefined))
@@ -93,7 +93,7 @@ impl IrscInterp {
             Body::EndBranch(_) => Ok(None),
             Body::Let { x, rhs, rest, .. } => {
                 let v = self.eval(rhs, env)?;
-                env.insert(x.clone(), v);
+                env.insert(*x, v);
                 self.body(rest, env)
             }
             Body::Effect { e, rest, .. } => {
@@ -107,7 +107,7 @@ impl IrscInterp {
                     captured: env.clone(),
                 });
                 let r = self.heap.alloc(Obj::Closure { fun: idx });
-                env.insert(fun.name.clone(), Value::Ref(r));
+                env.insert(fun.name, Value::Ref(r));
                 self.body(rest, env)
             }
             Body::If {
@@ -142,7 +142,7 @@ impl IrscInterp {
                                 .get(src)
                                 .cloned()
                                 .ok_or_else(|| RuntimeError::Unbound(src.to_string()))?;
-                            env.insert(phi.new.clone(), v);
+                            env.insert(phi.new, v);
                         }
                         self.body(rest, env)
                     }
@@ -161,7 +161,7 @@ impl IrscInterp {
                         .get(&phi.init_src)
                         .cloned()
                         .ok_or_else(|| RuntimeError::Unbound(phi.init_src.to_string()))?;
-                    env.insert(phi.new.clone(), v);
+                    env.insert(phi.new, v);
                 }
                 loop {
                     self.tick()?;
@@ -179,7 +179,7 @@ impl IrscInterp {
                                         .get(src)
                                         .cloned()
                                         .ok_or_else(|| RuntimeError::Unbound(src.to_string()))?;
-                                    env.insert(phi.new.clone(), v);
+                                    env.insert(phi.new, v);
                                 }
                             }
                         }
@@ -276,7 +276,7 @@ impl IrscInterp {
                 };
                 match self.heap.get_mut(r) {
                     Some(Obj::Instance { fields, .. }) => {
-                        fields.insert(f.clone(), val.clone());
+                        fields.insert(*f, val.clone());
                         Ok(val)
                     }
                     _ => Err(RuntimeError::BadField(format!(
@@ -455,7 +455,7 @@ impl IrscInterp {
                         }
                     }
                 }
-                class.clone()
+                *class
             }
             _ => {
                 return Err(RuntimeError::BadField(format!(
@@ -465,23 +465,19 @@ impl IrscInterp {
         };
         let (sig_params, body) = {
             let mut found = None;
-            let mut cur = Some(class.clone());
+            let mut cur = Some(class);
             while let Some(cname) = cur {
                 let Some(c) = self.classes.get(&cname) else {
                     break;
                 };
                 if let Some(md) = c.methods.iter().find(|md| &md.name == m) {
                     found = Some((
-                        md.sig
-                            .params
-                            .iter()
-                            .map(|(p, _)| p.clone())
-                            .collect::<Vec<_>>(),
+                        md.sig.params.iter().map(|(p, _)| *p).collect::<Vec<_>>(),
                         md.body.clone(),
                     ));
                     break;
                 }
-                cur = c.decl.extends.clone();
+                cur = c.decl.extends;
             }
             found
                 .ok_or_else(|| RuntimeError::BadField(format!("class {class} has no method {m}")))?
@@ -491,10 +487,7 @@ impl IrscInterp {
         };
         let mut frame = self.globals.clone();
         for (i, pname) in sig_params.iter().enumerate() {
-            frame.insert(
-                pname.clone(),
-                argv.get(i).cloned().unwrap_or(Value::Undefined),
-            );
+            frame.insert(*pname, argv.get(i).cloned().unwrap_or(Value::Undefined));
         }
         frame.insert(Sym::from("this"), Value::Ref(r));
         Ok(self.body(&body, &mut frame)?.unwrap_or(Value::Undefined))
@@ -517,7 +510,7 @@ impl IrscInterp {
         let mut frame = self.globals.clone();
         frame.extend(clos.captured.clone());
         for (i, p) in decl.params.iter().enumerate() {
-            frame.insert(p.clone(), argv.get(i).cloned().unwrap_or(Value::Undefined));
+            frame.insert(*p, argv.get(i).cloned().unwrap_or(Value::Undefined));
         }
         let args_arr = self.heap.alloc(Obj::Arr(argv));
         frame.insert(Sym::from("arguments"), Value::Ref(args_arr));
@@ -550,16 +543,13 @@ impl IrscInterp {
             .cloned()
             .ok_or_else(|| RuntimeError::Unbound(format!("class {cname}")))?;
         let r = self.heap.alloc(Obj::Instance {
-            class: cname.clone(),
+            class: *cname,
             fields: HashMap::new(),
         });
         if let Some(ctor) = &class.ctor {
             let mut frame = self.globals.clone();
             for (i, (pname, _)) in ctor.params.iter().enumerate() {
-                frame.insert(
-                    pname.clone(),
-                    argv.get(i).cloned().unwrap_or(Value::Undefined),
-                );
+                frame.insert(*pname, argv.get(i).cloned().unwrap_or(Value::Undefined));
             }
             frame.insert(Sym::from("this"), Value::Ref(r));
             self.body(&ctor.body, &mut frame)?;

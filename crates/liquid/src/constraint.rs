@@ -37,7 +37,7 @@ impl CBind {
         if matches!(self.pred, Pred::True) {
             return None;
         }
-        Some(Subst::one("v", Term::var(self.name.clone())).apply_pred(&self.pred))
+        Some(Subst::one("v", Term::var(self.name)).apply_pred(&self.pred))
     }
 }
 
@@ -84,10 +84,7 @@ impl CEnv {
     /// The variables in scope with their sorts (for qualifier
     /// instantiation and SMT sorting).
     pub fn scope(&self) -> Vec<(Sym, Sort)> {
-        self.binds
-            .iter()
-            .map(|b| (b.name.clone(), b.sort))
-            .collect()
+        self.binds.iter().map(|b| (b.name, b.sort)).collect()
     }
 
     /// The embedding split into binding facts and guard predicates.

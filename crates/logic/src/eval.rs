@@ -48,7 +48,7 @@ pub fn eval_term(t: &Term, m: &dyn Interp) -> Option<Value> {
         Term::Var(x) => m.var(x).cloned(),
         Term::IntLit(n) => Some(Value::Int(i128::from(*n))),
         Term::BoolLit(b) => Some(Value::Bool(*b)),
-        Term::StrLit(s) => Some(Value::Str(s.clone())),
+        Term::StrLit(s) => Some(Value::Str(*s)),
         Term::BvLit(_) => None,
         Term::Field(base, f) => m.field(&eval_term(base, m)?, f).cloned(),
         Term::App(f, args) => {
@@ -178,7 +178,7 @@ mod tests {
             self.vars.get(x)
         }
         fn app(&self, f: &Sym, args: &[Value]) -> Option<&Value> {
-            self.apps.get(&(f.clone(), args.to_vec()))
+            self.apps.get(&(*f, args.to_vec()))
         }
         fn field(&self, base: &Value, f: &Sym) -> Option<&Value> {
             self.apps

@@ -53,7 +53,7 @@ impl Qualifier {
         if choice.len() == self.params.len() {
             let mut subst = Subst::new();
             for (i, &c) in choice.iter().enumerate() {
-                subst.push(self.params[i].0.clone(), Term::var(scope[c].0.clone()));
+                subst.push(self.params[i].0, Term::var(scope[c].0));
             }
             out.push(subst.apply_pred(&self.body));
             return;
@@ -228,7 +228,7 @@ mod tests {
         for q in prelude_qualifiers() {
             env.bind("v", q.vv_sort);
             for (x, s) in &q.params {
-                env.bind(x.clone(), *s);
+                env.bind(*x, *s);
             }
             env.check_pred(&q.body)
                 .unwrap_or_else(|e| panic!("{}: {e}", q.name));

@@ -66,10 +66,8 @@ impl Subst {
         match t {
             Term::Var(x) => self.lookup(x).cloned().unwrap_or_else(|| t.clone()),
             Term::IntLit(_) | Term::BoolLit(_) | Term::StrLit(_) | Term::BvLit(_) => t.clone(),
-            Term::Field(b, f) => Term::field(self.apply_term(b), f.clone()),
-            Term::App(f, args) => {
-                Term::app(f.clone(), args.iter().map(|a| self.apply_term(a)).collect())
-            }
+            Term::Field(b, f) => Term::field(self.apply_term(b), *f),
+            Term::App(f, args) => Term::app(*f, args.iter().map(|a| self.apply_term(a)).collect()),
             Term::Bin(op, a, b) => Term::bin(*op, self.apply_term(a), self.apply_term(b)),
             Term::Neg(a) => Term::neg(self.apply_term(a)),
         }
@@ -90,9 +88,7 @@ impl Subst {
             Pred::Imp(a, b) => Pred::imp(self.apply_pred(a), self.apply_pred(b)),
             Pred::Iff(a, b) => Pred::iff(self.apply_pred(a), self.apply_pred(b)),
             Pred::Cmp(op, a, b) => Pred::cmp(*op, self.apply_term(a), self.apply_term(b)),
-            Pred::App(f, args) => {
-                Pred::App(f.clone(), args.iter().map(|a| self.apply_term(a)).collect())
-            }
+            Pred::App(f, args) => Pred::App(*f, args.iter().map(|a| self.apply_term(a)).collect()),
             Pred::TermPred(t) => Pred::TermPred(self.apply_term(t)),
             Pred::KVar(k, theta) => Pred::KVar(*k, self.compose(theta)),
         }
@@ -104,11 +100,11 @@ impl Subst {
     pub fn compose(&self, theta: &Subst) -> Subst {
         let mut out = Subst::new();
         for (x, t) in theta.iter() {
-            out.push(x.clone(), self.apply_term(t));
+            out.push(*x, self.apply_term(t));
         }
         for (x, t) in self.iter() {
             if out.lookup(x).is_none() {
-                out.push(x.clone(), t.clone());
+                out.push(*x, t.clone());
             }
         }
         out

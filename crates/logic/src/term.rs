@@ -184,7 +184,7 @@ impl Term {
     pub fn free_vars_into(&self, out: &mut BTreeSet<Sym>) {
         match self {
             Term::Var(x) => {
-                out.insert(x.clone());
+                out.insert(*x);
             }
             Term::IntLit(_) | Term::BoolLit(_) | Term::StrLit(_) | Term::BvLit(_) => {}
             Term::Field(b, _) => b.free_vars_into(out),

@@ -290,7 +290,7 @@ fn applied_syms_term(t: &Term, out: &mut BTreeSet<Sym>) {
             applied_syms_term(b, out);
         }
         Term::App(f, args) => {
-            out.insert(f.clone());
+            out.insert(*f);
             for a in args {
                 applied_syms_term(a, out);
             }
@@ -317,7 +317,7 @@ fn applied_syms_pred(p: &Pred, out: &mut BTreeSet<Sym>) {
             applied_syms_term(b, out);
         }
         Pred::App(f, args) => {
-            out.insert(f.clone());
+            out.insert(*f);
             for a in args {
                 applied_syms_term(a, out);
             }
@@ -360,14 +360,14 @@ pub fn canonical_query_refs(env: &dyn SortLookup, preds: &[&Pred]) -> CanonicalQ
     let mut seen: FxHashSet<Sym> = FxHashSet::default();
     for (_, p) in &rendered {
         for x in p.free_vars() {
-            if seen.insert(x.clone()) {
+            if seen.insert(x) {
                 order.push(x);
             }
         }
     }
     let mut rename = Subst::new();
     for (i, x) in order.iter().enumerate() {
-        rename.push(x.clone(), Term::var(format!("#{i}")));
+        rename.push(*x, Term::var(format!("#{i}")));
     }
     let canonical: Vec<Pred> = rendered.iter().map(|(_, p)| rename.apply_pred(p)).collect();
 

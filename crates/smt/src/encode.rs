@@ -169,10 +169,7 @@ impl<'a> Encoder<'a> {
                     .iter()
                     .map(|t| self.node_of(t))
                     .collect::<Result<Vec<_>, _>>()?;
-                let n = self
-                    .st
-                    .arena
-                    .intern(Node::App(f.clone(), nargs, Sort::Bool));
+                let n = self.st.arena.intern(Node::App(*f, nargs, Sort::Bool));
                 let id = self.atom(AtomData::BoolNode(n));
                 Ok(Formula::Lit(id, pol))
             }
@@ -412,14 +409,14 @@ impl<'a> Encoder<'a> {
     pub fn node_of(&mut self, t: &Term) -> Result<NodeId, EncodeError> {
         let s = sort_of_in(self.sort_env, t).map_err(|e| EncodeError(e.to_string()))?;
         match t {
-            Term::Var(x) => Ok(self.st.arena.intern(Node::Var(x.clone(), s))),
+            Term::Var(x) => Ok(self.st.arena.intern(Node::Var(*x, s))),
             Term::IntLit(n) => Ok(self.st.arena.intern(Node::IntConst(*n))),
             Term::BoolLit(b) => Ok(if *b {
                 self.st.true_node
             } else {
                 self.st.false_node
             }),
-            Term::StrLit(x) => Ok(self.st.arena.intern(Node::StrConst(x.clone()))),
+            Term::StrLit(x) => Ok(self.st.arena.intern(Node::StrConst(*x))),
             Term::BvLit(_) => Err(EncodeError(format!(
                 "bit-vector literal {t} in uninterpreted position"
             ))),
@@ -435,7 +432,7 @@ impl<'a> Encoder<'a> {
                     .iter()
                     .map(|x| self.node_of(x))
                     .collect::<Result<Vec<_>, _>>()?;
-                Ok(self.st.arena.intern(Node::App(f.clone(), nargs, s)))
+                Ok(self.st.arena.intern(Node::App(*f, nargs, s)))
             }
             Term::Bin(..) | Term::Neg(..) => {
                 if s == Sort::Int {

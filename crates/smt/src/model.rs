@@ -140,7 +140,7 @@ impl Model {
                 continue;
             };
             let consistent = match arena.node(n) {
-                Node::Var(x, _) => insert_fn(&mut model.vars, x.clone(), value),
+                Node::Var(x, _) => insert_fn(&mut model.vars, *x, value),
                 Node::App(f, args, _) if !matches!(f.as_str(), "mul" | "div" | "mod") => {
                     let Some(argv) = args
                         .iter()
@@ -155,7 +155,7 @@ impl Model {
                             base.clone(),
                             value,
                         ),
-                        _ => insert_fn(model.apps.entry(f.clone()).or_default(), argv, value),
+                        _ => insert_fn(model.apps.entry(*f).or_default(), argv, value),
                     }
                 }
                 _ => true,

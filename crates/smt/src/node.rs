@@ -107,7 +107,7 @@ impl Arena {
     pub fn const_kind(&self, id: NodeId) -> Option<ConstKind> {
         match self.node(id) {
             Node::IntConst(n) => Some(ConstKind::Int(*n)),
-            Node::StrConst(s) => Some(ConstKind::Str(s.clone())),
+            Node::StrConst(s) => Some(ConstKind::Str(*s)),
             Node::True => Some(ConstKind::Bool(true)),
             Node::False => Some(ConstKind::Bool(false)),
             _ => None,

@@ -207,11 +207,11 @@ impl<'a> Cfg<'a> {
                 });
                 let then_copies: Vec<(Sym, Sym)> = phis
                     .iter()
-                    .filter_map(|p| p.then_src.clone().map(|s| (p.new.clone(), s)))
+                    .filter_map(|p| p.then_src.map(|s| (p.new, s)))
                     .collect();
                 let else_copies: Vec<(Sym, Sym)> = phis
                     .iter()
-                    .filter_map(|p| p.else_src.clone().map(|s| (p.new.clone(), s)))
+                    .filter_map(|p| p.else_src.map(|s| (p.new, s)))
                     .collect();
                 // An arm that does not fall through never reaches its
                 // `EndBranch`; its returns terminate inside the arm.
@@ -231,10 +231,8 @@ impl<'a> Cfg<'a> {
                 let body_entry = self.fresh();
                 let rest_entry = self.fresh();
                 self.blocks[head].loop_head = true;
-                let init_copies: Vec<(Sym, Sym)> = phis
-                    .iter()
-                    .map(|p| (p.new.clone(), p.init_src.clone()))
-                    .collect();
+                let init_copies: Vec<(Sym, Sym)> =
+                    phis.iter().map(|p| (p.new, p.init_src)).collect();
                 self.blocks[cur].term = Terminator::Jump;
                 self.blocks[cur].succs.push(Edge {
                     to: head,
@@ -254,7 +252,7 @@ impl<'a> Cfg<'a> {
                 });
                 let body_copies: Vec<(Sym, Sym)> = phis
                     .iter()
-                    .filter_map(|p| p.body_src.clone().map(|s| (p.new.clone(), s)))
+                    .filter_map(|p| p.body_src.map(|s| (p.new, s)))
                     .collect();
                 self.lower(body, body_entry, Some((head, &body_copies)));
                 self.lower(rest, rest_entry, exit);

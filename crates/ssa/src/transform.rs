@@ -25,7 +25,7 @@ impl SsaEnv {
     /// Current SSA name of `x` (identity when unmapped — parameters and
     /// globals keep their names).
     pub fn lookup(&self, x: &Sym) -> Sym {
-        self.map.get(x).cloned().unwrap_or_else(|| x.clone())
+        self.map.get(x).cloned().unwrap_or(*x)
     }
 
     /// Rebinds `x` to SSA name `v`.
@@ -100,7 +100,7 @@ pub fn transform_program(p: &Program) -> Result<IrProgram, SsaError> {
     out.top = ssa
         .stmts(&top_stmts, &mut delta, JoinKind::Return, top_end)?
         .body;
-    out.exports = p.exports.iter().map(|(n, _)| n.clone()).collect();
+    out.exports = p.exports.iter().map(|(n, _)| *n).collect();
     Ok(out)
 }
 
@@ -124,7 +124,7 @@ impl Ssa {
     pub fn fresh(&mut self, x: &Sym) -> Sym {
         self.counter += 1;
         let name = Sym::from(format!("{x}${}", self.counter));
-        self.origins.insert(name.clone(), x.clone());
+        self.origins.insert(name, *x);
         name
     }
 
@@ -132,12 +132,12 @@ impl Ssa {
     pub fn fun(&mut self, f: &FunDecl) -> Result<IrFun, SsaError> {
         let mut delta = SsaEnv::new();
         for p in &f.params {
-            delta.bind(p.clone(), p.clone());
+            delta.bind(*p, *p);
         }
         delta.bind(Sym::from("arguments"), Sym::from("arguments"));
         let body = self.stmts(&f.body.stmts, &mut delta, JoinKind::Return, f.span)?;
         Ok(IrFun {
-            name: f.name.clone(),
+            name: f.name,
             sigs: f.sigs.clone(),
             params: f.params.clone(),
             body: body.body,
@@ -150,7 +150,7 @@ impl Ssa {
             Some(ct) => {
                 let mut delta = SsaEnv::new();
                 for (p, _) in &ct.params {
-                    delta.bind(p.clone(), p.clone());
+                    delta.bind(*p, *p);
                 }
                 delta.bind(Sym::from("this"), Sym::from("this"));
                 let b = self.stmts(&ct.body.stmts, &mut delta, JoinKind::Return, ct.span)?;
@@ -168,7 +168,7 @@ impl Ssa {
                 Some(b) => {
                     let mut delta = SsaEnv::new();
                     for (p, _) in &m.sig.params {
-                        delta.bind(p.clone(), p.clone());
+                        delta.bind(*p, *p);
                     }
                     delta.bind(Sym::from("this"), Sym::from("this"));
                     Some(
@@ -179,7 +179,7 @@ impl Ssa {
                 None => None,
             };
             methods.push(IrMethod {
-                name: m.name.clone(),
+                name: m.name,
                 recv: m.recv,
                 sig: m.sig.clone(),
                 body,
@@ -230,7 +230,7 @@ impl Ssa {
             } => {
                 let rhs = self.expr(init, delta);
                 let x = self.fresh(name);
-                delta.bind(name.clone(), x.clone());
+                delta.bind(*name, x);
                 let k = self.stmts(rest, delta, join, end_span)?;
                 Ok(Translated {
                     body: Body::Let {
@@ -251,7 +251,7 @@ impl Ssa {
                 LValue::Var(name, _) => {
                     let rhs = self.expr(value, delta);
                     let x = self.fresh(name);
-                    delta.bind(name.clone(), x.clone());
+                    delta.bind(*name, x);
                     let k = self.stmts(rest, delta, join, end_span)?;
                     Ok(Translated {
                         body: Body::Let {
@@ -267,7 +267,7 @@ impl Ssa {
                 LValue::Field(obj, f, _) => {
                     let o = self.expr(obj, delta);
                     let v = self.expr(value, delta);
-                    let e = IrExpr::FieldAssign(Box::new(o), f.clone(), Box::new(v), *span);
+                    let e = IrExpr::FieldAssign(Box::new(o), *f, Box::new(v), *span);
                     let k = self.stmts(rest, delta, join, end_span)?;
                     Ok(Translated {
                         body: Body::Effect {
@@ -320,12 +320,12 @@ impl Ssa {
                 // refer to the SSA names live at the definition point.
                 let mut inner = delta.clone();
                 for p in &f.params {
-                    inner.bind(p.clone(), p.clone());
+                    inner.bind(*p, *p);
                 }
                 inner.bind(Sym::from("arguments"), Sym::from("arguments"));
                 let b = self.stmts(&f.body.stmts, &mut inner, JoinKind::Return, f.span)?;
                 let fun = IrFun {
-                    name: f.name.clone(),
+                    name: f.name,
                     sigs: f.sigs.clone(),
                     params: f.params.clone(),
                     body: b.body,
@@ -359,10 +359,10 @@ impl Ssa {
                         for x in d1.join_in(&d2, delta) {
                             let nx = self.fresh(&x);
                             phis.push(Phi {
-                                new: nx.clone(),
+                                new: nx,
                                 then_src: Some(d1.lookup(&x)),
                                 else_src: Some(d2.lookup(&x)),
-                                source: x.clone(),
+                                source: x,
                             });
                             dn.bind(x, nx);
                         }
@@ -399,8 +399,8 @@ impl Ssa {
                 for x in &assigned {
                     let init = delta.lookup(x);
                     let nx = self.fresh(x);
-                    d_loop.bind(x.clone(), nx.clone());
-                    proto_phis.push((x.clone(), nx, init));
+                    d_loop.bind(*x, nx);
+                    proto_phis.push((*x, nx, init));
                 }
                 let c = self.expr(cond, &mut d_loop);
                 let mut d_body = d_loop.clone();
@@ -420,7 +420,7 @@ impl Ssa {
                     .collect();
                 // After the loop the Φ names are current.
                 for p in &phis {
-                    delta.bind(p.source.clone(), p.new.clone());
+                    delta.bind(p.source, p.new);
                 }
                 let k = self.stmts(rest, delta, join, end_span)?;
                 Ok(Translated {
@@ -449,7 +449,7 @@ impl Ssa {
             Expr::Undefined(s) => IrExpr::Undefined(*s),
             Expr::This(s) => IrExpr::This(*s),
             Expr::Var(x, s) => IrExpr::Var(delta.lookup(x), *s),
-            Expr::Field(b, f, s) => IrExpr::Field(Box::new(self.expr(b, delta)), f.clone(), *s),
+            Expr::Field(b, f, s) => IrExpr::Field(Box::new(self.expr(b, delta)), *f, *s),
             Expr::Index(a, i, s) => IrExpr::Index(
                 Box::new(self.expr(a, delta)),
                 Box::new(self.expr(i, delta)),
@@ -461,7 +461,7 @@ impl Ssa {
                 *s,
             ),
             Expr::New(c, targs, args, s) => IrExpr::New(
-                c.clone(),
+                *c,
                 targs.clone(),
                 args.iter().map(|a| self.expr(a, delta)).collect(),
                 *s,
@@ -513,13 +513,13 @@ fn collect_assigned_inner(stmts: &[Stmt], out: &mut BTreeSet<Sym>, declared: &mu
     for s in stmts {
         match s {
             Stmt::VarDecl { name, .. } => {
-                declared.insert(name.clone());
+                declared.insert(*name);
             }
             Stmt::Assign {
                 target: LValue::Var(x, _),
                 ..
             } if !declared.contains(x) => {
-                out.insert(x.clone());
+                out.insert(*x);
             }
             Stmt::If {
                 then_blk, else_blk, ..

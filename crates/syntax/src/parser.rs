@@ -307,13 +307,13 @@ impl Parser {
         }
         let item = self.item()?;
         let (name, span) = match &item {
-            Some(Item::Fun(f)) => (f.name.clone(), f.span),
-            Some(Item::Class(c)) => (c.name.clone(), c.span),
-            Some(Item::TypeAlias(a)) => (a.name.clone(), a.span),
-            Some(Item::Interface(i)) => (i.name.clone(), i.span),
-            Some(Item::Enum(e)) => (e.name.clone(), e.span),
-            Some(Item::Declare(d)) => (d.name.clone(), d.span),
-            Some(Item::Qualif(q)) => (q.name.clone(), q.span),
+            Some(Item::Fun(f)) => (f.name, f.span),
+            Some(Item::Class(c)) => (c.name, c.span),
+            Some(Item::TypeAlias(a)) => (a.name, a.span),
+            Some(Item::Interface(i)) => (i.name, i.span),
+            Some(Item::Enum(e)) => (e.name, e.span),
+            Some(Item::Declare(d)) => (d.name, d.span),
+            Some(Item::Qualif(q)) => (q.name, q.span),
             Some(Item::Stmt(_)) | None => {
                 return Err(ParseError {
                     message: "`export` must precede a named declaration \

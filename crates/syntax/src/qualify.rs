@@ -87,13 +87,13 @@ pub fn top_level_decls(p: &Program) -> Vec<Sym> {
     let mut out = Vec::new();
     for item in &p.items {
         match item {
-            Item::TypeAlias(a) => out.push(a.name.clone()),
+            Item::TypeAlias(a) => out.push(a.name),
             Item::Qualif(_) => {}
-            Item::Class(c) => out.push(c.name.clone()),
-            Item::Interface(i) => out.push(i.name.clone()),
-            Item::Enum(e) => out.push(e.name.clone()),
-            Item::Fun(f) => out.push(f.name.clone()),
-            Item::Declare(d) => out.push(d.name.clone()),
+            Item::Class(c) => out.push(c.name),
+            Item::Interface(i) => out.push(i.name),
+            Item::Enum(e) => out.push(e.name),
+            Item::Fun(f) => out.push(f.name),
+            Item::Declare(d) => out.push(d.name),
             Item::Stmt(s) => hoisted_decls(std::slice::from_ref(s), &mut out),
         }
     }
@@ -106,8 +106,8 @@ pub fn top_level_decls(p: &Program) -> Vec<Sym> {
 fn hoisted_decls(stmts: &[Stmt], out: &mut Vec<Sym>) {
     for s in stmts {
         match s {
-            Stmt::VarDecl { name, .. } => out.push(name.clone()),
-            Stmt::Fun(f) => out.push(f.name.clone()),
+            Stmt::VarDecl { name, .. } => out.push(*name),
+            Stmt::Fun(f) => out.push(f.name),
             Stmt::Seq(ss, _) => hoisted_decls(ss, out),
             Stmt::If {
                 then_blk, else_blk, ..
@@ -197,30 +197,26 @@ impl Renamer<'_> {
     /// nearest enclosing construct's span.
     fn name(&self, s: &Sym, scope: &Scope, at: Span) -> Result<Sym, QualifyError> {
         if bound(scope, s) {
-            return Ok(s.clone());
+            return Ok(*s);
         }
         if let Some(q) = self.env.renames.get(s) {
-            return Ok(q.clone());
+            return Ok(*q);
         }
         if let Some(from) = self.env.foreign.get(s) {
             return Err(QualifyError {
-                name: s.clone(),
+                name: *s,
                 span: at,
                 from: from.clone(),
             });
         }
-        Ok(s.clone())
+        Ok(*s)
     }
 
     /// Renames a top-level *declaration* name (always through
     /// `renames`; top-level declarations are what `renames` is built
     /// from, so the lookup cannot hit `foreign`).
     fn decl(&self, s: &Sym) -> Sym {
-        self.env
-            .renames
-            .get(s)
-            .cloned()
-            .unwrap_or_else(|| s.clone())
+        self.env.renames.get(s).cloned().unwrap_or(*s)
     }
 
     fn item(&self, item: &Item, scope: &mut Scope) -> Result<Item, QualifyError> {
@@ -241,14 +237,14 @@ impl Renamer<'_> {
                 let mark = scope.len();
                 let mut params = Vec::with_capacity(q.params.len());
                 for (x, t) in &q.params {
-                    params.push((x.clone(), self.ty(t, scope, q.span)?));
-                    scope.push(x.clone());
+                    params.push((*x, self.ty(t, scope, q.span)?));
+                    scope.push(*x);
                 }
                 let body = self.pred(&q.body, scope, q.span)?;
                 scope.truncate(mark);
                 // Qualifier names are mining labels, never referenced.
                 Item::Qualif(QualifDecl {
-                    name: q.name.clone(),
+                    name: q.name,
                     params,
                     body,
                     span: self.span(q.span),
@@ -258,7 +254,7 @@ impl Renamer<'_> {
             Item::Interface(i) => {
                 let mark = scope.len();
                 scope.extend(i.tparams.iter().cloned());
-                scope.extend(i.fields.iter().map(|f| f.name.clone()));
+                scope.extend(i.fields.iter().map(|f| f.name));
                 scope.push(Sym::from(rsc_logic::THIS));
                 scope.push(Sym::from(rsc_logic::VV));
                 let extends = i
@@ -304,7 +300,7 @@ impl Renamer<'_> {
     fn class(&self, c: &ClassDecl, scope: &mut Scope) -> Result<ClassDecl, QualifyError> {
         let mark = scope.len();
         scope.extend(c.tparams.iter().cloned());
-        scope.extend(c.fields.iter().map(|f| f.name.clone()));
+        scope.extend(c.fields.iter().map(|f| f.name));
         scope.push(Sym::from(rsc_logic::THIS));
         scope.push(Sym::from(rsc_logic::VV));
         let extends = match &c.extends {
@@ -325,8 +321,8 @@ impl Renamer<'_> {
                 let cm = scope.len();
                 let mut params = Vec::with_capacity(ct.params.len());
                 for (x, t) in &ct.params {
-                    params.push((x.clone(), self.ty(t, scope, ct.span)?));
-                    scope.push(x.clone());
+                    params.push((*x, self.ty(t, scope, ct.span)?));
+                    scope.push(*x);
                 }
                 let body = self.body_block(&ct.body, scope)?;
                 scope.truncate(cm);
@@ -358,7 +354,7 @@ impl Renamer<'_> {
 
     fn field(&self, f: &FieldDecl, scope: &mut Scope) -> Result<FieldDecl, QualifyError> {
         Ok(FieldDecl {
-            name: f.name.clone(),
+            name: f.name,
             mutability: f.mutability,
             ty: self.ty(&f.ty, scope, f.span)?,
             span: self.span(f.span),
@@ -371,7 +367,7 @@ impl Renamer<'_> {
             Some(b) => {
                 let mark = scope.len();
                 scope.extend(m.sig.tparams.iter().cloned());
-                scope.extend(m.sig.params.iter().map(|(x, _)| x.clone()));
+                scope.extend(m.sig.params.iter().map(|(x, _)| *x));
                 let out = self.body_block(b, scope)?;
                 scope.truncate(mark);
                 Some(out)
@@ -379,7 +375,7 @@ impl Renamer<'_> {
             None => None,
         };
         Ok(MethodDecl {
-            name: m.name.clone(),
+            name: m.name,
             recv: m.recv,
             sig,
             body,
@@ -405,11 +401,7 @@ impl Renamer<'_> {
         let body = self.body_block(&f.body, scope)?;
         scope.truncate(mark);
         Ok(FunDecl {
-            name: if top {
-                self.decl(&f.name)
-            } else {
-                f.name.clone()
-            },
+            name: if top { self.decl(&f.name) } else { f.name },
             sigs,
             params: f.params.clone(),
             body,
@@ -450,7 +442,7 @@ impl Renamer<'_> {
             } => Stmt::VarDecl {
                 // At module scope a `var` is a module declaration; in a
                 // body it is a local (already bound via hoisting).
-                name: if top { self.decl(name) } else { name.clone() },
+                name: if top { self.decl(name) } else { *name },
                 ann: match ann {
                     Some(t) => Some(self.ty(t, scope, *span)?),
                     None => None,
@@ -466,7 +458,7 @@ impl Renamer<'_> {
                 target: match target {
                     LValue::Var(x, sp) => LValue::Var(self.name(x, scope, *sp)?, self.span(*sp)),
                     LValue::Field(e, f, sp) => {
-                        LValue::Field(self.expr(e, scope)?, f.clone(), self.span(*sp))
+                        LValue::Field(self.expr(e, scope)?, *f, self.span(*sp))
                     }
                     LValue::Index(a, i, sp) => {
                         LValue::Index(self.expr(a, scope)?, self.expr(i, scope)?, self.span(*sp))
@@ -524,7 +516,7 @@ impl Renamer<'_> {
             Expr::Var(x, sp) => Expr::Var(self.name(x, scope, *sp)?, self.span(*sp)),
             Expr::This(sp) => Expr::This(self.span(*sp)),
             Expr::Field(b, f, sp) => {
-                Expr::Field(Box::new(self.expr(b, scope)?), f.clone(), self.span(*sp))
+                Expr::Field(Box::new(self.expr(b, scope)?), *f, self.span(*sp))
             }
             Expr::Index(a, i, sp) => Expr::Index(
                 Box::new(self.expr(a, scope)?),
@@ -598,11 +590,11 @@ impl Renamer<'_> {
             AnnTy::Refined { vv, base, pred } => {
                 let base = Box::new(self.ty(base, scope, ctx)?);
                 let mark = scope.len();
-                scope.push(vv.clone());
+                scope.push(*vv);
                 let pred = self.pred(pred, scope, ctx)?;
                 scope.truncate(mark);
                 AnnTy::Refined {
-                    vv: vv.clone(),
+                    vv: *vv,
                     base,
                     pred,
                 }
@@ -632,8 +624,8 @@ impl Renamer<'_> {
         // Dependent signatures: later parameter types (and the return
         // type) may mention earlier parameter names.
         for (x, t) in &ft.params {
-            params.push((x.clone(), self.ty(t, scope, ctx)?));
-            scope.push(x.clone());
+            params.push((*x, self.ty(t, scope, ctx)?));
+            scope.push(*x);
         }
         let ret = Box::new(self.ty(&ft.ret, scope, ctx)?);
         scope.truncate(mark);
@@ -686,7 +678,7 @@ impl Renamer<'_> {
         Ok(match t {
             Term::Var(x) => Term::Var(self.name(x, scope, ctx)?),
             Term::IntLit(_) | Term::BoolLit(_) | Term::StrLit(_) | Term::BvLit(_) => t.clone(),
-            Term::Field(b, f) => Term::Field(Box::new(self.term(b, scope, ctx)?), f.clone()),
+            Term::Field(b, f) => Term::Field(Box::new(self.term(b, scope, ctx)?), *f),
             Term::App(h, args) => Term::App(
                 self.name(h, scope, ctx)?,
                 args.iter()
