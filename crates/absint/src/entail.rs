@@ -51,8 +51,9 @@
 //! term whose i128 arithmetic overflows; an interval bound that
 //! overflows is unbounded.
 
-use rsc_logic::FxHashMap;
-use rsc_logic::{BinOp, CmpOp, Pred, Sort, Sym, Term};
+use std::collections::hash_map::Entry;
+
+use rsc_logic::{BinOp, CmpOp, FxHashMap, Pred, Sort, Sym, Term};
 
 use crate::domain::Interval;
 
@@ -63,7 +64,7 @@ use crate::domain::Interval;
 pub const MAX_INT_DISEQS: usize = 12;
 
 /// A numeric atom the interval component tracks.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Atom {
     /// A program variable.
     Var(Sym),
@@ -109,7 +110,7 @@ impl Lin {
 
     fn add(mut self, other: &Lin) -> Option<Lin> {
         for (a, c) in &other.coeffs {
-            self.add_term(a.clone(), *c)?;
+            self.add_term(*a, *c)?;
         }
         self.konst = self.konst.checked_add(other.konst)?;
         Some(self)
@@ -132,11 +133,30 @@ impl Lin {
     }
 }
 
+/// The sorts of one check's binders: built once per check and shared by
+/// every [`FactEnv`] folded under them.
+#[derive(Clone, Debug, Default)]
+pub struct BinderSorts(FxHashMap<Sym, Sort>);
+
+impl BinderSorts {
+    /// The sort map of `binders` (a later binder of the same name wins).
+    pub fn new(binders: &[(Sym, Sort)]) -> BinderSorts {
+        BinderSorts(binders.iter().copied().collect())
+    }
+
+    fn get(&self, x: &Sym) -> Option<Sort> {
+        self.0.get(x).copied()
+    }
+}
+
 /// The abstract state of one obligation's hypotheses.
 #[derive(Clone, Debug)]
-pub struct FactEnv {
-    sorts: FxHashMap<Sym, Sort>,
+pub struct FactEnv<'s> {
+    sorts: &'s BinderSorts,
     itvs: FxHashMap<Atom, Interval>,
+    /// Bumped whenever an interval is added or changes: the fold's local
+    /// fixpoint test compares it across a pass.
+    itv_moves: usize,
     /// Union-find over reference variables (ground EUF equalities).
     parents: FxHashMap<Sym, Sym>,
     /// Unit-coefficient equality substitutions `x ↦ Σ cᵢ·atomᵢ + k`,
@@ -153,12 +173,13 @@ pub struct FactEnv {
     int_diseqs: usize,
 }
 
-impl FactEnv {
+impl<'s> FactEnv<'s> {
     /// A ⊤ environment knowing only the binder sorts.
-    pub fn new(binders: &[(Sym, Sort)]) -> FactEnv {
+    pub fn new(sorts: &'s BinderSorts) -> FactEnv<'s> {
         FactEnv {
-            sorts: binders.iter().cloned().collect(),
+            sorts,
             itvs: FxHashMap::default(),
+            itv_moves: 0,
             parents: FxHashMap::default(),
             substs: FxHashMap::default(),
             rows: Vec::new(),
@@ -173,12 +194,14 @@ impl FactEnv {
     /// [`MAX_INT_DISEQS`] integer disequalities — such a list never
     /// discharges anything. The result answers any number of goals
     /// through the read-only [`FactEnv::entails`].
-    pub fn of_hyps(binders: &[(Sym, Sort)], hyps: &[Pred]) -> Option<FactEnv> {
-        let mut env = FactEnv::new(binders);
+    pub fn of_hyps(sorts: &'s BinderSorts, hyps: &[Pred]) -> Option<FactEnv<'s>> {
+        let mut env = FactEnv::new(sorts);
         // Up to three passes over the hypotheses: assume-order
         // independence for short chains, deterministic by construction.
+        // Intervals only narrow, rows and substitutions only grow, so a
+        // pass that moved none of them is a fixpoint.
         for _ in 0..3 {
-            let before = (env.itvs.clone(), env.rows.len(), env.substs.len());
+            let before = (env.itv_moves, env.rows.len(), env.substs.len());
             env.int_diseqs = 0;
             for h in hyps {
                 env.assume(h);
@@ -189,7 +212,7 @@ impl FactEnv {
             if env.bottom {
                 break;
             }
-            let after = (env.itvs.clone(), env.rows.len(), env.substs.len());
+            let after = (env.itv_moves, env.rows.len(), env.substs.len());
             if after == before {
                 break;
             }
@@ -222,7 +245,7 @@ impl FactEnv {
     /// it: integer terms and reference variables.
     fn sort_of(&self, t: &Term) -> Option<Sort> {
         match t {
-            Term::Var(x) => self.sorts.get(x).copied(),
+            Term::Var(x) => self.sorts.get(x),
             Term::IntLit(_) | Term::Neg(_) => Some(Sort::Int),
             Term::App(f, args) if f.as_str() == "len" && args.len() == 1 => Some(Sort::Int),
             Term::Bin(op, ..) if !matches!(op, BinOp::BvAnd | BinOp::BvOr) => Some(Sort::Int),
@@ -233,7 +256,7 @@ impl FactEnv {
     /// Linearizes an integer term for the query side (`len` arguments
     /// resolved without path compression).
     fn lin(&self, t: &Term) -> Option<Lin> {
-        lin_over(&self.sorts, t, &mut |x| self.find(x))
+        lin_over(self.sorts, t, &mut |x| self.find(x))
     }
 
     /// Linearizes an integer term for the assume side, compressing the
@@ -245,6 +268,26 @@ impl FactEnv {
 
     fn itv_of(&self, a: &Atom) -> Interval {
         self.itvs.get(a).copied().unwrap_or(Interval::TOP)
+    }
+
+    /// Applies `update` to `a`'s interval (⊤ when untracked), counting
+    /// the move when the interval is new or changed; returns the result.
+    fn narrow(&mut self, a: Atom, update: impl FnOnce(&mut Interval)) -> Interval {
+        let (itv, moved) = match self.itvs.entry(a) {
+            Entry::Occupied(slot) => {
+                let itv = slot.into_mut();
+                let before = *itv;
+                update(itv);
+                (*itv, *itv != before)
+            }
+            Entry::Vacant(slot) => {
+                let itv = slot.insert(Interval::TOP);
+                update(itv);
+                (*itv, true)
+            }
+        };
+        self.itv_moves += usize::from(moved);
+        itv
     }
 
     /// Rewrites a combination through the equality substitutions until
@@ -344,7 +387,7 @@ impl FactEnv {
         }
         let single_var = l.coeffs.len() == 1;
         for i in 0..l.coeffs.len() {
-            let (atom, c) = l.coeffs[i].clone();
+            let (atom, c) = l.coeffs[i];
             // c·x ≤ -konst - Σ_{j≠i} min(c_j·x_j)
             let mut bound = l.konst.checked_neg();
             for (j, (a, cj)) in l.coeffs.iter().enumerate() {
@@ -393,9 +436,7 @@ impl FactEnv {
             if refined.lo.is_none() && refined.hi.is_none() {
                 continue;
             }
-            let e = self.itvs.entry(atom).or_insert(Interval::TOP);
-            *e = e.meet(&refined);
-            if e.is_empty() {
+            if self.narrow(atom, |e| *e = e.meet(&refined)).is_empty() {
                 self.bottom = true;
                 return;
             }
@@ -448,13 +489,14 @@ impl FactEnv {
                 let Some(k) = d.konst.checked_mul(-c).and_then(to_i64) else {
                     return;
                 };
-                let e = self.itvs.entry(atom.clone()).or_insert(Interval::TOP);
-                if e.lo == Some(k) {
-                    e.lo = k.checked_add(1);
-                } else if e.hi == Some(k) {
-                    e.hi = k.checked_sub(1);
-                }
-                if e.is_empty() {
+                let shaved = self.narrow(*atom, |e| {
+                    if e.lo == Some(k) {
+                        e.lo = k.checked_add(1);
+                    } else if e.hi == Some(k) {
+                        e.hi = k.checked_sub(1);
+                    }
+                });
+                if shaved.is_empty() {
                     self.bottom = true;
                 }
             }
@@ -494,7 +536,9 @@ impl FactEnv {
         if self.bottom {
             // A goal over a variable without a binder sort cannot be
             // encoded, so the solver could not replay its discharge.
-            return goal.free_vars().iter().all(|x| self.sorts.contains_key(x));
+            let mut bound = true;
+            goal.for_each_var(&mut |x| bound &= self.sorts.get(&x).is_some());
+            return bound;
         }
         match goal {
             Pred::True => true,
@@ -587,17 +631,13 @@ fn compress_root(parents: &mut FxHashMap<Sym, Sym>, x: &Sym) -> Sym {
 /// `len(x)` to the union-find root `root` gives for `x`. `None` = contains
 /// something the solver leaves uninterpreted (or untracked), or
 /// overflows i128.
-fn lin_over(
-    sorts: &FxHashMap<Sym, Sort>,
-    t: &Term,
-    root: &mut dyn FnMut(&Sym) -> Sym,
-) -> Option<Lin> {
+fn lin_over(sorts: &BinderSorts, t: &Term, root: &mut dyn FnMut(&Sym) -> Sym) -> Option<Lin> {
     match t {
         Term::IntLit(n) => Some(Lin::konst(i128::from(*n))),
-        Term::Var(x) if sorts.get(x) == Some(&Sort::Int) => Some(Lin::atom(Atom::Var(*x))),
+        Term::Var(x) if sorts.get(x) == Some(Sort::Int) => Some(Lin::atom(Atom::Var(*x))),
         Term::Neg(a) => lin_over(sorts, a, root)?.scale(-1),
         Term::App(f, args) if f.as_str() == "len" && args.len() == 1 => match &args[0] {
-            Term::Var(x) if sorts.get(x) == Some(&Sort::Ref) => Some(Lin::atom(Atom::Len(root(x)))),
+            Term::Var(x) if sorts.get(x) == Some(Sort::Ref) => Some(Lin::atom(Atom::Len(root(x)))),
             _ => None,
         },
         Term::Bin(op, a, b) => {
@@ -629,7 +669,8 @@ fn lin_over(
 /// [`FactEnv::entails`]; callers asking several goals of one hypothesis
 /// list fold it once and ask the environment directly.
 pub fn entailed_by(binders: &[(Sym, Sort)], hyps: &[Pred], goal: &Pred) -> bool {
-    FactEnv::of_hyps(binders, hyps).is_some_and(|env| env.entails(goal))
+    let sorts = BinderSorts::new(binders);
+    FactEnv::of_hyps(&sorts, hyps).is_some_and(|env| env.entails(goal))
 }
 
 #[cfg(test)]
@@ -823,10 +864,74 @@ mod tests {
         ));
     }
 
+    /// `x1 ≤ x0, x2 ≤ x1, …, xk ≤ x(k−1), 0 ≤ xk`, in that order: each
+    /// pass carries the lower bound one link back, so `0 ≤ x0` needs `k`
+    /// passes (the last link by row subsumption).
+    fn chain(k: usize) -> (Vec<(Sym, Sort)>, Vec<Pred>) {
+        let x = |i: usize| T::var(format!("x{i}"));
+        let binders = (0..=k).map(|i| (Sym::from(format!("x{i}")), Sort::Int));
+        let mut hyps: Vec<Pred> = (1..=k)
+            .map(|i| Pred::cmp(CmpOp::Le, x(i), x(i - 1)))
+            .collect();
+        hyps.push(Pred::cmp(CmpOp::Le, T::int(0), x(k)));
+        (binders.collect(), hyps)
+    }
+
+    /// The fold runs to its local fixpoint, up to three passes: chains
+    /// needing one, two and three passes reach `0 ≤ x0`, and one needing
+    /// four does not.
+    #[test]
+    fn fold_reaches_chains_of_up_to_three_passes() {
+        let goal = Pred::cmp(CmpOp::Le, T::int(0), T::var("x0"));
+        for k in 1..=4 {
+            let (binders, hyps) = chain(k);
+            assert_eq!(entailed_by(&binders, &hyps, &goal), k <= 3, "chain of {k}");
+        }
+    }
+
+    /// The fold before it counted interval moves: the same passes, with
+    /// the fixpoint found by comparing snapshots of the interval map.
+    fn of_hyps_by_snapshot<'s>(sorts: &'s BinderSorts, hyps: &[Pred]) -> Option<FactEnv<'s>> {
+        let mut env = FactEnv::new(sorts);
+        for _ in 0..3 {
+            let before = (env.itvs.clone(), env.rows.len(), env.substs.len());
+            env.int_diseqs = 0;
+            for h in hyps {
+                env.assume(h);
+            }
+            if env.int_diseqs > MAX_INT_DISEQS {
+                return None;
+            }
+            if env.bottom {
+                break;
+            }
+            let after = (env.itvs.clone(), env.rows.len(), env.substs.len());
+            if after == before {
+                break;
+            }
+        }
+        Some(env)
+    }
+
+    #[test]
+    fn chains_fold_like_snapshots() {
+        for k in 1..=4 {
+            let (binders, hyps) = chain(k);
+            let sorts = BinderSorts::new(&binders);
+            let (a, b) = (
+                FactEnv::of_hyps(&sorts, &hyps),
+                of_hyps_by_snapshot(&sorts, &hyps),
+            );
+            let (a, b) = (a.expect("no disequalities"), b.expect("no disequalities"));
+            assert_eq!(a.itvs, b.itvs, "chain of {k}");
+        }
+    }
+
     /// The shared-environment contract of the per-check discharge: one
     /// [`FactEnv::of_hyps`] fold answers every goal exactly as
-    /// [`entailed_by`] does on a fresh environment, whatever order the
-    /// goals are asked in, and no input panics (i64-range coefficients
+    /// [`entailed_by`] does on a fresh environment and as the
+    /// snapshot-compared fold does, whatever order the goals are asked
+    /// in, and no input panics (i64-range coefficients
     /// drive the checked arithmetic past i128).
     mod shared_env {
         use super::*;
@@ -925,9 +1030,12 @@ mod tests {
                     };
                     (rename(hyps), rename(goals))
                 };
-                let shared = FactEnv::of_hyps(&binders, &hyps);
+                let sorts = BinderSorts::new(&binders);
+                let shared = FactEnv::of_hyps(&sorts, &hyps);
+                let snapshot = of_hyps_by_snapshot(&sorts, &hyps);
                 for g in goals.iter().chain(goals.iter().rev()) {
                     let once = shared.as_ref().is_some_and(|env| env.entails(g));
+                    prop_assert_eq!(once, snapshot.as_ref().is_some_and(|env| env.entails(g)));
                     prop_assert_eq!(
                         once,
                         entailed_by(&binders, &hyps, g),

@@ -46,5 +46,5 @@ pub mod lint;
 
 pub use domain::{AbsVal, Congruence, Interval, Nullness, Truth};
 pub use engine::{analyze_body, analyze_program, AbsEnv, BodyFacts, ProgramFacts};
-pub use entail::{entailed_by, FactEnv, MAX_INT_DISEQS};
+pub use entail::{entailed_by, BinderSorts, FactEnv, MAX_INT_DISEQS};
 pub use lint::{lint_program, Lint};

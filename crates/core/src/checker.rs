@@ -1004,13 +1004,9 @@ impl Checker {
     /// once, on its first use, and shared by every later constraint.
     pub(crate) fn to_cenv(&self, env: &Env) -> CEnv {
         let binds = env.binds.iter().map(|b| {
-            let embedded = b.embedded.get_or_init(|| {
-                Arc::new(CBind {
-                    name: b.name,
-                    sort: b.ty.sort(),
-                    pred: self.embed_pred(&b.ty),
-                })
-            });
+            let embedded = b
+                .embedded
+                .get_or_init(|| Arc::new(CBind::new(b.name, b.ty.sort(), self.embed_pred(&b.ty))));
             Arc::clone(embedded)
         });
         CEnv {

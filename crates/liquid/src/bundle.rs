@@ -62,7 +62,7 @@ impl Uf {
 /// bindings, guards, both refinements).
 fn kvars_of(c: &SubC) -> Vec<KVarId> {
     let mut out: Vec<KVarId> = Vec::new();
-    let preds = c.env.binds.iter().map(|b| &b.pred);
+    let preds = c.env.binds.iter().map(|b| b.pred());
     for p in preds.chain(&c.env.guards).chain([&c.lhs, &c.rhs]) {
         for k in p.kvars() {
             if !out.contains(&k) {

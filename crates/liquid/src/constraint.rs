@@ -19,25 +19,48 @@ use rsc_logic::{KVar, KVarId, Pred, Qualifier, Sort, SortEnv, Subst, Sym, Term};
 
 use crate::blame::{clip, Blame};
 
-/// One binding `name : {v:sort | pred}` of a constraint environment.
+/// One binding `name : {v:sort | pred}` of a constraint environment,
+/// with its fact `[name/v]pred` built once, when the binding is.
 #[derive(Debug)]
 pub struct CBind {
-    /// The bound variable.
-    pub name: Sym,
-    /// Its sort.
-    pub sort: Sort,
-    /// Its refinement, over the value variable `v`.
-    pub pred: Pred,
+    name: Sym,
+    sort: Sort,
+    pred: Pred,
+    fact: Option<Pred>,
 }
 
 impl CBind {
+    /// The binding `name : {v:sort | pred}`.
+    pub fn new(name: Sym, sort: Sort, pred: Pred) -> CBind {
+        let fact = (!matches!(pred, Pred::True))
+            .then(|| Subst::one("v", Term::var(name)).apply_pred(&pred));
+        CBind {
+            name,
+            sort,
+            pred,
+            fact,
+        }
+    }
+
+    /// The bound variable.
+    pub fn name(&self) -> Sym {
+        self.name
+    }
+
+    /// Its sort.
+    pub fn sort(&self) -> Sort {
+        self.sort
+    }
+
+    /// Its refinement, over the value variable `v`.
+    pub fn pred(&self) -> &Pred {
+        &self.pred
+    }
+
     /// The binding's fact `[name/v]pred`, or `None` when the refinement
     /// is `true` (no fact).
-    pub(crate) fn embed(&self) -> Option<Pred> {
-        if matches!(self.pred, Pred::True) {
-            return None;
-        }
-        Some(Subst::one("v", Term::var(self.name)).apply_pred(&self.pred))
+    pub(crate) fn fact(&self) -> Option<&Pred> {
+        self.fact.as_ref()
     }
 }
 
@@ -60,11 +83,7 @@ impl CEnv {
 
     /// Pushes a binding.
     pub fn bind(&mut self, x: impl Into<Sym>, sort: Sort, pred: Pred) {
-        self.binds.push(Arc::new(CBind {
-            name: x.into(),
-            sort,
-            pred,
-        }));
+        self.binds.push(Arc::new(CBind::new(x.into(), sort, pred)));
     }
 
     /// Pushes a guard predicate.
@@ -90,8 +109,12 @@ impl CEnv {
     /// The embedding split into binding facts and guard predicates.
     /// Guards carry path-sensitivity and are never relevance-filtered.
     pub fn embed_split(&self) -> (Vec<Pred>, Vec<Pred>) {
-        let binds = self.binds.iter().filter_map(|b| b.embed()).collect();
-        (binds, self.guards.clone())
+        (self.facts().cloned().collect(), self.guards.clone())
+    }
+
+    /// The binding facts `[x/v]p`, in binding order, without copying.
+    pub fn facts(&self) -> impl Iterator<Item = &Pred> {
+        self.binds.iter().filter_map(|b| b.fact())
     }
 }
 

@@ -132,9 +132,9 @@ impl Canon {
             return *d;
         }
         let mut h = Fp::new();
-        b.name.hash(&mut h);
-        b.sort.hash(&mut h);
-        self.pred(&b.pred, &mut h);
+        b.name().hash(&mut h);
+        b.sort().hash(&mut h);
+        self.pred(b.pred(), &mut h);
         let d = h.finish128();
         self.binds.insert(key, d);
         d

@@ -54,8 +54,8 @@ use rsc_logic::{FxHashMap, FxHashSet};
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
-use rsc_absint::FactEnv;
-use rsc_logic::{KVarId, Pred, Sort, SortScope, Sym, Term};
+use rsc_absint::{BinderSorts, FactEnv};
+use rsc_logic::{KVarId, Pred, Sort, SortScope, Sym, Term, VV};
 use rsc_smt::{IncrContext, ModelPool, Solver};
 
 use crate::blame::Blame;
@@ -151,7 +151,7 @@ fn constraint_deps(c: &SubC) -> Vec<KVarId> {
     if let Pred::KVar(k, _) = &c.rhs {
         ks.insert(*k);
     }
-    let binds = c.env.binds.iter().map(|b| &b.pred);
+    let binds = c.env.binds.iter().map(|b| b.pred());
     for p in binds.chain(&c.env.guards).chain([&c.lhs]) {
         ks.extend(p.kvars());
     }
@@ -286,9 +286,15 @@ pub fn solve_with(cs: &ConstraintSet, smt: &mut Solver, opts: SolveOptions) -> L
                 // and keep everything. Skip it wholesale.
                 continue;
             }
-            let (binders, all_hyps, guards) = prepare_hyps(cs, c, &sol);
+            let Prepared {
+                binders,
+                hyps: all_hyps,
+                guards,
+                lhs,
+            } = prepare_hyps(cs, c, &sol);
             let env_sorts = SortScope::new(&*cs.sort_env, &binders);
-            let mut groups = HypGroups::new(&all_hyps, &guards, sol.apply(&c.lhs).free_vars());
+            let binder_sorts = BinderSorts::new(&binders);
+            let mut groups = HypGroups::new(&all_hyps, &guards, &lhs);
             let mut pool = ModelPool::new();
             let mut kept = Vec::with_capacity(current.len());
             let mut dropped = false;
@@ -301,7 +307,7 @@ pub fn solve_with(cs: &ConstraintSet, smt: &mut Solver, opts: SolveOptions) -> L
                 // procedure stays inside the solver's provable
                 // fragment) — keep the candidate without querying.
                 let discharge =
-                    opts.absint && group.facts(&binders).is_some_and(|f| f.entails(&goal));
+                    opts.absint && group.facts(&binder_sorts).is_some_and(|f| f.entails(&goal));
                 let valid = if discharge {
                     discharged += 1;
                     true
@@ -349,7 +355,12 @@ pub fn solve_with(cs: &ConstraintSet, smt: &mut Solver, opts: SolveOptions) -> L
         if matches!(c.rhs, Pred::KVar(..)) {
             continue;
         }
-        let (binders, all_hyps, guards) = prepare_hyps(cs, c, &sol);
+        let Prepared {
+            binders,
+            hyps: all_hyps,
+            guards,
+            lhs,
+        } = prepare_hyps(cs, c, &sol);
         let env_sorts = SortScope::new(&*cs.sort_env, &binders);
         let goal = sol.apply(&c.rhs);
         // Dead-code obligations (`… ⊑ false`) need the whole environment
@@ -357,13 +368,13 @@ pub fn solve_with(cs: &ConstraintSet, smt: &mut Solver, opts: SolveOptions) -> L
         let mut hyps = if matches!(goal, Pred::False) {
             all_hyps
         } else {
-            let mut seeds = goal.free_vars();
-            seeds.insert(rsc_logic::Sym::from("v"));
-            seeds.extend(sol.apply(&c.lhs).free_vars());
-            for g in &guards {
-                seeds.extend(g.free_vars());
+            let vars = HypVars::new(&all_hyps);
+            let mut seeds = vars.set_of([Sym::from(VV)]);
+            for p in guards.iter().chain([&goal, &lhs]) {
+                vars.add_vars(&mut seeds, p);
             }
-            filter_relevant(all_hyps, seeds)
+            let keep = vars.relevant(seeds);
+            keep_marked(all_hyps, &keep)
         };
         hyps.extend(guards.iter().cloned());
         // Statically discharged obligations are valid by construction
@@ -389,17 +400,18 @@ pub fn solve_with(cs: &ConstraintSet, smt: &mut Solver, opts: SolveOptions) -> L
 
 /// One distinct hypothesis list of a κ-headed constraint check (the
 /// relevant hypotheses, then the guards) and its abstract fold.
-struct HypGroup {
+struct HypGroup<'s> {
     hyps: Vec<Pred>,
-    facts: OnceCell<Option<FactEnv>>,
+    facts: OnceCell<Option<FactEnv<'s>>>,
 }
 
-impl HypGroup {
+impl<'s> HypGroup<'s> {
     /// The list folded by [`FactEnv::of_hyps`] on first use; `None` when
-    /// it is over the disequality cap.
-    fn facts(&self, binders: &[(Sym, Sort)]) -> Option<&FactEnv> {
+    /// it is over the disequality cap. Every group of a check folds
+    /// under the check's one binder-sort map.
+    fn facts(&self, sorts: &'s BinderSorts) -> Option<&FactEnv<'s>> {
         self.facts
-            .get_or_init(|| FactEnv::of_hyps(binders, &self.hyps))
+            .get_or_init(|| FactEnv::of_hyps(sorts, &self.hyps))
             .as_ref()
     }
 }
@@ -415,24 +427,24 @@ impl HypGroup {
 struct HypGroups<'a> {
     all_hyps: &'a [Pred],
     guards: &'a [Pred],
-    hyp_fvs: Vec<BTreeSet<Sym>>,
-    base_seeds: BTreeSet<Sym>,
-    by_key: FxHashMap<Vec<Sym>, usize>,
+    vars: HypVars,
+    base_seeds: Vec<u64>,
+    by_key: FxHashMap<Vec<u64>, usize>,
     by_mask: FxHashMap<Vec<bool>, usize>,
-    groups: Vec<HypGroup>,
+    groups: Vec<HypGroup<'a>>,
 }
 
 impl<'a> HypGroups<'a> {
-    fn new(all_hyps: &'a [Pred], guards: &'a [Pred], lhs_fvs: BTreeSet<Sym>) -> Self {
-        let mut base_seeds = lhs_fvs;
-        base_seeds.insert(Sym::from("v"));
-        for g in guards {
-            base_seeds.extend(g.free_vars());
+    fn new(all_hyps: &'a [Pred], guards: &'a [Pred], lhs: &Pred) -> Self {
+        let vars = HypVars::new(all_hyps);
+        let mut base_seeds = vars.set_of([Sym::from(VV)]);
+        for p in guards.iter().chain([lhs]) {
+            vars.add_vars(&mut base_seeds, p);
         }
         HypGroups {
             all_hyps,
             guards,
-            hyp_fvs: all_hyps.iter().map(Pred::free_vars).collect(),
+            vars,
             base_seeds,
             by_key: FxHashMap::default(),
             by_mask: FxHashMap::default(),
@@ -443,27 +455,23 @@ impl<'a> HypGroups<'a> {
     /// The group whose list a query for `goal` sees, with its index: the
     /// hypotheses relevant to the base seeds plus the goal's variables,
     /// then the guards — the identical list, in the identical order, that
-    /// a per-candidate filter would build.
-    fn of_goal(&mut self, goal: &Pred) -> (usize, &HypGroup) {
-        let key: Vec<Sym> = goal
-            .free_vars()
-            .into_iter()
-            .filter(|x| !self.base_seeds.contains(x))
-            .collect();
+    /// a per-candidate filter would build. The goal's variables that no
+    /// hypothesis mentions cannot change the mask, so the key leaves
+    /// them out with the base seeds.
+    fn of_goal(&mut self, goal: &Pred) -> (usize, &HypGroup<'a>) {
+        let mut key = self.vars.set_of([]);
+        self.vars.add_vars(&mut key, goal);
+        for (k, b) in key.iter_mut().zip(&self.base_seeds) {
+            *k &= !b;
+        }
         let gi = match self.by_key.get(&key) {
             Some(&gi) => gi,
             None => {
-                let mut seeds = self.base_seeds.clone();
-                seeds.extend(key.iter().cloned());
-                let mask = relevant_mask(&self.hyp_fvs, seeds);
+                let seeds = key.iter().zip(&self.base_seeds).map(|(k, b)| k | b);
+                let mask = self.vars.relevant(seeds.collect());
                 let (all_hyps, guards, groups) = (self.all_hyps, self.guards, &mut self.groups);
                 let gi = *self.by_mask.entry(mask).or_insert_with_key(|mask| {
-                    let mut hyps: Vec<Pred> = all_hyps
-                        .iter()
-                        .zip(mask)
-                        .filter(|(_, keep)| **keep)
-                        .map(|(h, _)| h.clone())
-                        .collect();
+                    let mut hyps = keep_marked(all_hyps.to_vec(), mask);
                     hyps.extend(guards.iter().cloned());
                     groups.push(HypGroup {
                         hyps,
@@ -479,29 +487,100 @@ impl<'a> HypGroups<'a> {
     }
 }
 
-/// The transitive-relevance mask over precomputed hypothesis
-/// free-variable sets: `mask[i]` is true when hypothesis `i` shares
-/// variables (within 3 closure rounds) with the seeds.
-fn relevant_mask(fvs: &[BTreeSet<Sym>], seeds: BTreeSet<Sym>) -> Vec<bool> {
-    let mut relevant = seeds;
-    let mut keep = vec![false; fvs.len()];
-    for _ in 0..3 {
-        let mut changed = false;
-        for (i, fv) in fvs.iter().enumerate() {
-            if keep[i] {
-                continue;
-            }
-            if fv.is_empty() || fv.iter().any(|x| relevant.contains(x)) {
-                keep[i] = true;
-                relevant.extend(fv.iter().cloned());
-                changed = true;
-            }
+/// The variables of one list of hypotheses, numbered densely in order of
+/// first occurrence, and each hypothesis's free variables as a bitset
+/// over those numbers. Relevance closes over these words instead of over
+/// symbol sets; [`HypGroups`] and [`filter_relevant`] share it.
+struct HypVars {
+    index: FxHashMap<Sym, usize>,
+    /// The number of hypotheses.
+    len: usize,
+    /// Words per bitset.
+    words: usize,
+    /// Hypothesis `i`'s variables: `bits[i * words..(i + 1) * words]`.
+    bits: Vec<u64>,
+}
+
+impl HypVars {
+    fn new(hyps: &[Pred]) -> HypVars {
+        let mut index: FxHashMap<Sym, usize> = FxHashMap::default();
+        let mut occurrences: Vec<(usize, usize)> = Vec::new();
+        for (i, h) in hyps.iter().enumerate() {
+            h.for_each_var(&mut |x| {
+                let next = index.len();
+                occurrences.push((i, *index.entry(x).or_insert(next)));
+            });
         }
-        if !changed {
-            break;
+        let words = index.len().div_ceil(64);
+        let mut bits = vec![0u64; hyps.len() * words];
+        for (i, x) in occurrences {
+            bits[i * words + x / 64] |= 1 << (x % 64);
+        }
+        HypVars {
+            index,
+            len: hyps.len(),
+            words,
+            bits,
         }
     }
-    keep
+
+    /// The bitset of `vars`, dropping those no hypothesis mentions (they
+    /// can make no hypothesis relevant).
+    fn set_of<const N: usize>(&self, vars: [Sym; N]) -> Vec<u64> {
+        let mut set = vec![0u64; self.words];
+        for x in vars {
+            self.add(&mut set, x);
+        }
+        set
+    }
+
+    fn add(&self, set: &mut [u64], x: Sym) {
+        if let Some(&i) = self.index.get(&x) {
+            set[i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    /// Adds the free variables of `p` to `set`.
+    fn add_vars(&self, set: &mut [u64], p: &Pred) {
+        p.for_each_var(&mut |x| self.add(set, x));
+    }
+
+    /// The transitive-relevance mask: `mask[i]` is true when hypothesis
+    /// `i` has no variables or shares one (within 3 closure rounds) with
+    /// `relevant`, the seeds. Within a round the hypotheses are visited
+    /// in order, each kept one widening the set for those after it.
+    fn relevant(&self, mut relevant: Vec<u64>) -> Vec<bool> {
+        let mut keep = vec![false; self.len];
+        for _ in 0..3 {
+            let mut changed = false;
+            for (i, kept) in keep.iter_mut().enumerate() {
+                if *kept {
+                    continue;
+                }
+                let fv = &self.bits[i * self.words..(i + 1) * self.words];
+                if fv.iter().all(|&w| w == 0) || fv.iter().zip(&relevant).any(|(a, b)| a & b != 0) {
+                    *kept = true;
+                    for (r, w) in relevant.iter_mut().zip(fv) {
+                        *r |= w;
+                    }
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        keep
+    }
+}
+
+/// The hypotheses whose `keep` entry is set, in order.
+fn keep_marked(hyps: Vec<Pred>, keep: &[bool]) -> Vec<Pred> {
+    hyps.into_iter()
+        .zip(keep)
+        .filter(|(_, k)| **k)
+        .map(|(h, _)| h)
+        .collect()
 }
 
 /// Keeps only hypotheses transitively sharing variables with the seeds
@@ -509,44 +588,53 @@ fn relevant_mask(fvs: &[BTreeSet<Sym>], seeds: BTreeSet<Sym>) -> Vec<bool> {
 /// filter tames the model-enumeration cost of disjunction-heavy union
 /// embeddings.
 pub fn filter_relevant(hyps: Vec<Pred>, seeds: BTreeSet<Sym>) -> Vec<Pred> {
-    let fvs: Vec<BTreeSet<Sym>> = hyps.iter().map(|h| h.free_vars()).collect();
-    let keep = relevant_mask(&fvs, seeds);
-    hyps.into_iter()
-        .zip(keep)
-        .filter(|(_, k)| *k)
-        .map(|(h, _)| h)
-        .collect()
+    let vars = HypVars::new(&hyps);
+    let mut set = vars.set_of([]);
+    for x in seeds {
+        vars.add(&mut set, x);
+    }
+    let keep = vars.relevant(set);
+    keep_marked(hyps, &keep)
+}
+
+/// One constraint's environment under the current solution.
+struct Prepared {
+    /// The constraint scope plus `v`.
+    binders: Vec<(Sym, Sort)>,
+    /// ⟦Γ⟧'s binding facts and the left refinement, split into
+    /// well-sorted conjuncts.
+    hyps: Vec<Pred>,
+    /// The well-sorted guard conjuncts.
+    guards: Vec<Pred>,
+    /// The solved left refinement.
+    lhs: Pred,
 }
 
 /// Builds the binder overlay and hypothesis list for one constraint:
 /// ⟦Γ⟧ under the current solution, plus the (solved) left refinement.
-/// The binders (constraint scope plus `v`) are layered over the shared
-/// sort environment by the caller via [`SortScope`] — the shared
-/// environment itself is never cloned per constraint.
-fn prepare_hyps(
-    cs: &ConstraintSet,
-    c: &SubC,
-    sol: &Solution,
-) -> (Vec<(Sym, Sort)>, Vec<Pred>, Vec<Pred>) {
+/// The binders are layered over the shared sort environment by the
+/// caller via [`SortScope`] — the shared environment itself is never
+/// cloned per constraint.
+fn prepare_hyps(cs: &ConstraintSet, c: &SubC, sol: &Solution) -> Prepared {
     let mut binders = c.env.scope();
-    binders.push((Sym::from("v"), c.vv_sort));
+    binders.push((Sym::from(VV), c.vv_sort));
     let env_sorts = SortScope::new(&*cs.sort_env, &binders);
-    let (bind_preds, guard_preds) = c.env.embed_split();
     let mut guards: Vec<Pred> = Vec::new();
-    for g in guard_preds {
-        guards.extend(sol.apply(&g).conjuncts());
+    for g in &c.env.guards {
+        guards.extend(sol.apply(g).conjuncts());
     }
     guards.retain(|p| env_sorts.check_pred(p).is_ok());
-    let mut hyps: Vec<Pred> = bind_preds.iter().map(|p| sol.apply(p)).collect();
-    hyps.push(sol.apply(&c.lhs));
+    let lhs = sol.apply(&c.lhs);
+    let mut hyps: Vec<Pred> = c.env.facts().map(|p| sol.apply(p)).collect();
+    hyps.push(lhs.clone());
     // The `len` measure is a natural number: 0 ≤ len(x) for every
     // reference in scope (and for ν itself when it is a reference).
-    for (x, s) in c.env.scope() {
-        if s == Sort::Ref {
+    for (x, s) in &binders[..binders.len() - 1] {
+        if *s == Sort::Ref {
             hyps.push(Pred::cmp(
                 rsc_logic::CmpOp::Le,
                 Term::int(0),
-                Term::len_of(Term::var(x)),
+                Term::len_of(Term::var(*x)),
             ));
         }
     }
@@ -566,7 +654,12 @@ fn prepare_hyps(
         flat.extend(h.conjuncts());
     }
     flat.retain(|p| env_sorts.check_pred(p).is_ok());
-    (binders, flat, guards)
+    Prepared {
+        binders,
+        hyps: flat,
+        guards,
+        lhs,
+    }
 }
 
 #[cfg(test)]
@@ -715,7 +808,12 @@ mod tests {
             if matches!(c.rhs, Pred::KVar(..)) {
                 continue;
             }
-            let (binders, all_hyps, guards) = prepare_hyps(&cs, c, &r.solution);
+            let Prepared {
+                binders,
+                hyps: all_hyps,
+                guards,
+                ..
+            } = prepare_hyps(&cs, c, &r.solution);
             let env_sorts = SortScope::new(&*cs.sort_env, &binders);
             let goal = r.solution.apply(&c.rhs);
             let mut hyps = all_hyps;
@@ -725,6 +823,91 @@ mod tests {
                     smt.is_valid(&env_sorts, &hyps, &goal),
                     "discharged obligation must replay as valid: {goal}"
                 );
+            }
+        }
+    }
+
+    /// The symbol-set relevance closure the bitsets replaced, kept as
+    /// their reference.
+    fn relevant_mask_by_sets(fvs: &[BTreeSet<Sym>], seeds: BTreeSet<Sym>) -> Vec<bool> {
+        let mut relevant = seeds;
+        let mut keep = vec![false; fvs.len()];
+        for _ in 0..3 {
+            let mut changed = false;
+            for (i, fv) in fvs.iter().enumerate() {
+                if keep[i] {
+                    continue;
+                }
+                if fv.is_empty() || fv.iter().any(|x| relevant.contains(x)) {
+                    keep[i] = true;
+                    relevant.extend(fv.iter().copied());
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        keep
+    }
+
+    mod relevance {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A hypothesis over exactly the variables `x{i}` for the indices
+        /// given (repeats allowed; none gives a variable-free one).
+        fn hyp(vars: &[u8]) -> Pred {
+            let args = vars.iter().map(|i| Term::var(format!("x{i}"))).collect();
+            Pred::App(Sym::from("p"), args)
+        }
+
+        fn names(vars: &[u8]) -> BTreeSet<Sym> {
+            vars.iter().map(|i| Sym::from(format!("x{i}"))).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1000))]
+            /// The bitset mask keeps exactly the hypotheses the set
+            /// closure keeps, for the filter and for every candidate
+            /// group of a check, over up to 80 variables (two words).
+            #[test]
+            fn bitset_mask_matches_set_closure(
+                hyp_vars in prop::collection::vec(prop::collection::vec(0u8..80, 0..4), 0..14),
+                seeds in prop::collection::vec(0u8..90, 0..4),
+                goals in prop::collection::vec(prop::collection::vec(0u8..90, 0..3), 1..5),
+            ) {
+                let hyps: Vec<Pred> = hyp_vars.iter().map(|v| hyp(v)).collect();
+                let fvs: Vec<BTreeSet<Sym>> = hyp_vars.iter().map(|v| names(v)).collect();
+                let expected = relevant_mask_by_sets(&fvs, names(&seeds));
+                let kept: Vec<Pred> = hyps
+                    .iter()
+                    .zip(&expected)
+                    .filter(|(_, k)| **k)
+                    .map(|(h, _)| h.clone())
+                    .collect();
+                prop_assert_eq!(filter_relevant(hyps.clone(), names(&seeds)), kept);
+
+                // Groups: base seeds `v` plus the left-hand side's
+                // variables, one goal per candidate.
+                let lhs = hyp(&seeds);
+                let guards: Vec<Pred> = Vec::new();
+                let mut groups = HypGroups::new(&hyps, &guards, &lhs);
+                for g in &goals {
+                    let goal = hyp(g);
+                    let mut all = names(&seeds);
+                    all.insert(Sym::from(VV));
+                    all.extend(names(g));
+                    let expected = relevant_mask_by_sets(&fvs, all);
+                    let (_, group) = groups.of_goal(&goal);
+                    let want: Vec<&Pred> = hyps
+                        .iter()
+                        .zip(&expected)
+                        .filter(|(_, k)| **k)
+                        .map(|(h, _)| h)
+                        .collect();
+                    prop_assert_eq!(group.hyps.iter().collect::<Vec<_>>(), want);
+                }
             }
         }
     }

@@ -217,30 +217,38 @@ impl Pred {
         }
     }
 
-    /// Collects the free variables of the predicate. Variables appearing in
-    /// κ-variable substitution ranges count as free; substitution domains do
-    /// not.
-    pub fn free_vars_into(&self, out: &mut BTreeSet<Sym>) {
+    /// Calls `f` on every free-variable occurrence of the predicate, in
+    /// order (repeats included). Variables appearing in κ-variable
+    /// substitution ranges count as free; substitution domains do not.
+    pub fn for_each_var(&self, f: &mut impl FnMut(Sym)) {
         match self {
             Pred::True | Pred::False => {}
-            Pred::And(ps) | Pred::Or(ps) => ps.iter().for_each(|p| p.free_vars_into(out)),
-            Pred::Not(p) => p.free_vars_into(out),
+            Pred::And(ps) | Pred::Or(ps) => ps.iter().for_each(|p| p.for_each_var(f)),
+            Pred::Not(p) => p.for_each_var(f),
             Pred::Imp(a, b) | Pred::Iff(a, b) => {
-                a.free_vars_into(out);
-                b.free_vars_into(out);
+                a.for_each_var(f);
+                b.for_each_var(f);
             }
             Pred::Cmp(_, a, b) => {
-                a.free_vars_into(out);
-                b.free_vars_into(out);
+                a.for_each_var(f);
+                b.for_each_var(f);
             }
-            Pred::App(_, args) => args.iter().for_each(|a| a.free_vars_into(out)),
-            Pred::TermPred(t) => t.free_vars_into(out),
+            Pred::App(_, args) => args.iter().for_each(|a| a.for_each_var(f)),
+            Pred::TermPred(t) => t.for_each_var(f),
             Pred::KVar(_, s) => {
                 for (_, t) in s.iter() {
-                    t.free_vars_into(out);
+                    t.for_each_var(f);
                 }
             }
         }
+    }
+
+    /// Collects the free variables of the predicate (see
+    /// [`Pred::for_each_var`]).
+    pub fn free_vars_into(&self, out: &mut BTreeSet<Sym>) {
+        self.for_each_var(&mut |x| {
+            out.insert(x);
+        });
     }
 
     /// The free variables of the predicate.

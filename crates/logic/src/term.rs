@@ -180,21 +180,27 @@ impl Term {
         }
     }
 
+    /// Calls `f` on every variable occurrence of the term, in order
+    /// (repeats included).
+    pub fn for_each_var(&self, f: &mut impl FnMut(Sym)) {
+        match self {
+            Term::Var(x) => f(*x),
+            Term::IntLit(_) | Term::BoolLit(_) | Term::StrLit(_) | Term::BvLit(_) => {}
+            Term::Field(b, _) => b.for_each_var(f),
+            Term::App(_, args) => args.iter().for_each(|a| a.for_each_var(f)),
+            Term::Bin(_, a, b) => {
+                a.for_each_var(f);
+                b.for_each_var(f);
+            }
+            Term::Neg(a) => a.for_each_var(f),
+        }
+    }
+
     /// Collects the free variables of the term into `out`.
     pub fn free_vars_into(&self, out: &mut BTreeSet<Sym>) {
-        match self {
-            Term::Var(x) => {
-                out.insert(*x);
-            }
-            Term::IntLit(_) | Term::BoolLit(_) | Term::StrLit(_) | Term::BvLit(_) => {}
-            Term::Field(b, _) => b.free_vars_into(out),
-            Term::App(_, args) => args.iter().for_each(|a| a.free_vars_into(out)),
-            Term::Bin(_, a, b) => {
-                a.free_vars_into(out);
-                b.free_vars_into(out);
-            }
-            Term::Neg(a) => a.free_vars_into(out),
-        }
+        self.for_each_var(&mut |x| {
+            out.insert(x);
+        });
     }
 
     /// The free variables of the term.

@@ -19,8 +19,8 @@ impl NLinExp {
     /// If the expression is exactly one node with coefficient 1 and no
     /// constant, returns it.
     pub fn as_single_node(&self) -> Option<NodeId> {
-        match self.coeffs.iter().next() {
-            Some((&n, 1)) if self.konst == 0 && self.coeffs.len() == 1 => Some(n),
+        match self.coeffs[..] {
+            [(n, 1)] if self.konst == 0 => Some(n),
             _ => None,
         }
     }
@@ -125,8 +125,8 @@ mod tests {
         let mut a = NLinExp::var(n0);
         a.add_term(n1, 2).unwrap();
         let b = a.scale(3).unwrap();
-        assert_eq!(b.coeffs[&n0], 3);
-        assert_eq!(b.coeffs[&n1], 6);
+        assert_eq!(b.coeff(n0), 3);
+        assert_eq!(b.coeff(n1), 6);
         let c = a.sub(&a).unwrap();
         assert!(c.is_const() && c.konst == 0);
     }

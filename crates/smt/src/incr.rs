@@ -216,9 +216,9 @@ impl IncrContext {
         let mut stack: Vec<NodeId> = Vec::new();
         for &a in atoms {
             match &self.st.atoms[a.0 as usize] {
-                AtomData::LinLe(l) => stack.extend(l.coeffs.keys().copied()),
+                AtomData::LinLe(l) => stack.extend(l.vars()),
                 AtomData::IntEq(l, pair) => {
-                    stack.extend(l.coeffs.keys().copied());
+                    stack.extend(l.vars());
                     if let Some((x, y)) = pair {
                         stack.push(*x);
                         stack.push(*y);
@@ -249,7 +249,7 @@ impl IncrContext {
             for (i, dn) in self.st.def_nodes.iter().enumerate() {
                 if !included[i] && scope.contains(dn) {
                     included[i] = true;
-                    stack.extend(self.st.defs[i].coeffs.keys().copied());
+                    stack.extend(self.st.defs[i].vars());
                     grew = true;
                 }
             }

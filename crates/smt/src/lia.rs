@@ -39,15 +39,18 @@
 //! Infeasible means "no integer point", that probe could only answer "not
 //! entailed" (see [`crate::theory`]).
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// A linear expression `Σ cᵢ·xᵢ + c` over keys `K`: variables indexed by
 /// `u32` here, arena nodes in the encoder ([`crate::atom::NLinExp`]).
-/// Every operation is checked: i128 overflow yields `None`.
+/// The coefficients are a flat row sorted by key, so a sum is one merge
+/// of two rows and iteration follows key order. Every operation is
+/// checked: i128 overflow yields `None`.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct LinExp<K = u32> {
-    /// Variable coefficients (never zero).
-    pub coeffs: BTreeMap<K, i128>,
+    /// Variable coefficients, strictly increasing by key, never zero.
+    pub coeffs: Vec<(K, i128)>,
     /// The constant term.
     pub konst: i128,
 }
@@ -56,7 +59,7 @@ impl<K: Ord + Copy> LinExp<K> {
     /// The constant expression `c`.
     pub fn konst(c: i128) -> LinExp<K> {
         LinExp {
-            coeffs: BTreeMap::new(),
+            coeffs: Vec::new(),
             konst: c,
         }
     }
@@ -64,32 +67,81 @@ impl<K: Ord + Copy> LinExp<K> {
     /// The expression `x`.
     pub fn var(x: K) -> LinExp<K> {
         LinExp {
-            coeffs: BTreeMap::from([(x, 1)]),
+            coeffs: vec![(x, 1)],
             konst: 0,
         }
+    }
+
+    fn slot(&self, x: K) -> Result<usize, usize> {
+        self.coeffs.binary_search_by(|(y, _)| y.cmp(&x))
+    }
+
+    /// The coefficient of `x` (0 if absent).
+    pub fn coeff(&self, x: K) -> i128 {
+        self.slot(x).map_or(0, |i| self.coeffs[i].1)
+    }
+
+    /// The variables with a nonzero coefficient, in key order.
+    pub fn vars(&self) -> impl Iterator<Item = K> + '_ {
+        self.coeffs.iter().map(|&(x, _)| x)
+    }
+
+    /// Removes `x`'s term, returning its coefficient (0 if absent).
+    pub fn remove(&mut self, x: K) -> i128 {
+        self.slot(x).map_or(0, |i| self.coeffs.remove(i).1)
     }
 
     /// Adds `c·x` to the expression; `None` (expression unchanged) on
     /// i128 overflow.
     #[must_use]
     pub fn add_term(&mut self, x: K, c: i128) -> Option<()> {
-        let sum = self.coeffs.get(&x).copied().unwrap_or(0).checked_add(c)?;
-        if sum == 0 {
-            self.coeffs.remove(&x);
-        } else {
-            self.coeffs.insert(x, sum);
+        match self.slot(x) {
+            Ok(i) => {
+                let sum = self.coeffs[i].1.checked_add(c)?;
+                if sum == 0 {
+                    self.coeffs.remove(i);
+                } else {
+                    self.coeffs[i].1 = sum;
+                }
+            }
+            Err(i) if c != 0 => self.coeffs.insert(i, (x, c)),
+            Err(_) => {}
         }
         Some(())
     }
 
-    /// `self + other`; `None` on i128 overflow.
+    /// `self + other`, merging the two sorted rows; `None` on i128
+    /// overflow.
     pub fn add(&self, other: &LinExp<K>) -> Option<LinExp<K>> {
-        let mut out = self.clone();
-        for (&x, &c) in &other.coeffs {
-            out.add_term(x, c)?;
+        let (a, b) = (&self.coeffs, &other.coeffs);
+        let mut coeffs = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    coeffs.push(a[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    coeffs.push(b[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    let sum = a[i].1.checked_add(b[j].1)?;
+                    if sum != 0 {
+                        coeffs.push((a[i].0, sum));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
-        out.konst = out.konst.checked_add(other.konst)?;
-        Some(out)
+        coeffs.extend_from_slice(&a[i..]);
+        coeffs.extend_from_slice(&b[j..]);
+        Some(LinExp {
+            coeffs,
+            konst: self.konst.checked_add(other.konst)?,
+        })
     }
 
     /// `k · self`; `None` on i128 overflow.
@@ -101,7 +153,7 @@ impl<K: Ord + Copy> LinExp<K> {
             coeffs: self
                 .coeffs
                 .iter()
-                .map(|(&x, &c)| Some((x, c.checked_mul(k)?)))
+                .map(|&(x, c)| Some((x, c.checked_mul(k)?)))
                 .collect::<Option<_>>()?,
             konst: self.konst.checked_mul(k)?,
         })
@@ -111,18 +163,23 @@ impl<K: Ord + Copy> LinExp<K> {
     pub fn is_const(&self) -> bool {
         self.coeffs.is_empty()
     }
+
+    /// The GCD of the variable coefficients (0 for a constant).
+    fn coeff_gcd(&self) -> i128 {
+        self.coeffs.iter().fold(0i128, |g, &(_, c)| gcd(g, c))
+    }
+
+    /// Every coefficient divided by `g`, which divides each of them.
+    fn coeffs_div(&self, g: i128) -> Vec<(K, i128)> {
+        self.coeffs.iter().map(|&(x, c)| (x, c / g)).collect()
+    }
 }
 
 impl LinExp {
-    /// The coefficient of `x` (0 if absent).
-    pub fn coeff(&self, x: u32) -> i128 {
-        self.coeffs.get(&x).copied().unwrap_or(0)
-    }
-
     /// The value of the expression under `model`; `None` when a variable
     /// is unassigned or the arithmetic overflows.
     pub(crate) fn eval(&self, model: &Model) -> Option<i128> {
-        self.coeffs.iter().try_fold(self.konst, |acc, (x, &c)| {
+        self.coeffs.iter().try_fold(self.konst, |acc, (x, c)| {
             acc.checked_add(c.checked_mul(*model.get(x)?)?)
         })
     }
@@ -135,12 +192,12 @@ impl LinExp {
         if self.coeffs.is_empty() {
             return self.clone();
         }
-        let g = self.coeffs.values().fold(0i128, |g, &c| gcd(g, c));
+        let g = self.coeff_gcd();
         if g <= 1 {
             return self.clone();
         }
         LinExp {
-            coeffs: self.coeffs.iter().map(|(&x, &c)| (x, c / g)).collect(),
+            coeffs: self.coeffs_div(g),
             konst: ceil_div(self.konst, g),
         }
     }
@@ -310,25 +367,25 @@ impl LiaProblem {
         // Gaussian substitution using equalities.
         while let Some(pos) = eqs.iter().position(|e| !e.is_const()) {
             let e = eqs.swap_remove(pos);
-            let g = e.coeffs.values().fold(0i128, |g, &c| gcd(g, c));
+            let g = e.coeff_gcd();
             if g > 1 && e.konst % g != 0 {
                 return INFEASIBLE; // e.g. 2x = 1
             }
             let e = if g > 1 {
                 LinExp {
-                    coeffs: e.coeffs.iter().map(|(&x, &c)| (x, c / g)).collect(),
+                    coeffs: e.coeffs_div(g),
                     konst: e.konst / g,
                 }
             } else {
                 e
             };
             // Find a ±1 coefficient to substitute on.
-            let unit = e.coeffs.iter().find(|(_, &c)| c == 1 || c == -1);
+            let unit = e.coeffs.iter().find(|&&(_, c)| c == 1 || c == -1);
             match unit {
-                Some((&x, &c)) => {
+                Some(&(x, c)) => {
                     // c·x + rest = 0  =>  x = -rest/c
                     let mut rest = e.clone();
-                    rest.coeffs.remove(&x);
+                    rest.remove(x);
                     // c in {1,-1}: x = -c·rest
                     let Some(image) = rest.scale(-c) else {
                         return GAVE_UP;
@@ -393,7 +450,7 @@ impl LiaProblem {
             // which one a problem needs then depends on variable ids.
             let mut counts: BTreeMap<u32, (usize, usize, bool, bool)> = BTreeMap::new();
             for e in &les {
-                for (&x, &c) in &e.coeffs {
+                for &(x, c) in &e.coeffs {
                     let ent = counts.entry(x).or_insert((0, 0, true, true));
                     if c > 0 {
                         ent.0 += 1;
@@ -474,9 +531,8 @@ impl LiaProblem {
 /// `rows[i] := rows[i][x := image]`; `None` on i128 overflow.
 fn substitute(rows: &mut [LinExp], x: u32, image: &LinExp) -> Option<()> {
     for e in rows.iter_mut() {
-        let c = e.coeff(x);
+        let c = e.remove(x);
         if c != 0 {
-            e.coeffs.remove(&x);
             *e = e.add(&image.scale(c)?)?;
         }
     }
@@ -493,7 +549,7 @@ fn spread(x: u32) -> i128 {
 /// without a value gets its [`spread`] value first.
 fn eval_assigning(row: &LinExp, skip: u32, model: &mut Model) -> Option<i128> {
     let mut acc = row.konst;
-    for (&y, &c) in &row.coeffs {
+    for &(y, c) in &row.coeffs {
         if y != skip {
             let v = *model.entry(y).or_insert_with(|| spread(y));
             acc = acc.checked_add(c.checked_mul(v)?)?;
@@ -814,6 +870,162 @@ mod tests {
         (prop::collection::vec(arb_coeff(), 4), arb_coeff(), 0u8..3)
     }
 
+    /// The `BTreeMap`-backed row the flat `LinExp` replaced, kept as the
+    /// reference its operations must agree with.
+    #[derive(Clone, Debug)]
+    struct MapLin {
+        coeffs: BTreeMap<u32, i128>,
+        konst: i128,
+    }
+
+    impl MapLin {
+        fn add_term(&mut self, x: u32, c: i128) -> Option<()> {
+            let sum = self.coeffs.get(&x).copied().unwrap_or(0).checked_add(c)?;
+            if sum == 0 {
+                self.coeffs.remove(&x);
+            } else {
+                self.coeffs.insert(x, sum);
+            }
+            Some(())
+        }
+
+        fn add(&self, other: &MapLin) -> Option<MapLin> {
+            let mut out = self.clone();
+            for (&x, &c) in &other.coeffs {
+                out.add_term(x, c)?;
+            }
+            out.konst = out.konst.checked_add(other.konst)?;
+            Some(out)
+        }
+
+        fn scale(&self, k: i128) -> Option<MapLin> {
+            if k == 0 {
+                return Some(MapLin {
+                    coeffs: BTreeMap::new(),
+                    konst: 0,
+                });
+            }
+            Some(MapLin {
+                coeffs: self
+                    .coeffs
+                    .iter()
+                    .map(|(&x, &c)| Some((x, c.checked_mul(k)?)))
+                    .collect::<Option<_>>()?,
+                konst: self.konst.checked_mul(k)?,
+            })
+        }
+
+        fn tighten_le(&self) -> MapLin {
+            let g = self.coeffs.values().fold(0i128, |g, &c| gcd(g, c));
+            if self.coeffs.is_empty() || g <= 1 {
+                return self.clone();
+            }
+            MapLin {
+                coeffs: self.coeffs.iter().map(|(&x, &c)| (x, c / g)).collect(),
+                konst: ceil_div(self.konst, g),
+            }
+        }
+
+        fn eval(&self, model: &Model) -> Option<i128> {
+            self.coeffs.iter().try_fold(self.konst, |acc, (x, &c)| {
+                acc.checked_add(c.checked_mul(*model.get(x)?)?)
+            })
+        }
+
+        fn matches(&self, e: &LinExp) -> bool {
+            self.konst == e.konst
+                && self
+                    .coeffs
+                    .iter()
+                    .map(|(&x, &c)| (x, c))
+                    .eq(e.coeffs.iter().copied())
+        }
+    }
+
+    /// Builds the same expression on both sides from `(var, coeff)` terms.
+    fn both(terms: &[(u32, i64)], k: i64) -> (LinExp, MapLin) {
+        let mut flat = LinExp::konst(i128::from(k));
+        let mut map = MapLin {
+            coeffs: BTreeMap::new(),
+            konst: i128::from(k),
+        };
+        for &(x, c) in terms {
+            let (a, b) = (
+                flat.add_term(x, i128::from(c)),
+                map.add_term(x, i128::from(c)),
+            );
+            assert_eq!(a, b);
+        }
+        (flat, map)
+    }
+
+    fn arb_terms() -> impl Strategy<Value = Vec<(u32, i64)>> {
+        prop::collection::vec((0u32..6, arb_coeff()), 0..7)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+        /// The sorted-vector row and the `BTreeMap` reference give the
+        /// same value, or both `None` on overflow, under `add_term`,
+        /// `add`, `scale`, `tighten_le` and `eval`.
+        #[test]
+        fn flat_rows_match_the_map_reference(
+            ta in arb_terms(),
+            tb in arb_terms(),
+            extra in arb_terms(),
+            ks in prop::collection::vec(arb_coeff(), 4),
+            values in prop::collection::vec(arb_coeff(), 6),
+            unset in 0u8..64,
+        ) {
+            let (ka, kb, k1, k2) = (ks[0], ks[1], ks[2], ks[3]);
+            let (mut fa, mut ma) = both(&ta, ka);
+            let (fb, mb) = both(&tb, kb);
+            prop_assert!(ma.matches(&fa) && mb.matches(&fb));
+            // `add_term` leaves an expression unchanged on overflow.
+            let scaled = fa.scale(i128::from(k1)).zip(ma.scale(i128::from(k1)));
+            if let Some((mut fs, mut ms)) = scaled {
+                for &(x, c) in &extra {
+                    let c = i128::from(c) * i128::from(k2);
+                    prop_assert_eq!(fs.add_term(x, c), ms.add_term(x, c));
+                    prop_assert!(ms.matches(&fs));
+                }
+            }
+            let sum = fa.add(&fb);
+            prop_assert_eq!(sum.is_some(), ma.add(&mb).is_some());
+            if let (Some(f), Some(m)) = (&sum, ma.add(&mb)) {
+                prop_assert!(m.matches(f));
+                prop_assert!(m.tighten_le().matches(&f.tighten_le()));
+            }
+            // Chained scaling reaches past i128.
+            let f2 = fa.scale(i128::from(k1)).and_then(|e| e.scale(i128::from(k2)));
+            let m2 = ma.scale(i128::from(k1)).and_then(|e| e.scale(i128::from(k2)));
+            prop_assert_eq!(f2.is_some(), m2.is_some());
+            if let (Some(f), Some(m)) = (&f2, &m2) {
+                prop_assert!(m.matches(f));
+                prop_assert!(m.tighten_le().matches(&f.tighten_le()));
+                let g = f.add(&fb).zip(m.add(&mb));
+                prop_assert!(g.as_ref().is_none_or(|(f, m)| m.matches(f)));
+            }
+            // Variables whose `unset` bit is on have no value.
+            let model: Model = values
+                .iter()
+                .enumerate()
+                .filter(|(x, _)| unset & (1 << x) == 0)
+                .map(|(x, &v)| (x as u32, i128::from(v)))
+                .collect();
+            prop_assert_eq!(fa.eval(&model), ma.eval(&model));
+            if let (Some(f), Some(m)) = (&f2, &m2) {
+                prop_assert_eq!(f.eval(&model), m.eval(&model));
+            }
+            for x in 0..6 {
+                prop_assert_eq!(fa.coeff(x), ma.coeffs.get(&x).copied().unwrap_or(0));
+                let (removed, expected) = (fa.remove(x), ma.coeffs.remove(&x).unwrap_or(0));
+                prop_assert_eq!(removed, expected);
+                prop_assert!(ma.matches(&fa));
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1500))]
         #[test]
@@ -839,8 +1051,8 @@ mod tests {
                 // Re-evaluate every row independently of `LinExp::eval`.
                 for (e, op) in &relations {
                     let mut v = e.konst;
-                    for (x, &c) in &e.coeffs {
-                        let term = c.checked_mul(m[x]).expect("model value in range");
+                    for &(x, c) in &e.coeffs {
+                        let term = c.checked_mul(m[&x]).expect("model value in range");
                         v = v.checked_add(term).expect("model value in range");
                     }
                     let holds = match op {

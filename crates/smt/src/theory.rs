@@ -92,17 +92,17 @@ fn derive_constants(eqs: &[LinExp]) -> FxHashMap<u32, i128> {
             let known: Vec<(u32, i128)> = e
                 .coeffs
                 .iter()
-                .filter_map(|(&x, &c)| values.get(&x).and_then(|v| Some((x, c.checked_mul(*v)?))))
+                .filter_map(|&(x, c)| values.get(&x).and_then(|v| Some((x, c.checked_mul(*v)?))))
                 .collect();
             for (x, add) in known {
                 let Some(k) = e.konst.checked_add(add) else {
                     break;
                 };
-                e.coeffs.remove(&x);
+                e.remove(x);
                 e.konst = k;
             }
             if e.coeffs.len() == 1 {
-                let (&x, &c) = e.coeffs.iter().next().unwrap();
+                let (x, c) = e.coeffs[0];
                 if let Some(v) = e
                     .konst
                     .checked_rem(c)
@@ -235,7 +235,7 @@ pub fn check_scoped(
         // and a skipped probe's model still satisfies the probed rows).
         let translate = |euf: &mut Euf, l: &NLinExp| -> Option<LinExp> {
             let mut out = LinExp::konst(l.konst);
-            for (&n, &c) in &l.coeffs {
+            for &(n, c) in &l.coeffs {
                 let rep = euf.find(n);
                 match arena.const_kind(rep) {
                     Some(ConstKind::Int(v)) => {
@@ -373,7 +373,7 @@ pub fn check_scoped(
             .chain(prob.eqs.iter())
             .chain(prob.diseqs.iter())
         {
-            bounded.extend(e.coeffs.keys().copied());
+            bounded.extend(e.vars());
         }
         let mut found: Option<(NodeId, NodeId)> = None;
         let mut probes = 0usize;
