@@ -8,15 +8,18 @@
 //! * **Constraint memoization.** The round-robin weakening loop re-checks
 //!   every κ-headed constraint each iteration, but a re-check can only
 //!   change the outcome if some κ it *depends on* (a κ in its environment,
-//!   left-hand side, guards — or its own head, the candidate source) was
+//!   left-hand side or guards, the κs that shape its hypotheses) was
 //!   weakened since its last check. Each κ carries a version counter,
 //!   bumped on every weakening; a constraint whose dependency versions
-//!   match its last-checked snapshot is skipped. The skipped re-check
-//!   would have issued exactly the queries of the previous check (the
-//!   solver is deterministic), kept every candidate, and left `changed`
-//!   untouched, so the iteration trajectory — and with it every
-//!   diagnostic — is byte-identical; only the redundant SMT queries
-//!   disappear.
+//!   match its last-checked snapshot is skipped. Weakening the head κ
+//!   alone does not make a constraint dirty: its survivors were each
+//!   just proved against the same hypotheses, and every candidate's
+//!   answer is independent of the others. The skipped re-check would
+//!   have issued exactly the queries of the previous check (the solver
+//!   is deterministic) or a subset of them, kept every candidate, and
+//!   left `changed` untouched, so the iteration trajectory — and with it
+//!   every diagnostic — is byte-identical; only the redundant SMT
+//!   queries and discharges disappear.
 //! * **Incremental SMT.** Each κ-headed constraint keeps one persistent
 //!   [`IncrContext`]: its hypotheses and candidate goals are encoded once
 //!   under activation literals, and each weakening iteration re-solves
@@ -143,14 +146,13 @@ pub fn solve(cs: &ConstraintSet, smt: &mut Solver) -> LiquidResult {
     solve_with(cs, smt, SolveOptions::default())
 }
 
-/// Every κ a constraint's verdict depends on: κs in the environment
-/// bindings, guards and left-hand side (they shape the hypotheses) plus
-/// the head κ itself (the candidate source).
+/// Every κ a constraint's verdict depends on: the κs in its environment
+/// bindings, guards and left-hand side, which shape its hypotheses. The
+/// head κ is among them only when it also occurs there (a self-loop,
+/// like a loop body's back edge): the candidates it loses in a check
+/// never change the answer for the ones it keeps.
 fn constraint_deps(c: &SubC) -> Vec<KVarId> {
     let mut ks: BTreeSet<KVarId> = BTreeSet::new();
-    if let Pred::KVar(k, _) = &c.rhs {
-        ks.insert(*k);
-    }
     let binds = c.env.binds.iter().map(|b| b.pred());
     for p in binds.chain(&c.env.guards).chain([&c.lhs]) {
         ks.extend(p.kvars());
@@ -335,9 +337,10 @@ pub fn solve_with(cs: &ConstraintSet, smt: &mut Solver, opts: SolveOptions) -> L
                 }
             }
             // Record the *pre-check* snapshot: when this check weakened
-            // its own κ, the version bump below makes the constraint
-            // dirty again next iteration (weaker hypotheses can drop
-            // more), exactly as the unmemoized loop would re-check it.
+            // a κ in its own hypotheses (a self-loop), the version bump
+            // below makes the constraint dirty again next iteration
+            // (weaker hypotheses can drop more). A head κ outside the
+            // hypotheses is not in the snapshot: its survivors stand.
             last_checked.insert(ci, snapshot);
             if dropped {
                 *versions.entry(*k).or_insert(0) += 1;
@@ -667,7 +670,8 @@ mod tests {
     use super::*;
     use crate::blame::ObligationKind;
     use crate::constraint::CEnv;
-    use rsc_logic::{CmpOp, Subst, Term};
+    use rsc_logic::{CmpOp, Qualifier, Subst, Term};
+    use std::sync::Arc;
 
     fn counter_constraints() -> (ConstraintSet, KVarId) {
         let mut cs = ConstraintSet::new();
@@ -720,6 +724,51 @@ mod tests {
             shown.contains(&"0 <= v".to_string()),
             "κ should keep Nat, got {shown:?}"
         );
+    }
+
+    /// A constraint whose hypotheses mention no κ, like a loop's `init`
+    /// edge, is checked exactly once: dropping its own candidates leaves
+    /// its hypotheses as they were, so re-checking the survivors could
+    /// only repeat answers. Three candidates, one survivor: three
+    /// candidate checks in all, with the discharge on or off.
+    #[test]
+    fn init_constraint_is_checked_once() {
+        let mut cs = ConstraintSet::new();
+        let vv = Term::vv;
+        cs.quals = Arc::new(vec![
+            Qualifier::new("eq0", Sort::Int, vec![], Pred::vv_eq(Term::int(0))),
+            Qualifier::new(
+                "pos",
+                Sort::Int,
+                vec![],
+                Pred::cmp(CmpOp::Lt, Term::int(0), vv()),
+            ),
+            Qualifier::new(
+                "neg",
+                Sort::Int,
+                vec![],
+                Pred::cmp(CmpOp::Lt, vv(), Term::int(0)),
+            ),
+        ]);
+        let k = cs.fresh_kvar(Sort::Int, vec![], "init");
+        cs.push_sub(
+            CEnv::new(),
+            Pred::vv_eq(Term::int(0)),
+            Pred::KVar(k, Subst::new()),
+            Sort::Int,
+            &Blame::synthetic("init"),
+        );
+        for absint in [true, false] {
+            let mut smt = Solver::new();
+            let opts = SolveOptions {
+                absint,
+                ..SolveOptions::default()
+            };
+            let r = solve_with(&cs, &mut smt, opts);
+            let kept: Vec<String> = r.solution.of(k).iter().map(|p| p.to_string()).collect();
+            assert_eq!(kept, ["v = 0"]);
+            assert_eq!(r.smt_queries + r.discharged, 3, "absint {absint}");
+        }
     }
 
     /// A persistent context with a model pool per constraint and a
