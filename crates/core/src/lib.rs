@@ -44,6 +44,7 @@ pub use checker::{
 };
 pub use diag::{Diagnostic, Severity};
 pub use rsc_liquid::{Blame, ObligationKind};
+pub use rsc_logic::Sym;
 pub use rsc_syntax::{LineCol, LineIndex, Span};
 pub use rtype::{Base, Prim, RFun, RType};
 pub use table::{ClassTable, FieldInfo, MethodInfo, ObjInfo, ResolveError};

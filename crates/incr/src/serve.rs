@@ -39,8 +39,14 @@
 //!  "counters":{"checks_total":3,"bundles_reused_total":14,…},
 //!  "cache":{"entries":90,"hits":12,"misses":90,"evictions":0,"hit_rate":0.12},
 //!  "timing":{"checks":3,"check_p50_us":2100,"check_p90_us":…,"check_p99_us":…,
-//!            "phases_ms":{"parse":0.4,"solve":5.2,…}}}}
+//!            "phases_ms":{"parse":0.4,"solve":5.2,…}},
+//!  "symbols":{"interned":456,"bytes":3120}}}
 //! ```
+//!
+//! `symbols` sizes the process-wide symbol table (`rsc_core::Sym`),
+//! which only grows: replaying an edit script must leave both numbers
+//! where the first run left them. They depend on everything the process
+//! checked before, so `--stats-json` does not carry them.
 //!
 //! Errors follow JSON-RPC 2.0 and never end the loop. A line that is
 //! not JSON answers `-32700` (ParseError) with `id: null`; a value
@@ -276,12 +282,13 @@ impl Serve {
     }
 
     /// The `rsc/metrics` result: open documents, the registry's
-    /// monotonic counters, the shared VC cache's counters, and the
-    /// timing summary (check-latency percentiles plus cumulative
-    /// per-phase milliseconds) — all derived from the registry and the
-    /// cache, never from verdicts.
+    /// monotonic counters, the shared VC cache's counters, the timing
+    /// summary (check-latency percentiles plus cumulative per-phase
+    /// milliseconds) and the symbol table's size — all derived from the
+    /// registry, the cache and the table, never from verdicts.
     fn metrics(&self) -> Json {
         let c = self.ws.cache().counters();
+        let (symbols, symbol_bytes) = rsc_core::Sym::table_size();
         let counters = Json::Obj(
             self.registry
                 .counters()
@@ -328,6 +335,13 @@ impl Serve {
                         Json::num(lat.map_or(0, |h| h.p99_us()) as f64),
                     ),
                     ("phases_ms".into(), phases),
+                ]),
+            ),
+            (
+                "symbols".into(),
+                Json::Obj(vec![
+                    ("interned".into(), Json::num(symbols as f64)),
+                    ("bytes".into(), Json::num(symbol_bytes as f64)),
                 ]),
             ),
         ])

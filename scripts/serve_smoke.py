@@ -19,8 +19,10 @@ Legs (default: lsp + multi-file):
   then an ``rsc/metrics`` request (must report monotonic registry
   counters with ``importers_skipped_total``, VC-cache counters with a
   hit rate, the check count, check-latency percentiles, and cumulative
-  per-phase milliseconds covering the span taxonomy). Every publish
-  must also carry a per-phase ``timing_ms`` object.
+  per-phase milliseconds covering the span taxonomy, and the symbol
+  table's size). Every publish must also carry a per-phase
+  ``timing_ms`` object. The edit session then replays, and a second
+  ``rsc/metrics`` must report the same symbol count and bytes.
 * ``disk-cache``  — the persistent ``--vc-cache DIR`` round-trip: cold
   batch-check the corpus into a fresh directory, let the process exit,
   then re-check with a new process against the warm directory. The warm
@@ -204,8 +206,8 @@ METRICS = {"jsonrpc": "2.0", "id": 2, "method": "rsc/metrics"}
 EXIT = {"jsonrpc": "2.0", "method": "exit"}
 
 
-def metrics_result(v):
-    if v.get("id") != 2 or not isinstance(v.get("result"), dict):
+def metrics_result(v, req_id=2):
+    if v.get("id") != req_id or not isinstance(v.get("result"), dict):
         fail(f"bad rsc/metrics response: {v}")
     return v["result"]
 
@@ -249,20 +251,19 @@ def cache_bound_leg(binary, cap=16, rounds=3):
 
 def metrics_leg(binary):
     """Observability surface: per-check timing_ms on every publish, and
-    the rsc/metrics counters/cache/latency/phase object."""
+    the rsc/metrics counters/cache/latency/phase/symbols object. The
+    edit script runs twice; the symbol table must not grow on the
+    replay (a name carrying a session-wide counter would)."""
     uri = "file:///corpus.rsc"
     name, src, mutated = corpus()[0]
-    requests = [
-        did_open(uri, src),
-        did_change(uri, mutated),
-        did_change(uri, src),
-        METRICS,
-        EXIT,
-    ]
+    script = [did_open(uri, src), did_change(uri, mutated), did_change(uri, src)]
+    replay_metrics = {"jsonrpc": "2.0", "id": 3, "method": "rsc/metrics"}
+    requests = script + [METRICS] + script + [replay_metrics, EXIT]
     lines = run_serve(binary, requests)
-    if len(lines) != 4:
-        fail(f"metrics: expected 4 responses, got {len(lines)}")
+    if len(lines) != 8:
+        fail(f"metrics: expected 8 responses, got {len(lines)}")
     checks, metrics = lines[:3], metrics_result(lines[3])
+    replayed = metrics_result(lines[7], req_id=3)
 
     for i, v in enumerate(checks):
         if v.get("method") != "textDocument/publishDiagnostics":
@@ -299,8 +300,14 @@ def metrics_leg(binary):
                "solve-bundle", "smt-query", "check"} - set(phases)
     if missing:
         fail(f"metrics: phases_ms missing taxonomy phases {missing}: {phases}")
+    symbols = metrics.get("symbols", {})
+    if symbols.get("interned", 0) <= 0 or symbols.get("bytes", 0) <= 0:
+        fail(f"metrics: symbol table size missing: {symbols}")
+    if replayed.get("symbols") != symbols:
+        fail(f"metrics: symbol table grew on a replayed edit script: "
+             f"{symbols} -> {replayed.get('symbols')}")
     print(f"serve_smoke: metrics leg PASS (p50={timing['check_p50_us']}us, "
-          f"phases={len(phases)})")
+          f"phases={len(phases)}, symbols={symbols['interned']})")
 
 
 def disk_cache_leg(binary):
