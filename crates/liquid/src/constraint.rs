@@ -95,9 +95,7 @@ impl CEnv {
     /// guards. Predicates may still contain κ-variables; the solver
     /// substitutes the current assignment before calling the SMT solver.
     pub fn embed(&self) -> Vec<Pred> {
-        let (mut out, guards) = self.embed_split();
-        out.extend(guards);
-        out
+        self.facts().chain(&self.guards).cloned().collect()
     }
 
     /// The variables in scope with their sorts (for qualifier
@@ -106,13 +104,9 @@ impl CEnv {
         self.binds.iter().map(|b| (b.name, b.sort)).collect()
     }
 
-    /// The embedding split into binding facts and guard predicates.
-    /// Guards carry path-sensitivity and are never relevance-filtered.
-    pub fn embed_split(&self) -> (Vec<Pred>, Vec<Pred>) {
-        (self.facts().cloned().collect(), self.guards.clone())
-    }
-
     /// The binding facts `[x/v]p`, in binding order, without copying.
+    /// (Guards carry path-sensitivity and are never relevance-filtered,
+    /// so the solver reads them apart from these.)
     pub fn facts(&self) -> impl Iterator<Item = &Pred> {
         self.binds.iter().filter_map(|b| b.fact())
     }
