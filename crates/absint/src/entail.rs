@@ -7,7 +7,11 @@
 //! every concrete state the abstract one describes. `entails` never
 //! mutates the environment (union-find roots are looked up without path
 //! compression on the query side), so one fold answers every goal over
-//! the same hypotheses exactly as a fresh fold per goal would.
+//! the same hypotheses exactly as a fresh fold per goal would. A fold
+//! borrows its binder sorts ([`BinderSorts`]), so every fold of one
+//! candidate check shares a single map, and it detects its local
+//! fixpoint by counting interval moves rather than comparing copies of
+//! the interval map.
 //!
 //! **The fragment.** Only comparisons are folded and proved:
 //!

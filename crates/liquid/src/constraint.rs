@@ -10,7 +10,10 @@
 //! (`∀x:b. p ⇒ c`) without the tree: readers walk a constraint's
 //! bindings in order, and the ones that visit many constraints
 //! (fingerprinting) can recognize a binding they have already seen by
-//! its address.
+//! its address. A binding also builds its fact `[x/v]p` once, when it
+//! is built: the solver reads every fact of a constraint's environment
+//! on each check of it ([`CEnv::facts`]), so substituting there would
+//! redo the same work on every sweep.
 
 use rsc_logic::FxHashMap;
 use std::sync::Arc;

@@ -3,6 +3,14 @@
 //! Gaussian substitution for equalities and case splitting for
 //! disequalities.
 //!
+//! Rows are sparse and flat: a [`LinExp`] keeps its nonzero coefficients
+//! in a `Vec` sorted by variable, so the sums that substitution and
+//! every Fourier–Motzkin combination build are one linear merge, with no
+//! tree nodes to allocate. Iteration follows variable order, as it did
+//! when rows were `BTreeMap`s, so the elimination order (the first
+//! minimum over variables), the unit coefficient a substitution picks
+//! and every derived row are the same.
+//!
 //! Soundness contract: [`LiaResult::Infeasible`] is only returned when the
 //! constraints have no **integer** solution — either no rational one, or an
 //! explicit integrality contradiction (GCD test, tightening). Because
