@@ -14,10 +14,9 @@
 //! The engine never errs: an unreachable block simply keeps no
 //! environment, and every unknown expression evaluates to ⊤.
 
-use rsc_logic::FxHashMap;
 use std::collections::{BTreeMap, BTreeSet};
 
-use rsc_logic::Sym;
+use rsc_logic::{FxHashMap, Sym};
 use rsc_ssa::{Body, Cfg, Edge, IrExpr, IrFun, IrProgram, Stmt};
 use rsc_syntax::ast::{BinOpE, UnOp};
 

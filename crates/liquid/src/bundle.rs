@@ -18,8 +18,7 @@
 //! original index, so merging per-bundle results in bundle order
 //! reproduces the sequential diagnostic order exactly.
 
-use rsc_logic::FxHashMap;
-use rsc_logic::KVarId;
+use rsc_logic::{FxHashMap, KVarId};
 
 use crate::constraint::{ConstraintSet, SubC};
 

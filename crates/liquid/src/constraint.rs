@@ -15,10 +15,9 @@
 //! on each check of it ([`CEnv::facts`]), so substituting there would
 //! redo the same work on every sweep.
 
-use rsc_logic::FxHashMap;
 use std::sync::Arc;
 
-use rsc_logic::{KVar, KVarId, Pred, Qualifier, Sort, SortEnv, Subst, Sym, Term};
+use rsc_logic::{FxHashMap, KVar, KVarId, Pred, Qualifier, Sort, SortEnv, Subst, Sym, Term};
 
 use crate::blame::{clip, Blame};
 

@@ -34,13 +34,12 @@
 //! edits) accidental collision is negligible, and a collision could only
 //! cause a *stale verdict for an equal-looking problem*, never a crash.
 
-use rsc_logic::FxHashMap;
 use std::collections::hash_map::DefaultHasher;
 
 use std::hash::{Hash, Hasher};
 use std::mem::discriminant;
 
-use rsc_logic::{FunSig, KVarId, Pred, Qualifier, Sort, SortEnv, Sym};
+use rsc_logic::{FunSig, FxHashMap, KVarId, Pred, Qualifier, Sort, SortEnv, Sym};
 
 use crate::bundle::ConstraintBundle;
 use crate::constraint::{CBind, SubC};

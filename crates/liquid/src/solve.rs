@@ -41,10 +41,11 @@
 //!   each candidate of it with the read-only [`FactEnv::entails`]. On
 //!   the cold corpus a pass made 9,872 candidate checks over 1,692
 //!   distinct lists before the memoization above stopped re-checking
-//!   constraints on their own head. The groups live for one check only (the hypotheses depend on the
-//!   solution, which changes only after the candidate loop), so every
-//!   discharge decision and every SMT query sees the identical list in
-//!   the identical order, and the work counters are unchanged.
+//!   constraints on their own head. The groups live for one check only
+//!   (the hypotheses depend on the solution, which changes only after
+//!   the candidate loop), so every discharge decision and every SMT
+//!   query sees the identical list in the identical order, and the work
+//!   counters are unchanged.
 //! * **Counterexample models.** Most candidate queries are refutations.
 //!   Each check owns a [`ModelPool`]: a refuting incremental query's
 //!   counterexample model joins it once it checks against that query,
@@ -58,12 +59,11 @@
 //!   an earlier check satisfy every survivor. On the cold corpus it
 //!   answers 2,086 of the 4,551 liquid queries per pass.
 
-use rsc_logic::{FxHashMap, FxHashSet};
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
 use rsc_absint::{BinderSorts, FactEnv};
-use rsc_logic::{KVarId, Pred, Sort, SortScope, Sym, Term, VV};
+use rsc_logic::{FxHashMap, FxHashSet, KVarId, Pred, Sort, SortScope, Sym, Term, VV};
 use rsc_smt::{IncrContext, ModelPool, Solver};
 
 use crate::blame::Blame;

@@ -1,7 +1,6 @@
-use crate::FxHashMap;
 use std::fmt;
 
-use crate::{BinOp, CmpOp, Pred, Sym, Term};
+use crate::{BinOp, CmpOp, FxHashMap, Pred, Sym, Term};
 
 /// Sorts classify logical terms.
 ///

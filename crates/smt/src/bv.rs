@@ -6,10 +6,11 @@
 //! combinations of variables and constants — blasted here once, at encode
 //! time, so the theory combination never sees bit-vectors.
 
+use rsc_logic::FxHashMap;
+
 use crate::atom::BvTerm;
 use crate::node::NodeId;
 use crate::sat::{Lit, SatSolver};
-use rsc_logic::FxHashMap;
 
 const WIDTH: usize = 32;
 

@@ -51,7 +51,6 @@
 //! but only between `Unsat` and `Unknown`, i.e. in the conservative
 //! reject-more direction, and deterministically so for a given mode.)
 
-use rsc_logic::{FxHashMap, FxHashSet};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::fmt::Write;
@@ -59,7 +58,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use rsc_logic::{FunSig, Pred, Sort, SortLookup, Subst, Sym, Term};
+use rsc_logic::{FunSig, FxHashMap, FxHashSet, Pred, Sort, SortLookup, Subst, Sym, Term};
 
 /// Number of independently locked shards. Contention is low (queries are
 /// long compared to a hash lookup), 16 keeps it negligible.

@@ -2,8 +2,7 @@
 //! representation: a propositional [`Formula`] over theory [`AtomData`]s,
 //! with terms hash-consed into the [`Arena`].
 
-use rsc_logic::FxHashMap;
-use rsc_logic::{sort_of_in, BinOp, CmpOp, Pred, Sort, SortLookup, Sym, Term};
+use rsc_logic::{sort_of_in, BinOp, CmpOp, FxHashMap, Pred, Sort, SortLookup, Sym, Term};
 
 use crate::atom::{AtomData, AtomId, BvTerm, Formula, NLinExp};
 use crate::node::{Arena, Node, NodeId};

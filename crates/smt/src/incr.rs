@@ -52,10 +52,9 @@
 //! all consequences of the asserted items' theory semantics, so an
 //! `Unsat` here is an `Unsat` of the original conjunction.
 
-use rsc_logic::FxHashMap;
 use std::collections::BTreeSet;
 
-use rsc_logic::{Pred, SortLookup};
+use rsc_logic::{FxHashMap, Pred, SortLookup};
 
 use crate::atom::{AtomData, AtomId, Formula, NLinExp};
 use crate::bv::Blaster;

@@ -38,8 +38,7 @@
 //! check satisfy every candidate that survived it, so they cannot refute
 //! one; the pool is dropped with the check.
 
-use rsc_logic::FxHashMap;
-use rsc_logic::{eval_pred, Interp, Pred, Sort, Sym, Value};
+use rsc_logic::{eval_pred, FxHashMap, Interp, Pred, Sort, Sym, Value};
 
 use crate::euf::Euf;
 use crate::lia;

@@ -1,7 +1,6 @@
 //! Hash-consed term arena shared by the EUF and LIA theory solvers.
 
-use rsc_logic::FxHashMap;
-use rsc_logic::{Sort, Sym};
+use rsc_logic::{FxHashMap, Sort, Sym};
 
 /// Index of a node in the [`Arena`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]

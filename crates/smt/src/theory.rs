@@ -17,8 +17,7 @@
 //! available (an empty integer interval, a cap, an overflow), every
 //! pair is probed.
 
-use rsc_logic::Sort;
-use rsc_logic::{FxHashMap, FxHashSet};
+use rsc_logic::{FxHashMap, FxHashSet, Sort};
 
 use crate::atom::{AtomData, AtomId, NLinExp};
 use crate::euf::{Euf, EufResult};
