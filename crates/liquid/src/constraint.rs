@@ -10,37 +10,37 @@
 //! (`∀x:b. p ⇒ c`) without the tree: readers walk a constraint's
 //! bindings in order, and the ones that visit many constraints
 //! (fingerprinting) can recognize a binding they have already seen by
-//! its address. A binding also builds its fact `[x/v]p` once, when it
-//! is built: the solver reads every fact of a constraint's environment
-//! on each check of it ([`CEnv::facts`]), so substituting there would
-//! redo the same work on every sweep.
+//! its address. A binding also builds its fact `[x/v]p` once, the first
+//! time a solver reads it: the solver reads every fact of a constraint's
+//! environment on each check of it ([`CEnv::facts`]), so substituting
+//! there would redo the same work on every sweep, while building it with
+//! the binding would pay for facts of bundles that are reused, never
+//! solved.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rsc_logic::{FxHashMap, KVar, KVarId, Pred, Qualifier, Sort, SortEnv, Subst, Sym, Term};
 
 use crate::blame::{clip, Blame};
 
 /// One binding `name : {v:sort | pred}` of a constraint environment,
-/// with its fact `[name/v]pred` built once, when the binding is.
+/// with its fact `[name/v]pred` built once, on first use.
 #[derive(Debug)]
 pub struct CBind {
     name: Sym,
     sort: Sort,
     pred: Pred,
-    fact: Option<Pred>,
+    fact: OnceLock<Option<Pred>>,
 }
 
 impl CBind {
     /// The binding `name : {v:sort | pred}`.
     pub fn new(name: Sym, sort: Sort, pred: Pred) -> CBind {
-        let fact = (!matches!(pred, Pred::True))
-            .then(|| Subst::one("v", Term::var(name)).apply_pred(&pred));
         CBind {
             name,
             sort,
             pred,
-            fact,
+            fact: OnceLock::new(),
         }
     }
 
@@ -60,9 +60,15 @@ impl CBind {
     }
 
     /// The binding's fact `[name/v]pred`, or `None` when the refinement
-    /// is `true` (no fact).
+    /// is `true` (no fact). Built on the first call: a binding of a
+    /// bundle that is reused, not solved, never needs it.
     pub(crate) fn fact(&self) -> Option<&Pred> {
-        self.fact.as_ref()
+        self.fact
+            .get_or_init(|| {
+                (!matches!(self.pred, Pred::True))
+                    .then(|| Subst::one("v", Term::var(self.name)).apply_pred(&self.pred))
+            })
+            .as_ref()
     }
 }
 
