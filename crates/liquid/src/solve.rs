@@ -57,7 +57,7 @@
 //!   the liquid query count are unchanged. The pool names hypothesis
 //!   lists by their group index and is dropped with the check; models of
 //!   an earlier check satisfy every survivor. On the cold corpus it
-//!   answers 2,086 of the 4,551 liquid queries per pass.
+//!   answers 2,086 of the 4,529 liquid queries per pass.
 
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
