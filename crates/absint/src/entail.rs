@@ -202,8 +202,8 @@ impl<'s> FactEnv<'s> {
         let mut env = FactEnv::new(sorts);
         // Up to three passes over the hypotheses: assume-order
         // independence for short chains, deterministic by construction.
-        // Intervals only narrow, rows and substitutions only grow, so a
-        // pass that moved none of them is a fixpoint.
+        // Rows and substitutions only grow, so a pass that adds none and
+        // moves no interval ends where it started: a fixpoint.
         for _ in 0..3 {
             let before = (env.itv_moves, env.rows.len(), env.substs.len());
             env.int_diseqs = 0;
