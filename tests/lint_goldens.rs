@@ -7,10 +7,15 @@
 //! warnings that never affect the verdict, and disabling the lint pass
 //! (`lints: false`) changes no error-diagnostic byte.
 //!
+//! Lint output on generated code is pinned too: every warning the
+//! pass raises on a generated 3,000-LOC workspace, one line each, in
+//! `tests/golden/lints-generated.txt`.
+//!
 //! Regenerate the fixtures with `UPDATE_GOLDEN=1 cargo test -q
-//! lint_fixtures` after an intentional lint-message change.
+//! --test lint_goldens` after an intentional lint-message change.
 
 use rsc_core::{check_program, CheckerOptions, Severity};
+use rsc_syntax::LineIndex;
 
 /// (code, golden slug, program, expect_errors). Every lint code the
 /// dataflow pass can emit is covered. `expect_errors` marks fixtures
@@ -154,4 +159,61 @@ fn lints_are_severable_from_errors() {
             "{slug}: --no-absint changed the lint stream"
         );
     }
+}
+
+/// The lint stream on generated code: the workspace of `rsc fuzz
+/// --emit-workspace DIR --seed 7 --min-loc 3000`, each file parsed,
+/// SSA-translated and linted on its own, one `file:line:col code
+/// message` line per warning, in file-name order.
+#[test]
+fn lints_on_generated_workspace() {
+    let dir = std::env::temp_dir().join(format!("rsc-lint-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let depth = rsc_gen::FuzzConfig::default().workspace_depth;
+    rsc_gen::emit_workspace(&dir, 7, 3000, depth, 12).expect("emit the workspace");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("read the workspace")
+        .map(|e| {
+            e.expect("workspace entry")
+                .file_name()
+                .into_string()
+                .unwrap()
+        })
+        .collect();
+    names.sort();
+    let mut rendered = String::new();
+    for name in &names {
+        let src = std::fs::read_to_string(dir.join(name)).expect("read a workspace file");
+        let prog =
+            rsc_syntax::parse_program(&src).unwrap_or_else(|e| panic!("{name}: parse error {e:?}"));
+        let ir =
+            rsc_ssa::transform_program(&prog).unwrap_or_else(|e| panic!("{name}: SSA error {e:?}"));
+        let index = LineIndex::new(&src);
+        for l in rsc_absint::lint_program(&ir) {
+            let at = index.line_col(&src, l.span.lo);
+            rendered.push_str(&format!(
+                "{name}:{}:{} {} {}\n",
+                at.line, at.col, l.code, l.message
+            ));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let golden_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("lints-generated.txt");
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&golden_path, &rendered).expect("write golden fixture");
+        return;
+    }
+    let expected = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden fixture {} ({e}); run with UPDATE_GOLDEN=1 to create it",
+            golden_path.display()
+        )
+    });
+    assert_eq!(
+        rendered, expected,
+        "lints drifted from tests/golden/lints-generated.txt"
+    );
 }
