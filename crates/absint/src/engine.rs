@@ -14,10 +14,10 @@
 //! The engine never errs: an unreachable block simply keeps no
 //! environment, and every unknown expression evaluates to ⊤.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use rsc_logic::{FxHashMap, Sym};
-use rsc_ssa::{Body, Cfg, Edge, IrExpr, IrFun, IrProgram, Stmt};
+use rsc_ssa::{Cfg, Edge, IrExpr, Stmt};
 use rsc_syntax::ast::{BinOpE, UnOp};
 
 use crate::domain::{AbsVal, Congruence, Interval, Nullness, Truth};
@@ -120,29 +120,6 @@ impl AbsEnv {
     fn same_as(&self, other: &AbsEnv) -> bool {
         self.unreachable == other.unreachable && self.vals == other.vals
     }
-}
-
-/// The analysis result for one function unit: per-block entry
-/// environments (`None` = unreachable), aligned with the block ids of
-/// `Cfg::build` on the same body, plus the flow-insensitive per-SSA-value
-/// summary (each SSA variable's fact at its definition point).
-#[derive(Clone, Debug, Default)]
-pub struct BodyFacts {
-    /// Entry environment per block id.
-    pub entries: Vec<Option<AbsEnv>>,
-    /// Per-SSA-value facts at the definition point.
-    pub defs: FxHashMap<Sym, AbsVal>,
-}
-
-/// Per-program facts: one [`BodyFacts`] worth of per-value summaries for
-/// every function unit, merged by name (facts join on collision — only
-/// the `x$N`-suffixed SSA temporaries are globally unique).
-#[derive(Clone, Debug, Default)]
-pub struct ProgramFacts {
-    /// Joined per-SSA-value facts across all units.
-    pub values: BTreeMap<Sym, AbsVal>,
-    /// Number of function units analyzed (including the top level).
-    pub units: usize,
 }
 
 /// Evaluates an expression in an environment. ⊤ for anything the
@@ -256,10 +233,10 @@ fn eval_bin(op: BinOpE, a: &AbsVal, b: &AbsVal) -> AbsVal {
             }
             _ => AbsVal::TOP,
         },
-        BinOpE::Lt => truth_of(cmp_truth(&a.itv, &b.itv, &a.cong, &b.cong, CmpKind::Lt)),
-        BinOpE::Le => truth_of(cmp_truth(&a.itv, &b.itv, &a.cong, &b.cong, CmpKind::Le)),
-        BinOpE::Gt => truth_of(cmp_truth(&b.itv, &a.itv, &b.cong, &a.cong, CmpKind::Lt)),
-        BinOpE::Ge => truth_of(cmp_truth(&b.itv, &a.itv, &b.cong, &a.cong, CmpKind::Le)),
+        BinOpE::Lt => truth_of(cmp_truth(&a.itv, &b.itv, CmpKind::Lt)),
+        BinOpE::Le => truth_of(cmp_truth(&a.itv, &b.itv, CmpKind::Le)),
+        BinOpE::Gt => truth_of(cmp_truth(&b.itv, &a.itv, CmpKind::Lt)),
+        BinOpE::Ge => truth_of(cmp_truth(&b.itv, &a.itv, CmpKind::Le)),
         BinOpE::Eq => truth_of(eq_truth(a, b)),
         BinOpE::Ne => truth_of(eq_truth(a, b).not()),
         BinOpE::And => truth_of(match (a.truth, b.truth) {
@@ -281,13 +258,7 @@ enum CmpKind {
     Le,
 }
 
-fn cmp_truth(
-    a: &Interval,
-    b: &Interval,
-    _ca: &Congruence,
-    _cb: &Congruence,
-    kind: CmpKind,
-) -> Truth {
+fn cmp_truth(a: &Interval, b: &Interval, kind: CmpKind) -> Truth {
     match kind {
         CmpKind::Lt => {
             if a.definitely_lt(b) {
@@ -545,32 +516,17 @@ fn assume_eq(env: &mut AbsEnv, a: &IrExpr, b: &IrExpr, eq: bool) {
 }
 
 /// Transfers one block's statements over `env` (in place).
-fn transfer_block(block_stmts: &[Stmt<'_>], env: &mut AbsEnv, defs: &mut FxHashMap<Sym, AbsVal>) {
+fn transfer_block(block_stmts: &[Stmt<'_>], env: &mut AbsEnv) {
     for s in block_stmts {
         if let Stmt::Let { x, rhs, .. } = s {
-            let v = eval(rhs, env);
-            record_def(defs, x, v);
-            env.set(*(*x), v);
-        }
-    }
-}
-
-fn record_def(defs: &mut FxHashMap<Sym, AbsVal>, x: &Sym, v: AbsVal) {
-    match defs.get_mut(x) {
-        Some(old) => *old = old.join(&v),
-        None => {
-            defs.insert(*x, v);
+            env.set(*(*x), eval(rhs, env));
         }
     }
 }
 
 /// Transfers one out-edge: applies the branch assumption, then the
 /// φ-copies. Returns `None` when the edge is infeasible.
-fn transfer_edge(
-    env: &AbsEnv,
-    edge: &Edge<'_>,
-    defs: &mut FxHashMap<Sym, AbsVal>,
-) -> Option<AbsEnv> {
+fn transfer_edge(env: &AbsEnv, edge: &Edge<'_>) -> Option<AbsEnv> {
     let mut out = env.clone();
     if let Some((cond, pol)) = edge.assume {
         assume(&mut out, cond, pol);
@@ -581,18 +537,16 @@ fn transfer_edge(
     // φ-copies read the *pre-copy* environment (parallel copies).
     let read = out.clone();
     for (dst, src) in &edge.copies {
-        let v = read.get(src);
-        record_def(defs, dst, v);
-        out.set(*dst, v);
+        out.set(*dst, read.get(src));
     }
     Some(out)
 }
 
-/// Runs the dataflow to fixpoint over one body. Deterministic: the
-/// worklist is ordered by reverse postorder, and all joins are
-/// pointwise.
-pub fn analyze_body(body: &Body) -> BodyFacts {
-    let cfg = Cfg::build(body);
+/// Runs the dataflow to fixpoint over one body's CFG and returns the
+/// entry environment of each block (`None` = unreachable), indexed by
+/// block id. Deterministic: the worklist is ordered by reverse
+/// postorder, and all joins are pointwise.
+pub fn analyze_body(cfg: &Cfg<'_>) -> Vec<Option<AbsEnv>> {
     let rpo = cfg.rpo();
     let mut order = vec![usize::MAX; cfg.blocks.len()];
     for (i, &b) in rpo.iter().enumerate() {
@@ -601,7 +555,6 @@ pub fn analyze_body(body: &Body) -> BodyFacts {
 
     let mut entries: Vec<Option<AbsEnv>> = vec![None; cfg.blocks.len()];
     entries[0] = Some(AbsEnv::default());
-    let mut defs: FxHashMap<Sym, AbsVal> = FxHashMap::default();
 
     // Ascending phase with widening at loop heads.
     let mut work: BTreeSet<usize> = rpo.iter().map(|&b| order[b]).collect();
@@ -618,9 +571,9 @@ pub fn analyze_body(body: &Body) -> BodyFacts {
             continue;
         };
         let mut out = env;
-        transfer_block(&cfg.blocks[b].stmts, &mut out, &mut defs);
+        transfer_block(&cfg.blocks[b].stmts, &mut out);
         for e in &cfg.blocks[b].succs {
-            let Some(next) = transfer_edge(&out, e, &mut defs) else {
+            let Some(next) = transfer_edge(&out, e) else {
                 continue;
             };
             let merged = match &entries[e.to] {
@@ -661,12 +614,12 @@ pub fn analyze_body(body: &Body) -> BodyFacts {
                     continue;
                 };
                 let mut out = penv;
-                transfer_block(&cfg.blocks[p].stmts, &mut out, &mut defs);
+                transfer_block(&cfg.blocks[p].stmts, &mut out);
                 for e in &cfg.blocks[p].succs {
                     if e.to != b {
                         continue;
                     }
-                    if let Some(next) = transfer_edge(&out, e, &mut defs) {
+                    if let Some(next) = transfer_edge(&out, e) {
                         incoming = Some(match incoming {
                             None => next,
                             Some(acc) => acc.join(&next),
@@ -687,116 +640,44 @@ pub fn analyze_body(body: &Body) -> BodyFacts {
         }
     }
 
-    // Rebuild the per-definition summary from the final environments
-    // (the ascending-phase records may be stale after narrowing).
-    defs.clear();
-    for &b in &rpo {
-        let Some(env) = entries[b].clone() else {
-            continue;
-        };
-        let mut out = env;
-        transfer_block(&cfg.blocks[b].stmts, &mut out, &mut defs);
-        for e in &cfg.blocks[b].succs {
-            let _ = transfer_edge(&out, e, &mut defs);
-        }
-    }
-
-    BodyFacts { entries, defs }
-}
-
-/// Collects every function unit of a program: top-level functions
-/// (recursively including nested ones), class constructors and methods,
-/// and the synthetic top-level body.
-fn for_each_unit<'a>(ir: &'a IrProgram, f: &mut impl FnMut(&'a Body)) {
-    fn visit_fun<'a>(fun: &'a IrFun, f: &mut impl FnMut(&'a Body)) {
-        f(&fun.body);
-        visit_nested(&fun.body, f);
-    }
-    fn visit_nested<'a>(body: &'a Body, f: &mut impl FnMut(&'a Body)) {
-        match body {
-            Body::Let { rest, .. } | Body::Effect { rest, .. } => visit_nested(rest, f),
-            Body::LetFun { fun, rest, .. } => {
-                visit_fun(fun, f);
-                visit_nested(rest, f);
-            }
-            Body::If {
-                then_br,
-                else_br,
-                rest,
-                ..
-            } => {
-                visit_nested(then_br, f);
-                visit_nested(else_br, f);
-                visit_nested(rest, f);
-            }
-            Body::Loop { body, rest, .. } => {
-                visit_nested(body, f);
-                visit_nested(rest, f);
-            }
-            Body::Ret(..) | Body::EndBranch(_) => {}
-        }
-    }
-    for fun in &ir.funs {
-        visit_fun(fun, f);
-    }
-    for class in &ir.classes {
-        if let Some(ctor) = &class.ctor {
-            f(&ctor.body);
-            visit_nested(&ctor.body, f);
-        }
-        for m in &class.methods {
-            if let Some(body) = &m.body {
-                f(body);
-                visit_nested(body, f);
-            }
-        }
-    }
-    f(&ir.top);
-    visit_nested(&ir.top, f);
-}
-
-/// Analyzes every function unit of a program and merges the per-value
-/// summaries (joining on name collisions, which only parameters and
-/// user-named locals can produce).
-pub fn analyze_program(ir: &IrProgram) -> ProgramFacts {
-    let mut out = ProgramFacts::default();
-    for_each_unit(ir, &mut |body| {
-        let facts = analyze_body(body);
-        out.units += 1;
-        for (x, v) in facts.defs {
-            match out.values.get_mut(&x) {
-                Some(old) => *old = old.join(&v),
-                None => {
-                    out.values.insert(x, v);
-                }
-            }
-        }
-    });
-    out
+    entries
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn analyze(src: &str) -> ProgramFacts {
+    fn ir_of(src: &str) -> rsc_ssa::IrProgram {
         let prog = rsc_syntax::parse_program(src).unwrap();
-        let ir = rsc_ssa::transform_program(&prog).unwrap();
-        analyze_program(&ir)
+        rsc_ssa::transform_program(&prog).unwrap()
     }
 
-    fn body_facts(src: &str) -> (rsc_ssa::IrProgram, ()) {
-        let prog = rsc_syntax::parse_program(src).unwrap();
-        (rsc_ssa::transform_program(&prog).unwrap(), ())
+    /// The fact a variable whose name starts with `prefix` holds in the
+    /// block-entry environments, found by a predicate on its value.
+    fn entry_fact(
+        entries: &[Option<AbsEnv>],
+        prefix: &str,
+        want: impl Fn(&AbsVal) -> bool,
+    ) -> bool {
+        entries.iter().flatten().any(|env| {
+            env.vals
+                .iter()
+                .any(|(x, v)| x.as_str().starts_with(prefix) && want(v))
+        })
     }
 
     #[test]
     fn constants_propagate_through_arithmetic() {
-        let facts = analyze("function f(): number { var x = 2; var y = x * 3 + 1; return y; }");
-        let y = facts
-            .values
+        let ir = ir_of("function f(): number { var x = 2; var y = x * 3 + 1; return y; }");
+        let cfg = Cfg::build(&ir.funs[0].body);
+        let entries = analyze_body(&cfg);
+        // One straight-line block: replay its statements from the entry.
+        let mut env = entries[0].clone().unwrap();
+        transfer_block(&cfg.blocks[0].stmts, &mut env);
+        let y = env
+            .vals
             .iter()
-            .find(|(k, _)| k.as_str().starts_with("y"))
+            .find(|(k, _)| k.as_str().starts_with('y'))
             .map(|(_, v)| *v)
             .unwrap();
         assert_eq!(y.itv.as_const(), Some(7));
@@ -805,58 +686,53 @@ mod tests {
 
     #[test]
     fn branch_assumptions_refine_and_join() {
-        let facts = analyze(
+        let ir = ir_of(
             "function f(c: boolean): number {
                  var x = 0;
                  if (c) { x = 1; } else { x = 2; }
                  return x;
              }",
         );
-        // The φ join of 1 and 2 is [1,2].
-        let phi = facts
-            .values
-            .values()
-            .filter_map(|v| {
-                (v.itv
-                    == Interval {
-                        lo: Some(1),
-                        hi: Some(2),
-                    })
-                .then_some(*v)
-            })
-            .next();
-        assert!(phi.is_some(), "join of branch constants should be [1,2]");
+        let entries = analyze_body(&Cfg::build(&ir.funs[0].body));
+        // The φ join of 1 and 2 is [1,2] at the join block's entry.
+        let one_two = Interval {
+            lo: Some(1),
+            hi: Some(2),
+        };
+        assert!(
+            entry_fact(&entries, "x", |v| v.itv == one_two),
+            "join of branch constants should be [1,2]"
+        );
     }
 
     #[test]
     fn loop_widening_terminates_and_keeps_lower_bound() {
-        let facts = analyze(
+        let ir = ir_of(
             "function f(): number {
                  var i = 0;
                  while (i < 10) { i = i + 1; }
                  return i;
              }",
         );
+        let entries = analyze_body(&Cfg::build(&ir.funs[0].body));
         // The loop φ for i keeps 0 as a lower bound after widening.
-        let widened = facts
-            .values
-            .iter()
-            .filter(|(k, _)| k.as_str().starts_with("i"))
-            .any(|(_, v)| v.itv.lo == Some(0));
-        assert!(widened, "widening must preserve the stable lower bound");
+        assert!(
+            entry_fact(&entries, "i", |v| v.itv.lo == Some(0)),
+            "widening must preserve the stable lower bound"
+        );
     }
 
     #[test]
     fn guard_refinement_reaches_array_index() {
-        let (ir, _) = body_facts(
+        let ir = ir_of(
             "function f(a: number[], i: number): number {
                  if (0 <= i) { if (i < 10) { return i; } }
                  return 0;
              }",
         );
-        let facts = analyze_body(&ir.funs[0].body);
+        let entries = analyze_body(&Cfg::build(&ir.funs[0].body));
         // Inside both guards, some block sees i ∈ [0, 9].
-        let refined = facts.entries.iter().flatten().any(|env| {
+        let refined = entries.iter().flatten().any(|env| {
             ir.funs[0].params.iter().any(|p| {
                 let v = env.get(p);
                 v.itv.lo == Some(0) && v.itv.hi == Some(9)
@@ -867,17 +743,17 @@ mod tests {
 
     #[test]
     fn infeasible_branch_yields_unreachable_entry() {
-        let (ir, _) = body_facts(
+        let ir = ir_of(
             "function f(): number {
                  var x = 1;
                  if (x < 1) { return 99; }
                  return x;
              }",
         );
-        let facts = analyze_body(&ir.funs[0].body);
+        let entries = analyze_body(&Cfg::build(&ir.funs[0].body));
         // The then-arm of the impossible guard has no entry environment.
         assert!(
-            facts.entries.iter().any(|e| e.is_none()),
+            entries.iter().any(|e| e.is_none()),
             "the provably-false arm must be unreachable"
         );
     }

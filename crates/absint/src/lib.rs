@@ -23,8 +23,8 @@
 //!    [`FactEnv::entails`], which answers exactly as [`entailed_by`]
 //!    does on a fresh fold.
 //! 2. **Lints** ([`lint_program`]): a worklist-based forward dataflow
-//!    analysis over the IRSC SSA form ([`analyze_program`]) computes,
-//!    per SSA value per function unit, a reduced product of
+//!    analysis over the IRSC SSA form computes,
+//!    per basic block per function unit, a reduced product of
 //!
 //!    * **intervals** over `i64` with ±∞ (widening at loop heads,
 //!      narrowing on descent),
@@ -39,12 +39,10 @@
 
 #![warn(missing_docs)]
 
-pub mod domain;
-pub mod engine;
+mod domain;
+mod engine;
 pub mod entail;
-pub mod lint;
+mod lint;
 
-pub use domain::{AbsVal, Congruence, Interval, Nullness, Truth};
-pub use engine::{analyze_body, analyze_program, AbsEnv, BodyFacts, ProgramFacts};
 pub use entail::{entailed_by, BinderSorts, FactEnv, MAX_INT_DISEQS};
 pub use lint::{lint_program, Lint};

@@ -92,12 +92,11 @@ fn for_each_body<'a>(ir: &'a IrProgram, f: &mut impl FnMut(&'a Body)) {
 
 fn lint_body(body: &Body, lints: &mut Vec<Lint>) {
     let cfg = Cfg::build(body);
-    let facts = analyze_body(body);
-    for (b, block) in cfg.blocks.iter().enumerate() {
-        let Some(entry) = facts.entries.get(b).and_then(|e| e.clone()) else {
+    let entries = analyze_body(&cfg);
+    for (block, entry) in cfg.blocks.iter().zip(entries) {
+        let Some(mut env) = entry else {
             continue; // unreachable: the guard that killed it is linted
         };
-        let mut env = entry;
         for s in &block.stmts {
             match s {
                 Stmt::Let { x, ann, rhs, .. } => {

@@ -186,10 +186,9 @@ impl<'a> Cfg<'a> {
                 phis,
                 then_br,
                 else_br,
-                then_falls,
-                else_falls,
                 rest,
                 span,
+                ..
             } => {
                 let then_entry = self.fresh();
                 let else_entry = self.fresh();
@@ -215,7 +214,6 @@ impl<'a> Cfg<'a> {
                     .collect();
                 // An arm that does not fall through never reaches its
                 // `EndBranch`; its returns terminate inside the arm.
-                let _ = (then_falls, else_falls);
                 self.lower(then_br, then_entry, Some((join, &then_copies)));
                 self.lower(else_br, else_entry, Some((join, &else_copies)));
                 self.lower(rest, join, exit);
