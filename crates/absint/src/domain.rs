@@ -1,15 +1,13 @@
-//! The abstract domains: intervals over `i64` with ±∞, congruences
-//! `v ≡ r (mod m)`, boolean truthiness and reference nullness — combined
-//! as a reduced product in [`AbsVal`].
+//! The abstract domains: intervals over `i64` with ±∞, boolean
+//! truthiness and reference nullness — combined as a product in
+//! [`AbsVal`].
 //!
 //! Every operation errs toward ⊤ (no information); the only way an
 //! analysis result can be wrong is a transfer function claiming more
 //! than the concrete semantics guarantees, so each transfer here models
 //! the *solver-visible* semantics: operations the SMT layer leaves
 //! uninterpreted (nonlinear multiplication, division and modulus by
-//! non-constants) map to ⊤ in the interval component, and only the
-//! congruence component — which is never used to justify a discharge,
-//! only lints — reasons about `%`.
+//! non-constants) map to ⊤.
 
 /// An interval `[lo, hi]` over `i64` with `None` as ±∞.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -180,135 +178,6 @@ impl Interval {
     }
 }
 
-/// A congruence `v ≡ rem (mod modulus)`. `modulus == 1` is ⊤;
-/// `modulus == 0` means `v` is exactly the constant `rem`.
-///
-/// Used by the lint pass only — the SMT layer treats `%` as
-/// uninterpreted, so a congruence fact is *not* in general re-derivable
-/// by the solver and must never justify an obligation discharge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Congruence {
-    /// The modulus (0 = exact constant, 1 = ⊤).
-    pub modulus: u64,
-    /// The residue, normalized into `[0, modulus)` when `modulus > 1`.
-    pub rem: i64,
-}
-
-impl Congruence {
-    /// ⊤ (no congruence information).
-    pub const TOP: Congruence = Congruence { modulus: 1, rem: 0 };
-
-    /// The exact constant `n`.
-    pub fn exact(n: i64) -> Congruence {
-        Congruence { modulus: 0, rem: n }
-    }
-
-    /// `v ≡ r (mod m)` for `m > 1`.
-    pub fn modular(m: u64, r: i64) -> Congruence {
-        if m <= 1 {
-            return Congruence::TOP;
-        }
-        Congruence {
-            modulus: m,
-            rem: r.rem_euclid(m as i64),
-        }
-    }
-
-    fn gcd(a: u64, b: u64) -> u64 {
-        let (mut a, mut b) = (a, b);
-        while b != 0 {
-            let t = a % b;
-            a = b;
-            b = t;
-        }
-        a
-    }
-
-    /// Least upper bound: the coarsest congruence implied by both.
-    pub fn join(&self, other: &Congruence) -> Congruence {
-        match (self.modulus, other.modulus) {
-            (0, 0) => {
-                if self.rem == other.rem {
-                    *self
-                } else {
-                    let d = self.rem.abs_diff(other.rem);
-                    Congruence::modular(d, self.rem)
-                }
-            }
-            (0, m) | (m, 0) => {
-                let (c, modular) = if self.modulus == 0 {
-                    (self.rem, other)
-                } else {
-                    (other.rem, self)
-                };
-                if m <= 1 {
-                    return Congruence::TOP;
-                }
-                let m2 = Self::gcd(m, c.abs_diff(modular.rem));
-                Congruence::modular(m2, modular.rem)
-            }
-            (a, b) => {
-                let g = Self::gcd(Self::gcd(a, b), self.rem.abs_diff(other.rem));
-                Congruence::modular(g, self.rem)
-            }
-        }
-    }
-
-    /// True when `n` satisfies the congruence.
-    pub fn admits(&self, n: i64) -> bool {
-        match self.modulus {
-            0 => n == self.rem,
-            1 => true,
-            m => n.rem_euclid(m as i64) == self.rem,
-        }
-    }
-
-    /// Abstract addition.
-    pub fn add(&self, other: &Congruence) -> Congruence {
-        match (self.modulus, other.modulus) {
-            (0, 0) => match self.rem.checked_add(other.rem) {
-                Some(s) => Congruence::exact(s),
-                None => Congruence::TOP,
-            },
-            (0, m) | (m, 0) if m > 1 => {
-                let c = if self.modulus == 0 {
-                    self.rem
-                } else {
-                    other.rem
-                };
-                let r = if self.modulus == 0 {
-                    other.rem
-                } else {
-                    self.rem
-                };
-                Congruence::modular(m, r.wrapping_add(c))
-            }
-            (a, b) if a > 1 && b > 1 => {
-                Congruence::modular(Self::gcd(a, b), self.rem.wrapping_add(other.rem))
-            }
-            _ => Congruence::TOP,
-        }
-    }
-
-    /// Abstract multiplication by a constant.
-    pub fn mul_const(&self, k: i64) -> Congruence {
-        match self.modulus {
-            0 => match self.rem.checked_mul(k) {
-                Some(p) => Congruence::exact(p),
-                None => Congruence::TOP,
-            },
-            1 => {
-                // ⊤ · k is still a multiple of k.
-                Congruence::modular(k.unsigned_abs(), 0)
-            }
-            m => match (m as i64).checked_mul(k.abs()) {
-                Some(m2) => Congruence::modular(m2 as u64, self.rem.wrapping_mul(k)),
-                None => Congruence::TOP,
-            },
-        }
-    }
-}
-
 /// Three-valued boolean truthiness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Truth {
@@ -363,16 +232,13 @@ impl Nullness {
     }
 }
 
-/// The reduced product of every domain, one record per abstract value.
-/// Components irrelevant to a value's actual type simply stay ⊤; the
-/// `reduce` step propagates information between components (an empty
-/// interval or an interval/congruence contradiction collapses to ⊥).
+/// The product of every domain, one record per abstract value.
+/// Components irrelevant to a value's actual type simply stay ⊤; an
+/// empty interval collapses the whole value to ⊥ (`reduce`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AbsVal {
     /// Numeric range.
     pub itv: Interval,
-    /// Numeric congruence.
-    pub cong: Congruence,
     /// Boolean truthiness.
     pub truth: Truth,
     /// Reference nullness.
@@ -387,7 +253,6 @@ impl AbsVal {
     /// ⊤ in every component.
     pub const TOP: AbsVal = AbsVal {
         itv: Interval::TOP,
-        cong: Congruence::TOP,
         truth: Truth::Top,
         null: Nullness::Top,
         len: Interval::TOP,
@@ -406,7 +271,6 @@ impl AbsVal {
     pub fn int(n: i64) -> AbsVal {
         AbsVal {
             itv: Interval::exact(n),
-            cong: Congruence::exact(n),
             ..AbsVal::TOP
         }
     }
@@ -436,34 +300,9 @@ impl AbsVal {
         }
     }
 
-    /// The reduction step of the product: cross-propagates between
-    /// components and collapses contradictions to ⊥.
-    pub fn reduce(mut self) -> AbsVal {
-        if self.bottom {
-            return AbsVal::bottom();
-        }
-        // Interval/congruence reduction: tighten bounds to the nearest
-        // admitted residue; an exact congruence is an exact interval.
-        if self.cong.modulus == 0 {
-            self.itv = self.itv.meet(&Interval::exact(self.cong.rem));
-        } else if self.cong.modulus > 1 {
-            let m = self.cong.modulus as i64;
-            if let Some(lo) = self.itv.lo {
-                let shift = (self.cong.rem - lo).rem_euclid(m);
-                self.itv.lo = lo.checked_add(shift).or(self.itv.lo);
-            }
-            if let Some(hi) = self.itv.hi {
-                let shift = (hi - self.cong.rem).rem_euclid(m);
-                self.itv.hi = hi.checked_sub(shift).or(self.itv.hi);
-            }
-        }
-        if let Some(c) = self.itv.as_const() {
-            if !self.cong.admits(c) {
-                return AbsVal::bottom();
-            }
-            self.cong = Congruence::exact(c);
-        }
-        if self.itv.is_empty() || self.len.is_empty() {
+    /// Collapses a value with an empty interval to ⊥.
+    pub fn reduce(self) -> AbsVal {
+        if self.bottom || self.itv.is_empty() || self.len.is_empty() {
             return AbsVal::bottom();
         }
         self
@@ -479,7 +318,6 @@ impl AbsVal {
         }
         AbsVal {
             itv: self.itv.join(&other.itv),
-            cong: self.cong.join(&other.cong),
             truth: self.truth.join(&other.truth),
             null: self.null.join(&other.null),
             len: self.len.join(&other.len),
@@ -494,13 +332,6 @@ impl AbsVal {
         }
         let met = AbsVal {
             itv: self.itv.meet(&other.itv),
-            // Congruence meet is approximated by keeping the more precise
-            // side (sound: the meet is below both).
-            cong: if self.cong.modulus == 1 {
-                other.cong
-            } else {
-                self.cong
-            },
             truth: match (self.truth, other.truth) {
                 (Truth::Top, t) | (t, Truth::Top) => t,
                 (a, b) if a == b => a,
@@ -527,7 +358,6 @@ impl AbsVal {
         }
         AbsVal {
             itv: self.itv.widen(&next.itv),
-            cong: self.cong.join(&next.cong),
             truth: self.truth.join(&next.truth),
             null: self.null.join(&next.null),
             len: self.len.widen(&next.len),
@@ -599,47 +429,6 @@ mod tests {
             Interval {
                 lo: Some(0),
                 hi: Some(10)
-            }
-        );
-    }
-
-    #[test]
-    fn congruence_join_and_transfer() {
-        let a = Congruence::exact(4);
-        let b = Congruence::exact(10);
-        let j = a.join(&b); // both ≡ 4 (mod 6) — gcd of difference
-        assert_eq!(j.modulus, 6);
-        assert!(j.admits(4) && j.admits(10) && j.admits(16));
-        assert!(!j.admits(5));
-        let even = Congruence::modular(2, 0);
-        assert!(even.add(&Congruence::exact(1)).admits(3));
-        assert_eq!(Congruence::TOP.mul_const(4).modulus, 4);
-    }
-
-    #[test]
-    fn reduced_product_collapses_contradictions() {
-        // v ∈ [3,3] but v ≡ 0 (mod 2): no integer satisfies both.
-        let v = AbsVal {
-            itv: Interval::exact(3),
-            cong: Congruence::modular(2, 0),
-            ..AbsVal::TOP
-        };
-        assert!(v.reduce().bottom);
-        // v ∈ [1,6] ∧ v ≡ 0 (mod 3) tightens to [3,6].
-        let v = AbsVal {
-            itv: Interval {
-                lo: Some(1),
-                hi: Some(6),
-            },
-            cong: Congruence::modular(3, 0),
-            ..AbsVal::TOP
-        };
-        let r = v.reduce();
-        assert_eq!(
-            r.itv,
-            Interval {
-                lo: Some(3),
-                hi: Some(6)
             }
         );
     }

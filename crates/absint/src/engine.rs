@@ -20,7 +20,7 @@ use rsc_logic::{FxHashMap, Sym};
 use rsc_ssa::{Cfg, Edge, IrExpr, Stmt};
 use rsc_syntax::ast::{BinOpE, UnOp};
 
-use crate::domain::{AbsVal, Congruence, Interval, Nullness, Truth};
+use crate::domain::{AbsVal, Interval, Nullness, Truth};
 
 /// Number of descending (narrowing) passes after the ascending fixpoint.
 const NARROWING_PASSES: usize = 2;
@@ -157,10 +157,8 @@ pub fn eval(e: &IrExpr, env: &AbsEnv) -> AbsVal {
                 },
                 UnOp::Neg => AbsVal {
                     itv: va.itv.neg(),
-                    cong: va.cong.mul_const(-1),
                     ..AbsVal::TOP
-                }
-                .reduce(),
+                },
                 UnOp::TypeOf => AbsVal::TOP,
             }
         }
@@ -177,38 +175,15 @@ fn eval_bin(op: BinOpE, a: &AbsVal, b: &AbsVal) -> AbsVal {
         truth: t,
         ..AbsVal::TOP
     };
+    let num = |itv: Interval| AbsVal { itv, ..AbsVal::TOP };
     match op {
-        BinOpE::Add => AbsVal {
-            itv: a.itv.add(&b.itv),
-            cong: a.cong.add(&b.cong),
-            ..AbsVal::TOP
-        }
-        .reduce(),
-        BinOpE::Sub => AbsVal {
-            itv: a.itv.sub(&b.itv),
-            cong: a.cong.add(&b.cong.mul_const(-1)),
-            ..AbsVal::TOP
-        }
-        .reduce(),
-        BinOpE::Mul => {
-            if let Some(k) = a.itv.as_const() {
-                AbsVal {
-                    itv: b.itv.mul_const(k),
-                    cong: b.cong.mul_const(k),
-                    ..AbsVal::TOP
-                }
-                .reduce()
-            } else if let Some(k) = b.itv.as_const() {
-                AbsVal {
-                    itv: a.itv.mul_const(k),
-                    cong: a.cong.mul_const(k),
-                    ..AbsVal::TOP
-                }
-                .reduce()
-            } else {
-                AbsVal::TOP
-            }
-        }
+        BinOpE::Add => num(a.itv.add(&b.itv)),
+        BinOpE::Sub => num(a.itv.sub(&b.itv)),
+        BinOpE::Mul => match (a.itv.as_const(), b.itv.as_const()) {
+            (Some(k), _) => num(b.itv.mul_const(k)),
+            (_, Some(k)) => num(a.itv.mul_const(k)),
+            _ => AbsVal::TOP,
+        },
         BinOpE::Div => match (a.itv.as_const(), b.itv.as_const()) {
             (Some(x), Some(y)) if y != 0 => AbsVal::int(x.wrapping_div(y)),
             _ => AbsVal::TOP,
@@ -281,15 +256,13 @@ fn cmp_truth(a: &Interval, b: &Interval, kind: CmpKind) -> Truth {
     }
 }
 
-/// Truth of `a == b` — intervals decide most cases; disjoint congruence
-/// classes (e.g. even vs. odd) decide the rest. Congruence feeding a
-/// *lint-visible* truth value is fine: lints never discharge
-/// obligations.
+/// Truth of `a == b`: intervals, truthiness and nullness each decide
+/// some cases.
 fn eq_truth(a: &AbsVal, b: &AbsVal) -> Truth {
     if let (Some(x), Some(y)) = (a.itv.as_const(), b.itv.as_const()) {
         return if x == y { Truth::True } else { Truth::False };
     }
-    if a.itv.definitely_ne(&b.itv) || congruence_disjoint(&a.cong, &b.cong) {
+    if a.itv.definitely_ne(&b.itv) {
         return Truth::False;
     }
     match (a.truth, b.truth) {
@@ -301,35 +274,6 @@ fn eq_truth(a: &AbsVal, b: &AbsVal) -> Truth {
             }
             _ => Truth::Top,
         },
-    }
-}
-
-/// True when no integer satisfies both congruences (CRT solvability).
-fn congruence_disjoint(a: &Congruence, b: &Congruence) -> bool {
-    fn gcd(mut a: u64, mut b: u64) -> u64 {
-        while b != 0 {
-            let t = a % b;
-            a = b;
-            b = t;
-        }
-        a
-    }
-    match (a.modulus, b.modulus) {
-        (1, _) | (_, 1) => false,
-        (0, 0) => a.rem != b.rem,
-        (0, m) | (m, 0) => {
-            let (c, modular) = if a.modulus == 0 {
-                (a.rem, b)
-            } else {
-                (b.rem, a)
-            };
-            let _ = m;
-            !modular.admits(c)
-        }
-        (m1, m2) => {
-            let g = gcd(m1, m2);
-            !a.rem.abs_diff(b.rem).is_multiple_of(g)
-        }
     }
 }
 
@@ -681,7 +625,6 @@ mod tests {
             .map(|(_, v)| *v)
             .unwrap();
         assert_eq!(y.itv.as_const(), Some(7));
-        assert!(y.cong.admits(7) && !y.cong.admits(8));
     }
 
     #[test]

@@ -39,9 +39,7 @@
 //!   Fourier–Motzkin core with per-row integer tightening re-derives
 //!   every interval bound produced here);
 //! * `div`/`mod` and variable·variable products are uninterpreted at
-//!   the SMT layer, so they are *not linearizable* here — the congruence
-//!   domain never feeds an entailment answer (it powers lints only, see
-//!   `crate::lint`);
+//!   the SMT layer, so they are *not linearizable* here;
 //! * the reference union-find mirrors ground EUF equalities between
 //!   variables exactly;
 //! * hypotheses with many integer disequalities are rejected outright

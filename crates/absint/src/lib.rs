@@ -22,20 +22,19 @@
 //!    [`FactEnv::of_hyps`] and asks each goal with the read-only
 //!    [`FactEnv::entails`], which answers exactly as [`entailed_by`]
 //!    does on a fresh fold.
-//! 2. **Lints** ([`lint_program`]): a worklist-based forward dataflow
-//!    analysis over the IRSC SSA form computes,
-//!    per basic block per function unit, a reduced product of
+//! 2. **Lints** ([`lint_program`]): each function body is lowered to
+//!    one CFG, and a worklist-based forward dataflow analysis computes,
+//!    per basic block, the entry facts of a product of
 //!
 //!    * **intervals** over `i64` with ±∞ (widening at loop heads,
-//!      narrowing on descent),
-//!    * **congruences** `v ≡ r (mod m)`, and
+//!      narrowing on descent), for integers and array lengths, and
 //!    * **definite nullness / truthiness**,
 //!
-//!    and the lints read it: advisory warnings with stable codes
-//!    L0001–L0004 (unreachable branch, tautological guard, dead
-//!    refinement, always-out-of-bounds index). Lints may use the full
-//!    product including congruences, and never affect type errors.
-//!    The discharge never reads these facts.
+//!    and the lints read it in one walk over the blocks: advisory
+//!    warnings with stable codes L0001–L0004 (unreachable branch,
+//!    tautological guard, dead refinement, always-out-of-bounds index).
+//!    Lints never affect type errors, and the discharge never reads
+//!    these facts.
 
 #![warn(missing_docs)]
 

@@ -8,9 +8,8 @@
 //! | L0003 | a refinement annotation is already implied by the value    |
 //! | L0004 | an array index is always out of bounds                     |
 //!
-//! Lints are *advisory*: unlike obligation discharge they may use the
-//! full reduced product, including the congruence domain the SMT layer
-//! cannot replay. They never suppress or add type errors.
+//! Lints are *advisory*: they never suppress or add type errors, and
+//! no obligation discharge reads their facts.
 //!
 //! Literal `true`/`false` guards are exempt from L0001/L0002 —
 //! `while (true)` and `if (false)` are deliberate idioms, not mistakes.
@@ -243,8 +242,8 @@ fn scan_indices(e: &IrExpr, env: &AbsEnv, lints: &mut Vec<Lint>) {
 }
 
 /// Does the abstract value of the bound expression already entail the
-/// annotation's refinement over its value variable? Lint-grade: the
-/// congruence domain participates (this is never used for discharge).
+/// annotation's refinement over its value variable? Lint-grade: this
+/// is never used for discharge.
 fn value_entails(v: &AbsVal, vv: &Sym, pred: &Pred) -> bool {
     match pred {
         Pred::True => true,
@@ -289,10 +288,7 @@ fn value_entails(v: &AbsVal, vv: &Sym, pred: &Pred) -> bool {
                 CmpOp::Eq => {
                     matches!((lhs.as_const(), rhs.as_const()), (Some(x), Some(y)) if x == y)
                 }
-                CmpOp::Ne => {
-                    lhs.definitely_ne(&rhs)
-                        || matches!(rhs.as_const(), Some(k) if !v.cong.admits(k))
-                }
+                CmpOp::Ne => lhs.definitely_ne(&rhs),
             }
         }
         _ => false,
