@@ -103,21 +103,6 @@ impl Interval {
         }
     }
 
-    /// Narrowing: an ∞ bound may be refined back to `next`'s finite
-    /// bound; finite bounds keep their widened value.
-    pub fn narrow(&self, next: &Interval) -> Interval {
-        Interval {
-            lo: match (self.lo, next.lo) {
-                (None, b) => b,
-                (a, _) => a,
-            },
-            hi: match (self.hi, next.hi) {
-                (None, b) => b,
-                (a, _) => a,
-            },
-        }
-    }
-
     /// Abstract addition (saturating to ∞ on overflow).
     pub fn add(&self, other: &Interval) -> Interval {
         let lift = |a: Option<i64>, b: Option<i64>| match (a, b) {
@@ -364,18 +349,6 @@ impl AbsVal {
             bottom: false,
         }
     }
-
-    /// Narrowing against a recomputed (descending) value.
-    pub fn narrow(&self, next: &AbsVal) -> AbsVal {
-        if self.bottom || next.bottom {
-            return AbsVal::bottom();
-        }
-        AbsVal {
-            itv: self.itv.narrow(&next.itv),
-            len: self.len.narrow(&next.len),
-            ..*self
-        }
-    }
 }
 
 #[cfg(test)]
@@ -402,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn widening_jumps_to_infinity_and_narrowing_recovers() {
+    fn widening_jumps_to_infinity() {
         let a = Interval {
             lo: Some(0),
             hi: Some(1),
@@ -417,18 +390,6 @@ mod tests {
             Interval {
                 lo: Some(0),
                 hi: None
-            }
-        );
-        // A later descending pass recovers the loop-exit bound.
-        let n = w.narrow(&Interval {
-            lo: Some(0),
-            hi: Some(10),
-        });
-        assert_eq!(
-            n,
-            Interval {
-                lo: Some(0),
-                hi: Some(10)
             }
         );
     }

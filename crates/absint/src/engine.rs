@@ -2,9 +2,11 @@
 //!
 //! For each function unit the engine computes, per basic block, the
 //! abstract environment holding at block entry: a map from SSA variable
-//! to [`AbsVal`]. Iteration is reverse-postorder with widening at loop
-//! heads (ascending phase) followed by a bounded number of narrowing
-//! passes (descending phase) to recover bounds the widening discarded.
+//! to [`AbsVal`]. Iteration is one ascending reverse-postorder worklist
+//! run with widening at loop heads. There is no descending phase: a
+//! bound the widening discards stays infinite at the loop head, and
+//! only the guards on the edges out of it bound the variable again
+//! (after `while (i < n)`, the exit edge assumes `i ≥ n`).
 //!
 //! Branch conditions are folded in along CFG *edges* ([`Edge::assume`]),
 //! so facts are path-sensitive: inside `if (0 < x)` the engine knows
@@ -21,9 +23,6 @@ use rsc_ssa::{Cfg, Edge, IrExpr, Stmt};
 use rsc_syntax::ast::{BinOpE, UnOp};
 
 use crate::domain::{AbsVal, Interval, Nullness, Truth};
-
-/// Number of descending (narrowing) passes after the ascending fixpoint.
-const NARROWING_PASSES: usize = 2;
 
 /// An abstract environment: per-variable facts. Absent variables are ⊤.
 #[derive(Clone, Debug, Default)]
@@ -101,20 +100,6 @@ impl AbsEnv {
             vals,
             unreachable: false,
         }
-    }
-
-    /// Pointwise narrowing in the descending phase.
-    fn narrow(&self, next: &AbsEnv) -> AbsEnv {
-        if self.unreachable || next.unreachable {
-            return self.clone();
-        }
-        let mut out = self.clone();
-        for (x, a) in &self.vals {
-            if let Some(b) = next.vals.get(x) {
-                out.vals.insert(*x, a.narrow(b));
-            }
-        }
-        out
     }
 
     fn same_as(&self, other: &AbsEnv) -> bool {
@@ -541,46 +526,6 @@ pub fn analyze_body(cfg: &Cfg<'_>) -> Vec<Option<AbsEnv>> {
                     work.insert(order[e.to]);
                 }
             }
-        }
-    }
-
-    // Descending phase: recompute entries without widening, narrowing
-    // the stored values. Bounded passes keep termination trivial.
-    for _ in 0..NARROWING_PASSES {
-        let mut changed = false;
-        for &b in &rpo {
-            if b == 0 {
-                continue;
-            }
-            let mut incoming: Option<AbsEnv> = None;
-            for &p in &cfg.blocks[b].preds {
-                let Some(penv) = entries[p].clone() else {
-                    continue;
-                };
-                let mut out = penv;
-                transfer_block(&cfg.blocks[p].stmts, &mut out);
-                for e in &cfg.blocks[p].succs {
-                    if e.to != b {
-                        continue;
-                    }
-                    if let Some(next) = transfer_edge(&out, e) {
-                        incoming = Some(match incoming {
-                            None => next,
-                            Some(acc) => acc.join(&next),
-                        });
-                    }
-                }
-            }
-            if let (Some(old), Some(inc)) = (&entries[b], incoming) {
-                let narrowed = old.narrow(&inc);
-                if !narrowed.same_as(old) {
-                    entries[b] = Some(narrowed);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
         }
     }
 

@@ -3,7 +3,7 @@
 //!
 //! The SSA translation produces a recursive body whose `If`/`Loop` nodes
 //! carry their continuations; dataflow engines want basic blocks with
-//! explicit successor/predecessor edges instead. [`Cfg::build`] lowers a
+//! explicit successor edges instead. [`Cfg::build`] lowers a
 //! body into blocks that *borrow* the underlying expressions (no IR is
 //! cloned), with φ-assignments and branch assumptions attached to the
 //! edges that perform them:
@@ -90,8 +90,6 @@ pub struct Block<'a> {
     pub term: Terminator<'a>,
     /// Out-edges (0 for `Ret`, 1 for `Jump`, 2 for `Branch`).
     pub succs: Vec<Edge<'a>>,
-    /// Predecessor block ids (computed after construction).
-    pub preds: Vec<BlockId>,
     /// True for loop-head blocks (widening points).
     pub loop_head: bool,
 }
@@ -102,7 +100,6 @@ impl<'a> Block<'a> {
             stmts: Vec::new(),
             term: Terminator::Jump,
             succs: Vec::new(),
-            preds: Vec::new(),
             loop_head: false,
         }
     }
@@ -123,15 +120,6 @@ impl<'a> Cfg<'a> {
             blocks: vec![Block::new()],
         };
         cfg.lower(body, 0, None);
-        let edges: Vec<(BlockId, BlockId)> = cfg
-            .blocks
-            .iter()
-            .enumerate()
-            .flat_map(|(i, b)| b.succs.iter().map(move |e| (i, e.to)))
-            .collect();
-        for (from, to) in edges {
-            cfg.blocks[to].preds.push(from);
-        }
         cfg
     }
 
@@ -296,6 +284,13 @@ mod tests {
         (crate::transform_program(&prog).unwrap(), ())
     }
 
+    /// The blocks with an out-edge into `to`.
+    fn preds(cfg: &Cfg<'_>, to: BlockId) -> Vec<BlockId> {
+        (0..cfg.blocks.len())
+            .filter(|&b| cfg.blocks[b].succs.iter().any(|e| e.to == to))
+            .collect()
+    }
+
     #[test]
     fn straight_line_is_one_block() {
         let (ir, _) = cfg_of("function f(): number { var x = 1; var y = x + 1; return y; }");
@@ -329,9 +324,9 @@ mod tests {
         );
         let join = cfg.blocks[0].succs[0].to;
         let join = cfg.blocks[join].succs[0].to;
-        assert_eq!(cfg.blocks[join].preds.len(), 2);
+        assert_eq!(preds(&cfg, join).len(), 2);
         // Each arm's out-edge carries exactly one φ-copy for x.
-        for &p in &cfg.blocks[join].preds {
+        for p in preds(&cfg, join) {
             let e = &cfg.blocks[p].succs[0];
             assert_eq!(e.copies.len(), 1, "arm edge must copy the φ source");
         }
@@ -351,7 +346,7 @@ mod tests {
             .find(|&b| cfg.blocks[b].loop_head)
             .expect("a loop head");
         // Entry edge + back edge.
-        assert_eq!(cfg.blocks[head].preds.len(), 2);
+        assert_eq!(preds(&cfg, head).len(), 2);
         assert!(matches!(cfg.blocks[head].term, Terminator::Branch(..)));
     }
 
