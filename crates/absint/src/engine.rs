@@ -50,12 +50,6 @@ impl AbsEnv {
         }
     }
 
-    /// True when the program point carrying this environment cannot be
-    /// reached (some fact collapsed to ⊥).
-    pub fn is_unreachable(&self) -> bool {
-        self.unreachable
-    }
-
     /// Pointwise join; variables absent on either side become ⊤.
     fn join(&self, other: &AbsEnv) -> AbsEnv {
         if self.unreachable {
@@ -175,22 +169,6 @@ fn eval_bin(op: BinOpE, a: &AbsVal, b: &AbsVal) -> AbsVal {
         },
         BinOpE::Mod => match (a.itv.as_const(), b.itv.as_const()) {
             (Some(x), Some(y)) if y != 0 => AbsVal::int(x.wrapping_rem(y)),
-            (_, Some(m)) if m > 0 && matches!(a.itv.lo, Some(l) if l >= 0) => {
-                // Non-negative dividend: `x % m ∈ [0, m-1]`, and the
-                // result is bounded by the dividend itself.
-                AbsVal {
-                    itv: Interval {
-                        lo: Some(0),
-                        hi: Some(m - 1),
-                    }
-                    .meet(&Interval {
-                        lo: Some(0),
-                        hi: a.itv.hi,
-                    }),
-                    ..AbsVal::TOP
-                }
-                .reduce()
-            }
             _ => AbsVal::TOP,
         },
         BinOpE::Lt => truth_of(cmp_truth(&a.itv, &b.itv, CmpKind::Lt)),
@@ -265,7 +243,7 @@ fn eq_truth(a: &AbsVal, b: &AbsVal) -> Truth {
 /// Refines `env` under the assumption that `cond` evaluates to
 /// `polarity`. Only shapes the domains model produce refinements; the
 /// result's `unreachable` flag is set when the assumption is infeasible.
-pub fn assume(env: &mut AbsEnv, cond: &IrExpr, polarity: bool) {
+fn assume(env: &mut AbsEnv, cond: &IrExpr, polarity: bool) {
     match cond {
         IrExpr::Var(x, _) => {
             let mut v = env.get(x);
@@ -328,12 +306,13 @@ pub fn assume(env: &mut AbsEnv, cond: &IrExpr, polarity: bool) {
                 BinOpE::Le => assume_rel(env, a, b, RelKind::Le),
                 BinOpE::Gt => assume_rel(env, b, a, RelKind::Lt),
                 BinOpE::Ge => assume_rel(env, b, a, RelKind::Le),
-                BinOpE::Eq => assume_eq(env, a, b, true),
-                BinOpE::Ne => assume_eq(env, a, b, false),
+                BinOpE::Eq => assume_eq(env, a, b),
                 BinOpE::And => {
                     assume(env, a, true);
                     assume(env, b, true);
                 }
+                // `x != null` leaves `undefined` open, and no other `!=`
+                // is assumed either.
                 _ => {}
             }
         }
@@ -380,28 +359,22 @@ fn assume_rel(env: &mut AbsEnv, a: &IrExpr, b: &IrExpr, kind: RelKind) {
     }
 }
 
-/// Assumes `a == b` (`eq = true`) or `a != b` (`eq = false`).
-fn assume_eq(env: &mut AbsEnv, a: &IrExpr, b: &IrExpr, eq: bool) {
+/// Assumes `a == b`, refining variable operands.
+fn assume_eq(env: &mut AbsEnv, a: &IrExpr, b: &IrExpr) {
     let null_lit = |e: &IrExpr| matches!(e, IrExpr::Null(_) | IrExpr::Undefined(_));
     match (a, b) {
         (IrExpr::Var(x, _), e) | (e, IrExpr::Var(x, _)) if null_lit(e) => {
             let mut v = env.get(x);
-            if eq {
-                if v.null == Nullness::NonNull {
-                    env.unreachable = true;
-                    return;
-                }
-                v.null = Nullness::Null;
-                env.set(*x, v);
+            if v.null == Nullness::NonNull {
+                env.unreachable = true;
+                return;
             }
-            // `x != null` does NOT make x non-null: it may still be
-            // `undefined` (and vice versa). No refinement.
+            v.null = Nullness::Null;
+            env.set(*x, v);
         }
-        _ if eq => {
+        _ => {
             // x == e: meet x with e's value (and symmetrically).
-            let va = eval(a, env);
-            let vb = eval(b, env);
-            let m = va.meet(&vb);
+            let m = eval(a, env).meet(&eval(b, env));
             if m.bottom {
                 env.unreachable = true;
                 return;
@@ -411,34 +384,6 @@ fn assume_eq(env: &mut AbsEnv, a: &IrExpr, b: &IrExpr, eq: bool) {
             }
             if let IrExpr::Var(y, _) = b {
                 env.set(*y, m);
-            }
-        }
-        _ => {
-            // x != e with e an exact constant: endpoint shaving.
-            let va = eval(a, env);
-            let vb = eval(b, env);
-            let shave = |env: &mut AbsEnv, x: &Sym, k: i64| {
-                let mut v = env.get(x);
-                if v.itv.lo == Some(k) {
-                    v.itv.lo = k.checked_add(1);
-                } else if v.itv.hi == Some(k) {
-                    v.itv.hi = k.checked_sub(1);
-                }
-                let v = v.reduce();
-                if v.bottom {
-                    env.unreachable = true;
-                } else {
-                    env.set(*x, v);
-                }
-            };
-            if let (IrExpr::Var(x, _), Some(k)) = (a, vb.itv.as_const()) {
-                shave(env, x, k);
-            }
-            if env.unreachable {
-                return;
-            }
-            if let (IrExpr::Var(y, _), Some(k)) = (b, va.itv.as_const()) {
-                shave(env, y, k);
             }
         }
     }

@@ -20,7 +20,7 @@ use rsc_syntax::types::AnnTy;
 use rsc_syntax::Span;
 
 use crate::domain::{AbsVal, Interval, Truth};
-use crate::engine::{analyze_body, assume, eval, AbsEnv};
+use crate::engine::{analyze_body, eval, AbsEnv};
 
 /// One lint finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -139,22 +139,7 @@ fn lint_body(body: &Body, lints: &mut Vec<Lint>) {
                         span: *span,
                         message: "tautological guard: this condition is always true".to_string(),
                     }),
-                    _ => {
-                        // A guard whose *assumption* is infeasible is
-                        // also an unreachable branch (e.g. `x < 1` with
-                        // x pinned to 1 via a meet the truth evaluation
-                        // alone cannot see).
-                        let mut t_env = env.clone();
-                        assume(&mut t_env, cond, true);
-                        if t_env.is_unreachable() {
-                            lints.push(Lint {
-                                code: "L0001",
-                                span: *span,
-                                message: "unreachable branch: this guard is always false, so its body never runs"
-                                    .to_string(),
-                            });
-                        }
-                    }
+                    _ => {}
                 }
             }
             Terminator::Ret(Some(e), _) => scan_indices(e, &env, lints),
@@ -248,14 +233,6 @@ fn value_entails(v: &AbsVal, vv: &Sym, pred: &Pred) -> bool {
     match pred {
         Pred::True => true,
         Pred::And(ps) => ps.iter().all(|p| value_entails(v, vv, p)),
-        Pred::Or(ps) => ps.iter().any(|p| value_entails(v, vv, p)),
-        Pred::Not(q) => match &**q {
-            Pred::Cmp(op, a, b) => {
-                value_entails(v, vv, &Pred::Cmp(op.negate(), a.clone(), b.clone()))
-            }
-            _ => false,
-        },
-        Pred::TermPred(Term::Var(x)) if x == vv => v.truth == Truth::True,
         Pred::Cmp(op, a, b) => {
             // Normalize so the value-variable side is on the left.
             let (op, lhs, rhs) = match (a, b) {
