@@ -25,7 +25,7 @@ use rsc_syntax::ast::{BinOpE, UnOp};
 use crate::domain::{AbsVal, Interval, Nullness, Truth};
 
 /// An abstract environment: per-variable facts. Absent variables are ⊤.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct AbsEnv {
     vals: FxHashMap<Sym, AbsVal>,
     /// The whole environment is unreachable.
@@ -50,8 +50,10 @@ impl AbsEnv {
         }
     }
 
-    /// Pointwise join; variables absent on either side become ⊤.
-    fn join(&self, other: &AbsEnv) -> AbsEnv {
+    /// Combines two environments variable by variable with `f`
+    /// (`AbsVal::join` or `AbsVal::widen`); variables absent on either
+    /// side become ⊤, and an unreachable side is the unit.
+    fn pointwise(&self, other: &AbsEnv, f: fn(&AbsVal, &AbsVal) -> AbsVal) -> AbsEnv {
         if self.unreachable {
             return other.clone();
         }
@@ -61,9 +63,9 @@ impl AbsEnv {
         let mut vals = FxHashMap::default();
         for (x, a) in &self.vals {
             if let Some(b) = other.vals.get(x) {
-                let j = a.join(b);
-                if j != AbsVal::TOP {
-                    vals.insert(*x, j);
+                let v = f(a, b);
+                if v != AbsVal::TOP {
+                    vals.insert(*x, v);
                 }
             }
         }
@@ -71,33 +73,6 @@ impl AbsEnv {
             vals,
             unreachable: false,
         }
-    }
-
-    /// Pointwise widening against the new value at a loop head.
-    fn widen(&self, next: &AbsEnv) -> AbsEnv {
-        if self.unreachable {
-            return next.clone();
-        }
-        if next.unreachable {
-            return self.clone();
-        }
-        let mut vals = FxHashMap::default();
-        for (x, a) in &self.vals {
-            if let Some(b) = next.vals.get(x) {
-                let w = a.widen(b);
-                if w != AbsVal::TOP {
-                    vals.insert(*x, w);
-                }
-            }
-        }
-        AbsEnv {
-            vals,
-            unreachable: false,
-        }
-    }
-
-    fn same_as(&self, other: &AbsEnv) -> bool {
-        self.unreachable == other.unreachable && self.vals == other.vals
     }
 }
 
@@ -409,9 +384,13 @@ fn transfer_edge(env: &AbsEnv, edge: &Edge<'_>) -> Option<AbsEnv> {
         }
     }
     // φ-copies read the *pre-copy* environment (parallel copies).
-    let read = out.clone();
-    for (dst, src) in &edge.copies {
-        out.set(*dst, read.get(src));
+    let copied: Vec<(Sym, AbsVal)> = edge
+        .copies
+        .iter()
+        .map(|(dst, src)| (*dst, out.get(src)))
+        .collect();
+    for (dst, v) in copied {
+        out.set(dst, v);
     }
     Some(out)
 }
@@ -430,7 +409,6 @@ pub fn analyze_body(cfg: &Cfg<'_>) -> Vec<Option<AbsEnv>> {
     let mut entries: Vec<Option<AbsEnv>> = vec![None; cfg.blocks.len()];
     entries[0] = Some(AbsEnv::default());
 
-    // Ascending phase with widening at loop heads.
     let mut work: BTreeSet<usize> = rpo.iter().map(|&b| order[b]).collect();
     let mut iter_guard = 0usize;
     let max_iters = 64 * cfg.blocks.len().max(1);
@@ -441,10 +419,9 @@ pub fn analyze_body(cfg: &Cfg<'_>) -> Vec<Option<AbsEnv>> {
             break; // belt-and-braces; widening guarantees termination
         }
         let b = rpo[i];
-        let Some(env) = entries[b].clone() else {
+        let Some(mut out) = entries[b].clone() else {
             continue;
         };
-        let mut out = env;
         transfer_block(&cfg.blocks[b].stmts, &mut out);
         for e in &cfg.blocks[b].succs {
             let Some(next) = transfer_edge(&out, e) else {
@@ -453,19 +430,15 @@ pub fn analyze_body(cfg: &Cfg<'_>) -> Vec<Option<AbsEnv>> {
             let merged = match &entries[e.to] {
                 None => next,
                 Some(old) => {
-                    let joined = old.join(&next);
+                    let joined = old.pointwise(&next, AbsVal::join);
                     if cfg.blocks[e.to].loop_head {
-                        old.widen(&joined)
+                        old.pointwise(&joined, AbsVal::widen)
                     } else {
                         joined
                     }
                 }
             };
-            let changed = match &entries[e.to] {
-                None => true,
-                Some(old) => !old.same_as(&merged),
-            };
-            if changed {
+            if entries[e.to].as_ref() != Some(&merged) {
                 entries[e.to] = Some(merged);
                 if order[e.to] != usize::MAX {
                     work.insert(order[e.to]);
