@@ -357,6 +357,50 @@ mod tests {
         assert!(l.iter().any(|l| l.code == "L0004"), "got: {l:?}");
     }
 
+    /// Needs the guard assumptions on CFG edges: the outer guard's edge
+    /// is what bounds `x` when the inner guard is evaluated.
+    #[test]
+    fn l0001_nested_contradictory_guards() {
+        let l = lints_of(
+            "function f(x: number): number {
+                 if (0 < x) {
+                     if (x < 0) { return 1; }
+                 }
+                 return 0;
+             }",
+        );
+        assert!(l.iter().any(|l| l.code == "L0001"), "got: {l:?}");
+    }
+
+    /// Needs nullness: an array literal is never null.
+    #[test]
+    fn l0001_null_test_on_fresh_array() {
+        let l = lints_of(
+            "function f(): number {
+                 var a = [1, 2];
+                 if (a == null) { return 1; }
+                 return 0;
+             }",
+        );
+        assert!(l.iter().any(|l| l.code == "L0001"), "got: {l:?}");
+    }
+
+    /// Needs the guard assumption on the loop's exit edge: widening
+    /// loses `i`'s upper bound at the head, and the exit edge's `i ≥ 3`
+    /// is what puts the index past the end.
+    #[test]
+    fn l0004_index_past_loop_exit_bound() {
+        let l = lints_of(
+            "function f(): number {
+                 var a = [1, 2, 3];
+                 var i = 0;
+                 while (i < 3) { i = i + 1; }
+                 return a[i];
+             }",
+        );
+        assert!(l.iter().any(|l| l.code == "L0004"), "got: {l:?}");
+    }
+
     #[test]
     fn in_bounds_index_is_clean() {
         let l = lints_of(
