@@ -39,9 +39,9 @@
 //!   discharge pre-pass folds each list once ([`FactEnv::of_hyps`],
 //!   every fold of the check reading one [`BinderSorts`] map) and asks
 //!   each candidate of it with the read-only [`FactEnv::entails`]. On
-//!   the cold corpus a pass made 9,872 candidate checks over 1,692
-//!   distinct lists before the memoization above stopped re-checking
-//!   constraints on their own head. The groups live for one check only
+//!   the cold corpus a pass makes 8,776 candidate checks over 2,366
+//!   distinct relevance keys and 1,124 distinct lists, so it folds
+//!   1,124 lists instead of 8,776. The groups live for one check only
 //!   (the hypotheses depend on the solution, which changes only after
 //!   the candidate loop), so every discharge decision and every SMT
 //!   query sees the identical list in the identical order, and the work
