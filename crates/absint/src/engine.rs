@@ -459,8 +459,8 @@ mod tests {
         rsc_ssa::transform_program(&prog).unwrap()
     }
 
-    /// The fact a variable whose name starts with `prefix` holds in the
-    /// block-entry environments, found by a predicate on its value.
+    /// Whether some block-entry environment binds a variable whose name
+    /// starts with `prefix` to a value `want` accepts.
     fn entry_fact(
         entries: &[Option<AbsEnv>],
         prefix: &str,

@@ -26,8 +26,8 @@
 //!    one CFG, and a worklist-based forward dataflow analysis computes,
 //!    per basic block, the entry facts of a product of
 //!
-//!    * **intervals** over `i64` with ±∞ (widening at loop heads,
-//!      narrowing on descent), for integers and array lengths, and
+//!    * **intervals** over `i64` with ±∞ (widening at loop heads), for
+//!      integers and array lengths, and
 //!    * **definite nullness / truthiness**,
 //!
 //!    and the lints read it in one walk over the blocks: advisory

@@ -8,6 +8,13 @@
 //! | L0003 | a refinement annotation is already implied by the value    |
 //! | L0004 | an array index is always out of bounds                     |
 //!
+//! Each body is lowered to one CFG, `analyze_body` computes its
+//! block-entry environments, and one walk over the reachable blocks
+//! replays each block's statements from its entry: L0001/L0002 read a
+//! branch guard's truth, L0003 reads a `let`'s value against the
+//! conjoined comparisons of its annotation, and L0004 reads an index's
+//! interval against the array's length interval.
+//!
 //! Lints are *advisory*: they never suppress or add type errors, and
 //! no obligation discharge reads their facts.
 //!
