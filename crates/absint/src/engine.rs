@@ -3,10 +3,10 @@
 //! For each function unit the engine computes, per basic block, the
 //! abstract environment holding at block entry: a map from SSA variable
 //! to [`AbsVal`]. Iteration is one ascending reverse-postorder worklist
-//! run with widening at loop heads. There is no descending phase: a
-//! bound the widening discards stays infinite at the loop head, and
-//! only the guards on the edges out of it bound the variable again
-//! (after `while (i < n)`, the exit edge assumes `i ≥ n`).
+//! run with widening at loop heads. A bound the widening discards stays
+//! infinite at the loop head; only the guards on the edges out of it
+//! bound the variable again (after `while (i < n)`, the exit edge
+//! assumes `i ≥ n`).
 //!
 //! Branch conditions are folded in along CFG *edges* ([`Edge::assume`]),
 //! so facts are path-sensitive: inside `if (0 < x)` the engine knows
