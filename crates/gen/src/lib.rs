@@ -183,7 +183,8 @@ pub fn run_case(cfg: &FuzzConfig, case: u32, out: &mut FuzzSummary) {
     }
 
     // Incremental: an edit script that introduces the mutation and
-    // reverts it must match cold checks step for step.
+    // reverts it must match cold checks step for step, and so must an
+    // undo and a redo after each step, with no bundle re-solved.
     let steps = vec![src.clone(), mutant_src, src.clone()];
     if let Err(e) = oracle::incremental(&steps) {
         out.violations.push(fail("incremental", e));

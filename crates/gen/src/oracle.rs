@@ -233,19 +233,42 @@ pub fn model_pool(src: &str) -> Result<(), String> {
 
 /// **Incremental equivalence**: replaying an edit script through a
 /// persistent [`CheckSession`] produces, at every step, diagnostics
-/// byte-identical to a cold `check_program` of that step.
+/// byte-identical to a cold `check_program` of that step. After each
+/// step the session also re-checks the step before (undo) and then the
+/// step again (redo): both must match their cold checks and solve no
+/// bundle, because a session keeps every verdict of its last two runs.
 pub fn incremental(steps: &[String]) -> Result<(), String> {
+    let cold: Vec<String> = steps
+        .iter()
+        .map(|s| render(&check_program(s, CheckerOptions::default())))
+        .collect();
+    let mut script: Vec<(usize, &str)> = Vec::new();
+    for i in 0..steps.len() {
+        script.push((i, "edit"));
+        if i > 0 {
+            script.push((i - 1, "undo"));
+            script.push((i, "redo"));
+        }
+    }
     let mut session = CheckSession::new(CheckerOptions::default());
-    for (i, outcome) in session
-        .replay_script(steps.iter().map(String::as_str))
-        .into_iter()
-        .enumerate()
-    {
-        let cold = check_program(&steps[i], CheckerOptions::default());
-        let (s, c) = (render(&outcome.result), render(&cold));
-        if s != c {
+    let outcomes = session.replay_script(script.iter().map(|&(i, _)| steps[i].as_str()));
+    for (&(i, leg), outcome) in script.iter().zip(&outcomes) {
+        let what = if leg == "edit" {
+            format!("step {i}")
+        } else {
+            format!("{leg} to step {i}")
+        };
+        let s = render(&outcome.result);
+        if s != cold[i] {
             return Err(format!(
-                "incremental step {i} diverged from cold check:\n--- session\n{s}\n--- cold\n{c}"
+                "incremental {what} diverged from cold check:\n--- session\n{s}\n--- cold\n{}",
+                cold[i]
+            ));
+        }
+        if leg != "edit" && outcome.incr.solved != 0 {
+            return Err(format!(
+                "incremental {what} re-solved {} of {} bundles the session had just solved",
+                outcome.incr.solved, outcome.incr.bundles
             ));
         }
     }

@@ -4,17 +4,19 @@
 //! of [`rsc_core`] into a long-lived service whose unit of work is "one
 //! function changed, re-check now" instead of "check the whole program".
 //!
-//! A [`CheckSession`] persists across edits and holds, from the previous
-//! run: the unit-level dependency graph with per-unit content
-//! fingerprints ([`DepGraph`]), every bundle's verdict keyed by its
-//! canonical cross-run fingerprint, and the run-spanning VC cache (legal
-//! since `rsc_smt::cache` folds uninterpreted-symbol signatures into its
-//! keys). On an edit the session re-generates constraints (cheap, and
-//! mostly VC-cache hits), diffs per-unit fingerprints for reporting,
-//! re-solves exactly the bundles whose canonical problem changed, and
-//! merges fresh diagnostics with retained ones — byte-identical to a
-//! from-scratch run, which `tests/incremental_equivalence.rs` enforces
-//! over random edit scripts.
+//! A [`CheckSession`] persists across edits and holds the previous
+//! run's unit-level dependency graph with per-unit content fingerprints
+//! ([`DepGraph`]), a bounded memo of bundle verdicts keyed by their
+//! canonical cross-run fingerprints (every verdict of the last two runs,
+//! plus the most recently used older ones), and the run-spanning VC
+//! cache (legal since `rsc_smt::cache` folds uninterpreted-symbol
+//! signatures into its keys). On an edit the session re-generates
+//! constraints (cheap, and mostly VC-cache hits), diffs per-unit
+//! fingerprints for reporting, re-solves exactly the bundles whose
+//! canonical problem no remembered run solved, and merges fresh
+//! diagnostics with retained ones — byte-identical to a from-scratch
+//! run, which `tests/incremental_equivalence.rs` enforces over random
+//! edit scripts.
 //!
 //! One layer up, a [`Workspace`] scales sessions to *documents*: one
 //! [`CheckSession`] per URI/path over a shared VC cache, `import`

@@ -40,13 +40,17 @@
 //!  "cache":{"entries":90,"hits":12,"misses":90,"evictions":0,"hit_rate":0.12},
 //!  "timing":{"checks":3,"check_p50_us":2100,"check_p90_us":…,"check_p99_us":…,
 //!            "phases_ms":{"parse":0.4,"solve":5.2,…}},
-//!  "symbols":{"interned":456,"bytes":3120}}}
+//!  "symbols":{"interned":456,"bytes":3120},"memo":{"entries":16}}}
 //! ```
 //!
 //! `symbols` sizes the process-wide symbol table (`rsc_core::Sym`),
 //! which only grows: replaying an edit script must leave both numbers
 //! where the first run left them. They depend on everything the process
-//! checked before, so `--stats-json` does not carry them.
+//! checked before, so `--stats-json` does not carry them. `memo` counts
+//! the bundle verdicts the open documents' sessions hold for later
+//! checks, summed: a session holds at most twice the bundles of its
+//! latest check plus those of the check before, and `didClose` drops
+//! its share.
 //!
 //! Errors follow JSON-RPC 2.0 and never end the loop. A line that is
 //! not JSON answers `-32700` (ParseError) with `id: null`; a value
@@ -284,8 +288,9 @@ impl Serve {
     /// The `rsc/metrics` result: open documents, the registry's
     /// monotonic counters, the shared VC cache's counters, the timing
     /// summary (check-latency percentiles plus cumulative per-phase
-    /// milliseconds) and the symbol table's size — all derived from the
-    /// registry, the cache and the table, never from verdicts.
+    /// milliseconds), the symbol table's size and the sessions' verdict
+    /// memo size — all derived from the registry, the cache, the table
+    /// and the sessions, never from verdicts.
     fn metrics(&self) -> Json {
         let c = self.ws.cache().counters();
         let (symbols, symbol_bytes) = rsc_core::Sym::table_size();
@@ -343,6 +348,13 @@ impl Serve {
                     ("interned".into(), Json::num(symbols as f64)),
                     ("bytes".into(), Json::num(symbol_bytes as f64)),
                 ]),
+            ),
+            (
+                "memo".into(),
+                Json::Obj(vec![(
+                    "entries".into(),
+                    Json::num(self.ws.memo_len() as f64),
+                )]),
             ),
         ])
     }
@@ -1241,11 +1253,20 @@ mod tests {
         assert!(v.get("error").is_some(), "{resp}");
     }
 
+    /// `didClose` drops the document's session, and with it the
+    /// verdicts `rsc/metrics` counts under `memo`.
     #[test]
     fn did_close_clears_diagnostics_and_session() {
         let uri = "file:///x.rsc";
         let mut serve = Serve::new(CheckerOptions::default());
         serve.handle(&did_open(uri, PROG));
+        let memo = |serve: &mut Serve| {
+            metrics(serve)
+                .get("memo")
+                .and_then(|m| m.get("entries"))
+                .and_then(Json::as_f64)
+        };
+        assert!(memo(&mut serve).is_some_and(|n| n > 0.0));
         let close = lsp_req(
             "textDocument/didClose",
             Json::Obj(vec![(
@@ -1261,6 +1282,7 @@ mod tests {
             Some(&Json::Arr(vec![]))
         );
         assert_eq!(open_docs(&mut serve), Some(0.0));
+        assert_eq!(memo(&mut serve), Some(0.0));
     }
 
     /// Diagnostics published under a *non-open* closure file's URI must

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rsc_core::{
-    generate_artifacts, solve_artifacts, CheckResult, CheckStats, CheckerOptions, Diagnostic,
-    RetainedBundle,
+    generate_artifacts, solve_artifacts, BundleReport, CheckResult, CheckStats, CheckerOptions,
+    Diagnostic, RetainedBundle,
 };
 use rsc_smt::{cache::ENCODER_VERSION, DiskCache, VcCache};
 
@@ -22,7 +22,7 @@ use crate::persist::BundleStore;
 pub struct IncrStats {
     /// Bundles in this run.
     pub bundles: usize,
-    /// Bundles whose verdicts were reused from the previous run.
+    /// Bundles whose verdicts came from an earlier run or the disk tier.
     pub reused: usize,
     /// Bundles actually re-solved.
     pub solved: usize,
@@ -57,26 +57,77 @@ struct State {
     /// The fast-path key of the snapshot the run checked.
     source_key: u64,
     graph: DepGraph,
-    retained: HashMap<u128, RetainedBundle>,
     last: SessionOutcome,
+}
+
+/// The session's bundle verdicts, keyed by bundle fingerprint, across
+/// generation runs.
+///
+/// Each entry records the last run that solved or reused it. After run
+/// `n` the memo keeps every verdict of runs `n` and `n - 1`, plus the
+/// most recently used older ones up to run `n`'s bundle count; so an
+/// undo of the last edit re-solves nothing, and the memo never holds
+/// more than `2·|n| + |n - 1|` entries, proportional to the document.
+#[derive(Default)]
+struct VerdictMemo {
+    /// Generation runs recorded so far.
+    run: u64,
+    entries: HashMap<u128, (RetainedBundle, u64)>,
+}
+
+impl VerdictMemo {
+    fn get(&self, fingerprint: u128) -> Option<&RetainedBundle> {
+        self.entries.get(&fingerprint).map(|(b, _)| b)
+    }
+
+    /// Records one run's bundles as used by it, then evicts the older
+    /// verdicts past the bound. Ties between equally recent verdicts
+    /// break on the fingerprint, so what survives never depends on map
+    /// order.
+    fn record(&mut self, reports: &[BundleReport]) {
+        self.run += 1;
+        let run = self.run;
+        for r in reports {
+            self.entries
+                .entry(r.fingerprint)
+                .and_modify(|e| e.1 = run)
+                .or_insert_with(|| (r.retained(), run));
+        }
+        let mut older: Vec<(u64, u128)> = self
+            .entries
+            .iter()
+            .filter(|(_, (_, used))| used + 1 < run)
+            .map(|(fp, (_, used))| (*used, *fp))
+            .collect();
+        if older.len() > reports.len() {
+            older.sort_unstable_by(|a, b| b.cmp(a));
+            for (_, fp) in &older[reports.len()..] {
+                self.entries.remove(fp);
+            }
+        }
+    }
 }
 
 /// A persistent checking session.
 ///
-/// The session owns the cross-run VC cache and, after each run, the
-/// per-bundle verdicts keyed by their canonical fingerprints
+/// The session owns the cross-run VC cache and a bounded memo of bundle
+/// verdicts keyed by their canonical fingerprints
 /// (`rsc_liquid::bundle_fingerprint`). On the next [`CheckSession::check`]
 /// it re-generates constraints for the new source (cheap; narrowing
 /// queries mostly hit the persistent VC cache), reuses every bundle whose
-/// canonical problem is unchanged, and re-solves the rest. Verdicts are
-/// pure functions of the canonical bundle problem, so the merged output
-/// is byte-identical to a cold check of the same source — the retention
-/// map is rebuilt from each run's reports, so verdicts for deleted code
-/// are garbage-collected automatically.
+/// canonical problem an earlier run or the disk tier solved, and
+/// re-solves the rest. Verdicts are pure functions of the canonical
+/// bundle problem (`global_fp` included), so the merged output is
+/// byte-identical to a cold check of the same source. The memo keeps
+/// every verdict of the last two runs and, of older ones, the most
+/// recently used up to the last run's bundle count, so an edit back to
+/// a recent state re-solves nothing while memory stays proportional to
+/// the document.
 pub struct CheckSession {
     opts: CheckerOptions,
     cache: Arc<VcCache>,
     state: Option<State>,
+    memo: VerdictMemo,
     /// Directory of the persistent disk tier (`--vc-cache DIR`), if any.
     disk_dir: Option<PathBuf>,
     /// The open disk tier. Lazily (re)opened after constraint
@@ -134,6 +185,7 @@ impl CheckSession {
             opts,
             cache,
             state: None,
+            memo: VerdictMemo::default(),
             disk_dir: None,
             disk: None,
         }
@@ -170,6 +222,11 @@ impl CheckSession {
     /// The previous check's outcome, if any.
     pub fn last(&self) -> Option<&SessionOutcome> {
         self.state.as_ref().map(|s| &s.last)
+    }
+
+    /// Number of bundle verdicts the session holds for later runs.
+    pub fn memo_len(&self) -> usize {
+        self.memo.entries.len()
     }
 
     /// The dependency graph of the last successfully generated snapshot
@@ -214,19 +271,24 @@ impl CheckSession {
 
     /// Appends this run's new proofs and bundle verdicts to the disk
     /// tier (the delta only — both stores track what is already
-    /// persisted). Write failures warn and leave the in-memory run
-    /// intact.
-    fn flush_disk(&mut self, retained: &HashMap<u128, RetainedBundle>) {
+    /// persisted). Only the bundles of `reports` are written, never
+    /// older memo entries. Write failures warn and leave the in-memory
+    /// run intact.
+    fn flush_disk(&mut self, reports: &[BundleReport]) {
         let Some(disk) = &mut self.disk else { return };
         if let Err(e) = disk.vc.flush(&self.cache) {
             eprintln!("rsc: cannot write VC cache: {e}");
         }
-        if let Err(e) = disk.bundles.flush(retained.iter().map(|(fp, b)| (*fp, b))) {
+        let memo = &self.memo;
+        let run = reports
+            .iter()
+            .filter_map(|r| memo.get(r.fingerprint).map(|b| (r.fingerprint, b)));
+        if let Err(e) = disk.bundles.flush(run) {
             eprintln!("rsc: cannot write bundle cache: {e}");
         }
     }
 
-    /// Checks `src`, reusing whatever the previous run proved.
+    /// Checks `src`, reusing whatever an earlier run proved.
     pub fn check(&mut self, src: &str) -> SessionOutcome {
         let start = Instant::now();
         let key = text_hash(src);
@@ -240,7 +302,7 @@ impl CheckSession {
         self.check_prog(&prog, key, start)
     }
 
-    /// Checks an already-parsed program, reusing whatever the previous
+    /// Checks an already-parsed program, reusing whatever an earlier
     /// run proved. This is the workspace layer's entry point for merged
     /// closures whose items were module-qualified in memory (there is no
     /// source text whose parse yields the qualified AST). The session
@@ -287,33 +349,24 @@ impl CheckSession {
         };
         let graph = DepGraph::build(&ir);
 
-        let prev = self.state.take();
-        let dirty_units = prev
-            .as_ref()
+        let dirty_units = self
+            .state
+            .take()
             .map(|s| graph.dirty_against(&s.graph))
             .unwrap_or_default();
 
         let artifacts = generate_artifacts(&ir, self.opts, Arc::clone(&self.cache));
         self.open_disk(artifacts.global_fp);
         let disk = self.disk.as_ref();
-        let retained_ref = prev.as_ref().map(|s| &s.retained);
+        let memo = &self.memo;
         let result = solve_artifacts(artifacts, &mut |fp| {
-            retained_ref
-                .and_then(|m| m.get(&fp))
+            memo.get(fp)
                 .or_else(|| disk.and_then(|d| d.bundles.get(fp)))
                 .cloned()
         });
 
-        drop(prev);
-
-        // Rebuild retention from this run's reports: content-keyed, so
-        // verdicts for edited-away bundles disappear naturally.
-        let retained: HashMap<u128, RetainedBundle> = result
-            .bundle_reports
-            .iter()
-            .map(|r| (r.fingerprint, r.retained()))
-            .collect();
-        self.flush_disk(&retained);
+        self.memo.record(&result.bundle_reports);
+        self.flush_disk(&result.bundle_reports);
         let incr = IncrStats {
             bundles: result.bundle_reports.len(),
             reused: result.stats.bundles_reused,
@@ -327,7 +380,6 @@ impl CheckSession {
         self.state = Some(State {
             source_key,
             graph,
-            retained,
             last: outcome.clone(),
         });
         outcome
@@ -347,8 +399,8 @@ impl CheckSession {
     }
 
     /// A parse/SSA front-end error: reported like a cold check would
-    /// (one diagnostic, no stats), previous retained state kept for the
-    /// next parseable snapshot.
+    /// (one diagnostic, no stats); the previous state and the verdict
+    /// memo are kept for the next parseable snapshot.
     fn front_error(
         &mut self,
         message: String,
@@ -416,10 +468,46 @@ mod tests {
         assert!(second.incr.solved < second.incr.bundles);
         assert!(second.incr.dirty_units.contains(&"fun:abs".to_string()));
 
-        // Edit back: everything retained from the first run still keyed.
+        // Edit back: every verdict of the first run is still in the
+        // memo, so nothing re-solves.
         let third = s.check(PROG);
         assert!(third.result.ok());
-        assert!(third.incr.reused > 0);
+        assert_eq!(third.incr.solved, 0, "{:?}", third.incr);
+        assert_eq!(third.incr.reused, third.incr.bundles);
+    }
+
+    /// Walks `abs` through more versions than the memo keeps. After
+    /// every run the memo holds at most twice the run's bundles plus the
+    /// previous run's. A version two edits back is still kept (the most
+    /// recently used older verdicts), while one evicted long ago
+    /// re-solves its bundle and still matches a cold check.
+    #[test]
+    fn memo_is_bounded_and_evicted_versions_resolve() {
+        let version = |k: usize| {
+            let body = format!("return 0 - x{};", " + x - x".repeat(k));
+            PROG.replace("return 0 - x;", &body)
+        };
+        let mut s = CheckSession::new(CheckerOptions::default());
+        let mut prev_bundles = 0;
+        for k in 0..8 {
+            let out = s.check(&version(k));
+            assert!(out.result.ok(), "{}", render(&out.result));
+            assert_eq!(out.incr.solved, if k == 0 { 2 } else { 1 });
+            let bound = 2 * out.incr.bundles + prev_bundles;
+            assert!(s.memo_len() <= bound, "{} > {bound}", s.memo_len());
+            prev_bundles = out.incr.bundles;
+        }
+        // `clamp`, `abs` at versions 7 and 6, and two older `abs`.
+        assert_eq!(s.memo_len(), 5);
+
+        let back = s.check(&version(5));
+        assert_eq!(back.incr.solved, 0, "{:?}", back.incr);
+
+        let evicted = s.check(&version(0));
+        assert_eq!(evicted.incr.solved, 1, "{:?}", evicted.incr);
+        let cold = check_program(&version(0), CheckerOptions::default());
+        assert_eq!(render(&evicted.result), render(&cold));
+        assert_eq!(evicted.result.ok(), cold.ok());
     }
 
     #[test]

@@ -714,6 +714,12 @@ impl Workspace {
         self.docs.len()
     }
 
+    /// Bundle verdicts held by the open documents' sessions, summed
+    /// (see [`CheckSession::memo_len`]).
+    pub fn memo_len(&self) -> usize {
+        self.docs.values().map(|d| d.session.memo_len()).sum()
+    }
+
     /// True when `uri` is an open document.
     pub fn contains(&self, uri: &str) -> bool {
         self.docs.contains_key(uri)

@@ -8,10 +8,10 @@ Legs (default: lsp + multi-file):
 * ``lsp``         — for every benchmark with a seeded mutation:
   ``initialize``, ``textDocument/didOpen`` of the clean file,
   ``didChange`` to edit the bug in (must reject, reusing all but the
-  edited function's bundle) and back out (must verify, again with
-  reuse), asserting that every published diagnostic carries a
-  non-dummy 0-based ``{start:{line,character},end:{…}}`` range and an
-  ``R…``-style code.
+  edited function's bundle) and back out (must verify, re-solving no
+  bundle: the open's verdicts are still in the session's memo),
+  asserting that every published diagnostic carries a non-dummy 0-based
+  ``{start:{line,character},end:{…}}`` range and an ``R…``-style code.
 * ``cache-bound`` — a long edit script under ``rsc serve --cache-cap
   16``: verdicts must stay correct while the VC cache stays bounded and
   reports evictions in ``rsc/metrics``.
@@ -20,9 +20,10 @@ Legs (default: lsp + multi-file):
   counters with ``importers_skipped_total``, VC-cache counters with a
   hit rate, the check count, check-latency percentiles, and cumulative
   per-phase milliseconds covering the span taxonomy, and the symbol
-  table's size). Every publish must also carry a per-phase
-  ``timing_ms`` object. The edit session then replays, and a second
-  ``rsc/metrics`` must report the same symbol count and bytes.
+  table's size and the sessions' verdict memo within its bound). Every
+  publish must also carry a per-phase ``timing_ms`` object. The edit
+  session then replays, and a second ``rsc/metrics`` must report the
+  same symbol count and bytes, and a memo still within its bound.
 * ``disk-cache``  — the persistent ``--vc-cache DIR`` round-trip: cold
   batch-check the corpus into a fresh directory, let the process exit,
   then re-check with a new process against the warm directory. The warm
@@ -176,9 +177,9 @@ def lsp_leg(binary):
             if lsp_errors(params) or rsc.get("verified") is not True:
                 fail(f"{name}: clean text published error diagnostics: {v}")
             assert_lsp_diagnostics(name, params)
-            if kind == "clean-change" and rsc.get("bundles", 0) > 1 and \
-                    not (0 < rsc.get("reused", 0) and rsc.get("solved", 0) < rsc["bundles"]):
-                fail(f"{name}: revert did not reuse bundles: {v}")
+            if kind == "clean-change" and \
+                    (rsc.get("solved") != 0 or rsc.get("reused") != rsc.get("bundles")):
+                fail(f"{name}: revert re-solved bundles the open had solved: {v}")
         else:
             if not lsp_errors(params) or rsc.get("verified") is not False:
                 fail(f"{name}: seeded bug published no diagnostics: {v}")
@@ -249,11 +250,20 @@ def cache_bound_leg(binary, cap=16, rounds=3):
           f"(cap={cap}, evictions={evictions})")
 
 
+def memo_bound(publishes):
+    """The most verdicts one document's session may hold: twice the
+    bundles of its latest generation run plus those of the run before
+    (a fast-path check runs nothing)."""
+    runs = [v["rsc"]["bundles"] for v in publishes if not v["rsc"]["fast_path"]]
+    return 2 * runs[-1] + (runs[-2] if len(runs) > 1 else 0)
+
+
 def metrics_leg(binary):
     """Observability surface: per-check timing_ms on every publish, and
-    the rsc/metrics counters/cache/latency/phase/symbols object. The
-    edit script runs twice; the symbol table must not grow on the
-    replay (a name carrying a session-wide counter would)."""
+    the rsc/metrics counters/cache/latency/phase/symbols/memo object.
+    The edit script runs twice; the symbol table must not grow on the
+    replay (a name carrying a session-wide counter would), and the
+    verdict memo must stay within its bound after each run."""
     uri = "file:///corpus.rsc"
     name, src, mutated = corpus()[0]
     script = [did_open(uri, src), did_change(uri, mutated), did_change(uri, src)]
@@ -306,8 +316,16 @@ def metrics_leg(binary):
     if replayed.get("symbols") != symbols:
         fail(f"metrics: symbol table grew on a replayed edit script: "
              f"{symbols} -> {replayed.get('symbols')}")
+    memo = {}
+    for tag, m, publishes in (("first", metrics, lines[:3]),
+                              ("replayed", replayed, lines[:3] + lines[4:7])):
+        memo[tag] = m.get("memo", {}).get("entries")
+        bound = memo_bound(publishes)
+        if not isinstance(memo[tag], (int, float)) or not 0 < memo[tag] <= bound:
+            fail(f"metrics: {tag} verdict memo {m.get('memo')} outside (0, {bound}]")
     print(f"serve_smoke: metrics leg PASS (p50={timing['check_p50_us']}us, "
-          f"phases={len(phases)}, symbols={symbols['interned']})")
+          f"phases={len(phases)}, symbols={symbols['interned']}, "
+          f"memo={memo['first']}/{memo['replayed']})")
 
 
 def disk_cache_leg(binary):

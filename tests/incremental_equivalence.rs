@@ -91,9 +91,12 @@ fn seeded_mutations_in_and_out() {
 /// the clean program cold, then the seeded bug in, the bug out, a
 /// comment line prepended (which moves every span and changes no
 /// constraint) and the revert; each step records its bundle, solved and
-/// reused counts and whether it took the fast path. Bundle identity
-/// decides reuse, so these counts may only move with a deliberate change
-/// to what a bundle fingerprint distinguishes.
+/// reused counts and whether it took the fast path. Reuse depends on
+/// bundle identity and on how long a session keeps verdicts: the bug-out
+/// step re-solves nothing because the cold step's verdicts are still in
+/// the session's memo. These counts may only move with a deliberate
+/// change to what a bundle fingerprint distinguishes or to what the memo
+/// keeps.
 ///
 /// Regenerate the fixture with `UPDATE_GOLDEN=1 cargo test -q --test
 /// incremental_equivalence reuse_counters` after an intentional change.
