@@ -35,7 +35,7 @@
 //!
 //! Exit code 0 = verified, 1 = verification errors, 2 = usage/IO error.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use rsc_core::{CheckerOptions, LineIndex};
@@ -226,6 +226,7 @@ fn main() {
     // One workspace for the whole batch: each root is checked as its
     // import closure, and overlapping closures share the VC cache.
     let mut ws = with_disk(Workspace::new(opts));
+    let mut lints = LintsOnce::new(&files);
     let mut failed = false;
     let mut all_spans: Vec<rsc_obs::SpanRecord> = Vec::new();
     let mut json_files: Vec<Json> = Vec::new();
@@ -254,7 +255,7 @@ fn main() {
                 // Keep stdout machine-readable; humans read stderr.
                 eprint!("{}", rendered(&report));
             }
-            eprint!("{}", rendered_lints(&report));
+            eprint!("{}", lints.render(file, lint_sites(&report)));
         } else if result.ok() {
             if !quiet {
                 let files_note = if closure > 1 {
@@ -283,7 +284,7 @@ fn main() {
             print_rendered(&report);
         }
         if !stats_json {
-            print!("{}", rendered_lints(&report));
+            print!("{}", lints.render(file, lint_sites(&report)));
         }
         if profile_path.is_some() {
             all_spans.extend(profile.spans);
@@ -410,23 +411,72 @@ fn rendered(report: &DocReport) -> String {
     out
 }
 
-/// Renders a report's lint warnings rustc-style (empty string when the
-/// lint pass is off or found nothing). Printed after the verdict line —
-/// lints never change the verdict or the exit code.
-fn rendered_lints(report: &DocReport) -> String {
+/// A report's lint warnings, each rendered rustc-style and paired with
+/// the name of the closure file it sits in.
+fn lint_sites(report: &DocReport) -> Vec<(String, String)> {
     let idxs: Vec<LineIndex> = report
         .merged
         .files
         .iter()
         .map(|f| LineIndex::new(&f.text))
         .collect();
-    let mut out = String::new();
-    for d in &report.outcome.result.lints {
-        let (fi, local) = report.merged.localize(d);
-        let f = &report.merged.files[fi];
-        out.push_str(&local.render_with(&f.name, &f.text, &idxs[fi]));
+    report
+        .outcome
+        .result
+        .lints
+        .iter()
+        .map(|d| {
+            let (fi, local) = report.merged.localize(d);
+            let f = &report.merged.files[fi];
+            (
+                f.name.clone(),
+                local.render_with(&f.name, &f.text, &idxs[fi]),
+            )
+        })
+        .collect()
+}
+
+/// Prints each lint of a batch once. The lint pass runs over a root's
+/// whole import closure, so an imported file's warnings come back under
+/// every importer. A lint is printed under its own file when that file
+/// is a root of the run, and otherwise under the first root, in run
+/// order, whose closure contains it.
+struct LintsOnce<'a> {
+    roots: HashSet<&'a str>,
+    /// Non-root files whose lints have been printed.
+    printed: HashSet<String>,
+}
+
+impl<'a> LintsOnce<'a> {
+    fn new(roots: &'a [String]) -> LintsOnce<'a> {
+        LintsOnce {
+            roots: roots.iter().map(String::as_str).collect(),
+            printed: HashSet::new(),
+        }
     }
-    out
+
+    /// The lints `root` prints, out of `sites` (from [`lint_sites`]):
+    /// after its verdict line — lints never change the verdict or the
+    /// exit code.
+    fn render(&mut self, root: &str, sites: Vec<(String, String)>) -> String {
+        let mut out = String::new();
+        let mut firsts = Vec::new();
+        for (file, text) in sites {
+            let show = if self.roots.contains(file.as_str()) {
+                file == root
+            } else {
+                !self.printed.contains(&file)
+            };
+            if show {
+                out.push_str(&text);
+                if file != root {
+                    firsts.push(file);
+                }
+            }
+        }
+        self.printed.extend(firsts);
+        out
+    }
 }
 
 /// `--recursive` batch mode: one job per root file on a work-stealing
@@ -434,7 +484,8 @@ fn rendered_lints(report: &DocReport) -> String {
 /// over one shared VC cache (verdicts are pure functions of the
 /// canonical VC, so cross-thread sharing is sound). Per-file output is
 /// buffered and printed in input order, byte-identical to the serial
-/// loop's lines.
+/// loop's lines; the lints each root prints are chosen there too, by
+/// [`LintsOnce`].
 fn run_recursive(
     files: &[String],
     opts: CheckerOptions,
@@ -458,12 +509,13 @@ fn run_recursive(
             let file = file.clone();
             let cache = Arc::clone(&cache);
             let disk_dir = vc_cache_dir.map(str::to_string);
-            // Returns (output text, verified, I/O error).
-            move || -> (String, bool, bool) {
+            // Returns (output text, lint sites, verified, I/O error).
+            move || -> (String, Vec<(String, String)>, bool, bool) {
                 let src = match std::fs::read_to_string(&file) {
                     Ok(s) => s,
                     Err(e) => {
-                        return (format!("rsc: cannot read {file}: {e}\n"), false, true);
+                        let msg = format!("rsc: cannot read {file}: {e}\n");
+                        return (msg, Vec::new(), false, true);
                     }
                 };
                 let t = std::time::Instant::now();
@@ -494,8 +546,7 @@ fn run_recursive(
                             elapsed
                         );
                     }
-                    out.push_str(&rendered_lints(&report));
-                    (out, true, false)
+                    (out, lint_sites(&report), true, false)
                 } else {
                     let mut out = format!(
                         "{file}: UNSAFE ({} errors, {:.0?})\n",
@@ -503,8 +554,7 @@ fn run_recursive(
                         elapsed
                     );
                     out.push_str(&rendered(&report));
-                    out.push_str(&rendered_lints(&report));
-                    (out, false, false)
+                    (out, lint_sites(&report), false, false)
                 }
             }
         })
@@ -513,19 +563,21 @@ fn run_recursive(
     if let Some(path) = profile {
         write_trace(path, &rsc_obs::drain().spans);
     }
+    let mut lints = LintsOnce::new(files);
     let mut failed = false;
     let mut io_err = false;
-    for (text, ok, io) in &results {
-        if *io {
+    let mut safe = 0;
+    for (file, (text, sites, ok, io)) in files.iter().zip(results) {
+        if io {
             eprint!("{text}");
         } else {
-            print!("{text}");
+            print!("{text}{}", lints.render(file, sites));
         }
         failed |= !ok && !io;
         io_err |= io;
+        safe += usize::from(ok);
     }
     if !quiet {
-        let safe = results.iter().filter(|(_, ok, _)| *ok).count();
         println!(
             "checked {} files ({safe} safe) in {:.1?} on {} workers",
             files.len(),

@@ -9,7 +9,9 @@
 //!
 //! Lint output on generated code is pinned too: every warning the
 //! pass raises on a generated 3,000-LOC workspace, one line each, in
-//! `tests/golden/lints-generated.txt`.
+//! `tests/golden/lints-generated.txt`; and the batch CLI prints each of
+//! them once, under its own file, although most files are in several
+//! import closures.
 //!
 //! Regenerate the fixtures with `UPDATE_GOLDEN=1 cargo test -q
 //! --test lint_goldens` after an intentional lint-message change.
@@ -161,16 +163,30 @@ fn lints_are_severable_from_errors() {
     }
 }
 
+/// Writes the workspace of `rsc fuzz --emit-workspace DIR --seed 7
+/// --min-loc 3000` to a fresh temporary directory named after `tag`.
+fn emit_seed7_workspace(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("rsc-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let depth = rsc_gen::FuzzConfig::default().workspace_depth;
+    rsc_gen::emit_workspace(&dir, 7, 3000, depth, 12).expect("emit the workspace");
+    dir
+}
+
+fn generated_golden() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("lints-generated.txt")
+}
+
 /// The lint stream on generated code: the workspace of `rsc fuzz
 /// --emit-workspace DIR --seed 7 --min-loc 3000`, each file parsed,
 /// SSA-translated and linted on its own, one `file:line:col code
 /// message` line per warning, in file-name order.
 #[test]
 fn lints_on_generated_workspace() {
-    let dir = std::env::temp_dir().join(format!("rsc-lint-golden-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let depth = rsc_gen::FuzzConfig::default().workspace_depth;
-    rsc_gen::emit_workspace(&dir, 7, 3000, depth, 12).expect("emit the workspace");
+    let dir = emit_seed7_workspace("lint-golden");
     let mut names: Vec<String> = std::fs::read_dir(&dir)
         .expect("read the workspace")
         .map(|e| {
@@ -198,10 +214,7 @@ fn lints_on_generated_workspace() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
-    let golden_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("lints-generated.txt");
+    let golden_path = generated_golden();
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::write(&golden_path, &rendered).expect("write golden fixture");
         return;
@@ -216,4 +229,58 @@ fn lints_on_generated_workspace() {
         rendered, expected,
         "lints drifted from tests/golden/lints-generated.txt"
     );
+}
+
+/// The batch CLI prints each lint once. The lint pass runs over a root's
+/// whole import closure, so on the workspace above, where most files
+/// import others, an imported file's warnings come back under every
+/// importer. `rsc DIR` and `rsc check --recursive DIR` must each print
+/// every site of `tests/golden/lints-generated.txt` exactly once, right
+/// after the verdict line of the file it sits in.
+#[test]
+fn batch_cli_prints_each_lint_once() {
+    let dir = emit_seed7_workspace("lint-once");
+    let prefix = format!("{}/", dir.display());
+    let mut golden: Vec<String> = std::fs::read_to_string(generated_golden())
+        .expect("read the golden")
+        .lines()
+        .map(str::to_string)
+        .collect();
+    golden.sort();
+    for args in [
+        &["--jobs", "1"][..],
+        &["check", "--recursive", "--jobs", "2"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_rsc"))
+            .args(args)
+            .arg(&dir)
+            .output()
+            .expect("run rsc");
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+        let lines: Vec<&str> = stdout.lines().collect();
+        let mut root = "";
+        let mut sites = Vec::new();
+        for (i, line) in lines.iter().enumerate() {
+            if let Some((file, _)) = line.split_once(": SAFE (") {
+                root = file.strip_prefix(&prefix).unwrap_or(file);
+            }
+            let Some(rest) = line.strip_prefix("warning[") else {
+                continue;
+            };
+            let (code, message) = rest.split_once("]: ").expect("warning header");
+            let at = lines[i + 1]
+                .trim_start()
+                .strip_prefix("--> ")
+                .expect("location");
+            let at = at.strip_prefix(&prefix).expect("a workspace file");
+            let (file, pos) = at.split_once(':').expect("file:line:col");
+            let (line_col, _) = pos.split_once('-').expect("a range");
+            assert_eq!(file, root, "{args:?}: {file}'s lint printed under {root}");
+            sites.push(format!("{file}:{line_col} {code} {message}"));
+        }
+        sites.sort();
+        assert_eq!(sites, golden, "{args:?}: lint sites printed");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
