@@ -342,3 +342,216 @@ fn missing_export_diagnostic() {
     assert!(msg.contains("does not export `helper`"), "{msg}");
     assert!(msg.contains("lib.rsc"), "{msg}");
 }
+
+// ------------------------------------------------- importer skipping ---
+
+/// The `lib.rsc` of the skipping table: one of each declaration kind an
+/// edit can touch.
+const TABLE_LIB: &str = "type nat = {v: number | 0 <= v};\n\
+type small = {v: number | v < 100};\n\
+qualif Below(v: number, j: number): v < j;\n\
+declare LIMIT : {v: number | v = 10};\n\
+class Counter {\n\
+    n : number;\n\
+    constructor(n: number) { this.n = n; }\n\
+    get(): number { return this.n; }\n\
+}\n\
+export function step(x: number): nat {\n\
+    if (x < 0) { return 0; }\n\
+    return x + 1;\n\
+}\n\
+export function bump(x) { return x + 3; }\n\
+function helper(y: number): number { return y; }\n\
+var seed = 1;\n";
+
+/// The importer: one verified function, one failing return, a call of
+/// the unannotated export and a lint, so its own-file diagnostics are
+/// not vacuous.
+const TABLE_APP: &str = "import {step, bump} from \"./lib.rsc\";\n\
+function use(k: number): {v: number | 0 <= v} {\n\
+    return step(k);\n\
+}\n\
+function off(k: number): {v: number | 0 < v} {\n\
+    return step(k) - 1;\n\
+}\n\
+function dead(x: number): number {\n\
+    var y = 3;\n\
+    if (y < 1) { return 0 - 1; }\n\
+    return x;\n\
+}\n\
+var b = bump(1);\n";
+
+const TABLE_UTIL: &str = "export function unit(x: number): number { return x; }\n";
+
+/// The diagnostics and lints of `merged`'s root file, localized and
+/// rendered.
+fn root_diags(merged: &Merged, result: &rsc_core::CheckResult) -> Vec<String> {
+    result
+        .diagnostics
+        .iter()
+        .chain(&result.lints)
+        .map(|d| merged.localize(d))
+        .filter(|(fi, _)| *fi == merged.root)
+        .map(|(_, d)| d.to_string())
+        .collect()
+}
+
+/// One edit of `lib.rsc` per kind of declaration, each in a fresh
+/// workspace holding `util.rsc`, `lib.rsc` and `app.rsc` (which imports
+/// `lib`). An edit that leaves `lib`'s import specifiers and export
+/// surface as `app` last saw them skips `app`'s re-check; either way
+/// `app`'s own-file diagnostics must equal a cold check of its
+/// module-qualified closure.
+#[test]
+fn importer_skipping_by_edit_kind() {
+    let rows: Vec<(&str, String, usize)> = vec![
+        (
+            "private body",
+            TABLE_LIB.replace("return y;", "return y + 1;"),
+            1,
+        ),
+        (
+            "private signature",
+            TABLE_LIB.replace(
+                "function helper(y: number): number",
+                "function helper(y: nat): number",
+            ),
+            1,
+        ),
+        (
+            "exported annotated body",
+            TABLE_LIB.replace("return x + 1;", "return x + 2;"),
+            1,
+        ),
+        (
+            "exported signature",
+            TABLE_LIB.replace(
+                "export function step(x: number): nat",
+                "export function step(x: number): {v: number | 0 <= v && x < v}",
+            ),
+            0,
+        ),
+        (
+            "exported unannotated body",
+            TABLE_LIB.replace("return x + 3;", "return x + 4;"),
+            0,
+        ),
+        ("type alias", TABLE_LIB.replace("v < 100", "v < 200"), 0),
+        (
+            "class member body",
+            TABLE_LIB.replace("return this.n;", "return this.n + 1;"),
+            0,
+        ),
+        ("qualif", TABLE_LIB.replace("v < j", "v <= j"), 0),
+        ("declare", TABLE_LIB.replace("v = 10", "v = 11"), 0),
+        (
+            "top-level statement",
+            TABLE_LIB.replace("var seed = 1;", "var seed = 2;"),
+            1,
+        ),
+        ("comment only", format!("// a comment\n{TABLE_LIB}"), 1),
+        (
+            "added import",
+            format!("import {{unit}} from \"./util.rsc\";\n{TABLE_LIB}"),
+            0,
+        ),
+    ];
+    for (kind, lib, skipped) in rows {
+        assert_ne!(lib, TABLE_LIB, "{kind}: the edit must change the text");
+        let mut ws = Workspace::new(CheckerOptions::default());
+        ws.update("util.rsc", TABLE_UTIL.to_string());
+        ws.update("lib.rsc", TABLE_LIB.to_string());
+        let before = ws.update("app.rsc", TABLE_APP.to_string()).remove(0);
+        assert!(
+            !before.outcome.result.ok() && !before.outcome.result.lints.is_empty(),
+            "{kind}: the importer must carry an error and a lint"
+        );
+
+        let reports = ws.update("lib.rsc", lib.clone());
+        assert_eq!(
+            reports[0].outcome.incr.importers_skipped, skipped,
+            "{kind}: importers skipped"
+        );
+        assert_eq!(reports.len(), 2 - skipped, "{kind}: reports");
+
+        let app = ws.last("app.rsc").expect("app was checked");
+        let mut lookup = |name: &str| match name {
+            "util.rsc" => Some(TABLE_UTIL.to_string()),
+            "lib.rsc" => Some(lib.clone()),
+            "app.rsc" => Some(TABLE_APP.to_string()),
+            _ => None,
+        };
+        let files = resolve_closure("app.rsc", &mut lookup).expect("closure resolves");
+        let merged = Merged::build(&files);
+        let prog = qualified_program(&merged, &files).expect("closure qualifies");
+        let cold = check_program_ast(&prog, CheckerOptions::default());
+        assert_eq!(
+            root_diags(&app.merged, &app.outcome.result),
+            root_diags(&merged, &cold),
+            "{kind}: app's own diagnostics differ from a cold check"
+        );
+    }
+}
+
+// ------------------------------------------------------ dirty units ---
+
+const DIRTY_BASE: &str = "type nat = {v: number | 0 <= v};\n\
+function inc(x: nat): nat { return x + 1; }\n\
+function twice(x: nat): nat { return inc(inc(x)); }\n\
+function lone(x: nat): {v: nat | x <= v} { return x; }\n";
+
+/// The units a single-document workspace reports dirty for `edited`
+/// after checking [`DIRTY_BASE`].
+fn dirty_after(edited: &str) -> Vec<String> {
+    let mut ws = Workspace::new(CheckerOptions::default());
+    let first = ws.update("solo.rsc", DIRTY_BASE.to_string()).remove(0);
+    assert!(first.outcome.result.ok());
+    assert!(first.dirty_own.is_empty(), "{:?}", first.dirty_own);
+    let report = ws.update("solo.rsc", edited.to_string()).remove(0);
+    assert!(report.outcome.result.ok());
+    report.dirty_own
+}
+
+#[test]
+fn body_edit_dirties_only_the_editee() {
+    let dirty = dirty_after(&DIRTY_BASE.replace("return x + 1;", "return x + 2;"));
+    assert_eq!(dirty, vec!["fun:inc".to_string()]);
+}
+
+/// A signature edit dirties the callers too, whose constraints
+/// instantiate it. The new signature's atom is already mined from
+/// `lone`, so the qualifier set, and with it every other bundle, stays
+/// as it was.
+#[test]
+fn signature_edit_dirties_callers_but_not_lone() {
+    let dirty = dirty_after(&DIRTY_BASE.replace(
+        "function inc(x: nat): nat",
+        "function inc(x: nat): {v: nat | x <= v}",
+    ));
+    assert!(dirty.contains(&"fun:inc".to_string()), "{dirty:?}");
+    assert!(dirty.contains(&"fun:twice".to_string()), "{dirty:?}");
+    assert!(!dirty.contains(&"fun:lone".to_string()), "{dirty:?}");
+}
+
+/// A comment shifts every span but changes no check input.
+#[test]
+fn comment_only_edit_dirties_nothing() {
+    let dirty = dirty_after(&format!("// shifted\n\n{DIRTY_BASE}"));
+    assert_eq!(dirty, Vec::<String>::new());
+}
+
+/// Spans are left out of the export surface structurally, not by
+/// rewriting a rendering, so a string literal that spells a span is
+/// content like any other.
+#[test]
+fn span_lookalike_literals_hash_apart_in_the_surface() {
+    let surface = |lit: &str| {
+        let text = format!("export function f(x) {{ return \"{lit}\"; }}\n");
+        let mut lookup = |_: &str| Some(text.clone());
+        resolve_closure("f.rsc", &mut lookup).expect("resolves")[0].surface
+    };
+    assert_ne!(
+        surface("Span { lo: 1, hi: 2, line: 3 }"),
+        surface("Span { lo: 4, hi: 5, line: 6 }")
+    );
+}
