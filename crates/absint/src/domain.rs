@@ -175,15 +175,6 @@ pub enum Truth {
 }
 
 impl Truth {
-    /// Least upper bound.
-    pub fn join(&self, other: &Truth) -> Truth {
-        if self == other {
-            *self
-        } else {
-            Truth::Top
-        }
-    }
-
     /// Logical negation.
     pub fn not(&self) -> Truth {
         match self {
@@ -206,20 +197,33 @@ pub enum Nullness {
     Top,
 }
 
-impl Nullness {
-    /// Least upper bound.
-    pub fn join(&self, other: &Nullness) -> Nullness {
-        if self == other {
-            *self
-        } else {
-            Nullness::Top
-        }
+/// Least upper bound in a flat lattice ([`Truth`], [`Nullness`]): two
+/// different definite values join to `top`.
+fn join_flat<T: PartialEq>(a: T, b: T, top: T) -> T {
+    if a == b {
+        a
+    } else {
+        top
+    }
+}
+
+/// Greatest lower bound in a flat lattice: `None` (⊥) when `a` and `b`
+/// are two different definite values.
+fn meet_flat<T: PartialEq>(a: T, b: T, top: T) -> Option<T> {
+    if a == top || a == b {
+        Some(b)
+    } else if b == top {
+        Some(a)
+    } else {
+        None
     }
 }
 
 /// The product of every domain, one record per abstract value.
-/// Components irrelevant to a value's actual type simply stay ⊤; an
-/// empty interval collapses the whole value to ⊥ (`reduce`).
+/// Components irrelevant to a value's actual type simply stay ⊤. There
+/// is no ⊥ value: [`AbsVal::meet`] and [`AbsVal::reduce`] answer `None`
+/// where the value would be empty, and the engine marks that program
+/// point unreachable instead of storing anything.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AbsVal {
     /// Numeric range.
@@ -230,8 +234,6 @@ pub struct AbsVal {
     pub null: Nullness,
     /// Range of `len(v)` for array references.
     pub len: Interval,
-    /// ⊥: the program point binding this value is unreachable.
-    pub bottom: bool,
 }
 
 impl AbsVal {
@@ -241,16 +243,7 @@ impl AbsVal {
         truth: Truth::Top,
         null: Nullness::Top,
         len: Interval::TOP,
-        bottom: false,
     };
-
-    /// ⊥.
-    pub fn bottom() -> AbsVal {
-        AbsVal {
-            bottom: true,
-            ..AbsVal::TOP
-        }
-    }
 
     /// The abstract integer `n`.
     pub fn int(n: i64) -> AbsVal {
@@ -285,68 +278,40 @@ impl AbsVal {
         }
     }
 
-    /// Collapses a value with an empty interval to ⊥.
-    pub fn reduce(self) -> AbsVal {
-        if self.bottom || self.itv.is_empty() || self.len.is_empty() {
-            return AbsVal::bottom();
-        }
-        self
+    /// The value itself, or `None` (⊥) when an interval is empty.
+    pub fn reduce(self) -> Option<AbsVal> {
+        (!self.itv.is_empty() && !self.len.is_empty()).then_some(self)
     }
 
-    /// Least upper bound (componentwise; ⊥ is the unit).
+    /// Least upper bound (componentwise).
     pub fn join(&self, other: &AbsVal) -> AbsVal {
-        if self.bottom {
-            return *other;
-        }
-        if other.bottom {
-            return *self;
-        }
         AbsVal {
             itv: self.itv.join(&other.itv),
-            truth: self.truth.join(&other.truth),
-            null: self.null.join(&other.null),
+            truth: join_flat(self.truth, other.truth, Truth::Top),
+            null: join_flat(self.null, other.null, Nullness::Top),
             len: self.len.join(&other.len),
-            bottom: false,
         }
     }
 
-    /// Greatest lower bound, reduced.
-    pub fn meet(&self, other: &AbsVal) -> AbsVal {
-        if self.bottom || other.bottom {
-            return AbsVal::bottom();
-        }
-        let met = AbsVal {
+    /// Greatest lower bound, reduced: `None` (⊥) when the two values
+    /// contradict each other.
+    pub fn meet(&self, other: &AbsVal) -> Option<AbsVal> {
+        AbsVal {
             itv: self.itv.meet(&other.itv),
-            truth: match (self.truth, other.truth) {
-                (Truth::Top, t) | (t, Truth::Top) => t,
-                (a, b) if a == b => a,
-                _ => return AbsVal::bottom(),
-            },
-            null: match (self.null, other.null) {
-                (Nullness::Top, n) | (n, Nullness::Top) => n,
-                (a, b) if a == b => a,
-                _ => return AbsVal::bottom(),
-            },
+            truth: meet_flat(self.truth, other.truth, Truth::Top)?,
+            null: meet_flat(self.null, other.null, Nullness::Top)?,
             len: self.len.meet(&other.len),
-            bottom: false,
-        };
-        met.reduce()
+        }
+        .reduce()
     }
 
     /// Widening: intervals widen, everything else joins.
     pub fn widen(&self, next: &AbsVal) -> AbsVal {
-        if self.bottom {
-            return *next;
-        }
-        if next.bottom {
-            return *self;
-        }
         AbsVal {
             itv: self.itv.widen(&next.itv),
-            truth: self.truth.join(&next.truth),
-            null: self.null.join(&next.null),
+            truth: join_flat(self.truth, next.truth, Truth::Top),
+            null: join_flat(self.null, next.null, Nullness::Top),
             len: self.len.widen(&next.len),
-            bottom: false,
         }
     }
 }
@@ -398,6 +363,6 @@ mod tests {
     fn meet_of_contradictory_nullness_is_bottom() {
         let a = AbsVal::null();
         let b = AbsVal::non_null(Interval::TOP);
-        assert!(a.meet(&b).bottom);
+        assert_eq!(a.meet(&b), None);
     }
 }

@@ -43,23 +43,15 @@ impl AbsEnv {
         if v == AbsVal::TOP {
             self.vals.remove(&x);
         } else {
-            if v.bottom {
-                self.unreachable = true;
-            }
             self.vals.insert(x, v);
         }
     }
 
-    /// Combines two environments variable by variable with `f`
+    /// Combines two reachable environments variable by variable with `f`
     /// (`AbsVal::join` or `AbsVal::widen`); variables absent on either
-    /// side become ⊤, and an unreachable side is the unit.
+    /// side become ⊤. (No stored environment is unreachable:
+    /// `transfer_edge` drops infeasible edges.)
     fn pointwise(&self, other: &AbsEnv, f: fn(&AbsVal, &AbsVal) -> AbsVal) -> AbsEnv {
-        if self.unreachable {
-            return other.clone();
-        }
-        if other.unreachable {
-            return self.clone();
-        }
         let mut vals = FxHashMap::default();
         for (x, a) in &self.vals {
             if let Some(b) = other.vals.get(x) {
@@ -246,11 +238,9 @@ fn assume(env: &mut AbsEnv, cond: &IrExpr, polarity: bool) {
                 // (they are meaningless for the variable's actual type).
                 v.itv = v.itv.meet(&Interval::exact(0));
             }
-            let v = v.reduce();
-            if v.bottom {
-                env.unreachable = true;
-            } else {
-                env.set(*x, v);
+            match v.reduce() {
+                Some(v) => env.set(*x, v),
+                None => env.unreachable = true,
             }
         }
         IrExpr::Unary(UnOp::Not, inner, _) => assume(env, inner, !polarity),
@@ -312,11 +302,10 @@ fn assume_rel(env: &mut AbsEnv, a: &IrExpr, b: &IrExpr, kind: RelKind) {
         if let Some(hi) = vb.itv.hi {
             let mut v = env.get(x);
             v.itv = v.itv.meet(&Interval::at_most(hi.saturating_sub(off)));
-            let v = v.reduce();
-            if v.bottom {
+            let Some(v) = v.reduce() else {
                 env.unreachable = true;
                 return;
-            }
+            };
             env.set(*x, v);
         }
     }
@@ -324,11 +313,10 @@ fn assume_rel(env: &mut AbsEnv, a: &IrExpr, b: &IrExpr, kind: RelKind) {
         if let Some(lo) = va.itv.lo {
             let mut v = env.get(y);
             v.itv = v.itv.meet(&Interval::at_least(lo.saturating_add(off)));
-            let v = v.reduce();
-            if v.bottom {
+            let Some(v) = v.reduce() else {
                 env.unreachable = true;
                 return;
-            }
+            };
             env.set(*y, v);
         }
     }
@@ -349,11 +337,10 @@ fn assume_eq(env: &mut AbsEnv, a: &IrExpr, b: &IrExpr) {
         }
         _ => {
             // x == e: meet x with e's value (and symmetrically).
-            let m = eval(a, env).meet(&eval(b, env));
-            if m.bottom {
+            let Some(m) = eval(a, env).meet(&eval(b, env)) else {
                 env.unreachable = true;
                 return;
-            }
+            };
             if let IrExpr::Var(x, _) = a {
                 env.set(*x, m);
             }
@@ -456,7 +443,7 @@ mod tests {
 
     fn ir_of(src: &str) -> rsc_ssa::IrProgram {
         let prog = rsc_syntax::parse_program(src).unwrap();
-        rsc_ssa::transform_program(&prog).unwrap()
+        rsc_ssa::transform_program(&prog)
     }
 
     /// Whether some block-entry environment binds a variable whose name

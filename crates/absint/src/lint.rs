@@ -311,7 +311,7 @@ mod tests {
 
     fn lints_of(src: &str) -> Vec<Lint> {
         let prog = rsc_syntax::parse_program(src).unwrap();
-        let ir = rsc_ssa::transform_program(&prog).unwrap();
+        let ir = rsc_ssa::transform_program(&prog);
         lint_program(&ir)
     }
 

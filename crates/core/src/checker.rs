@@ -153,11 +153,29 @@ impl CheckStats {
     }
 }
 
+/// A constraint-generation unit: an annotated top-level function, a
+/// constructor, a method, or the top-level statements. Each bundle holds
+/// the constraints of one or more units; a unit that generates no
+/// constraint is in no bundle.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Unit {
+    /// Display name: `fun:f`, `ctor:C`, `method:C.m` or `top`.
+    pub name: String,
+    /// Byte offset of the unit's declaration in the program text
+    /// (`u32::MAX` for `top`, whose statements may span every file of a
+    /// merged program).
+    pub offset: u32,
+}
+
 /// Per-bundle solver report (one entry per [`ConstraintBundle`], in
 /// deterministic source order) — the per-unit artifact that incremental
 /// check sessions retain between runs.
 #[derive(Clone, Debug)]
 pub struct BundleReport {
+    /// The units whose constraints the bundle holds, in source order.
+    /// An unannotated function has no unit of its own: its constraints
+    /// are generated at its call sites, in the callers' units.
+    pub units: Vec<Unit>,
     /// Constraints in the bundle.
     pub constraints: usize,
     /// κ-variables owned by the bundle.
@@ -212,7 +230,7 @@ impl BundleReport {
     }
 }
 
-/// A previous run's verdict for a bundle, keyed by its fingerprint.
+/// An earlier run's verdict for a bundle, keyed by its fingerprint.
 /// Because verdicts are pure functions of the canonical bundle problem
 /// (see `rsc_liquid::fingerprint`), replaying a retained verdict for a
 /// fingerprint-equal bundle is byte-identical to re-solving it.
@@ -349,7 +367,9 @@ pub struct Checker {
     /// parallel solve step.
     pub(crate) units: Vec<usize>,
     pub(crate) current_unit: usize,
-    pub(crate) next_unit: usize,
+    /// Every unit opened so far; unit `u` is `unit_names[u - 1]` (unit
+    /// 0, before the first [`Checker::begin_unit`], has no name).
+    pub(crate) unit_names: Vec<Unit>,
     /// The run-wide VC cache, shared by narrowing refutation checks and
     /// every bundle solver.
     pub(crate) vc_cache: Arc<VcCache>,
@@ -358,32 +378,15 @@ pub struct Checker {
 /// Checks a program from source, running the full pipeline:
 /// parse → SSA → constraint generation → Liquid fixpoint → SMT.
 pub fn check_program(src: &str, opts: CheckerOptions) -> CheckResult {
-    let mut diags = Vec::new();
-    let prog = match rsc_syntax::parse_program(src) {
-        Ok(p) => p,
-        Err(e) => {
-            diags.push(Diagnostic::error(e.message, e.span));
-            return CheckResult {
-                diagnostics: diags,
-                lints: Vec::new(),
-                stats: CheckStats::default(),
-                bundle_reports: Vec::new(),
-            };
-        }
-    };
-    let ir = match rsc_ssa::transform_program(&prog) {
-        Ok(i) => i,
-        Err(e) => {
-            diags.push(Diagnostic::error(e.message, e.span));
-            return CheckResult {
-                diagnostics: diags,
-                lints: Vec::new(),
-                stats: CheckStats::default(),
-                bundle_reports: Vec::new(),
-            };
-        }
-    };
-    check_ir(&ir, opts)
+    match rsc_syntax::parse_program(src) {
+        Ok(prog) => check_program_ast(&prog, opts),
+        Err(e) => CheckResult {
+            diagnostics: vec![Diagnostic::error(e.message, e.span)],
+            lints: Vec::new(),
+            stats: CheckStats::default(),
+            bundle_reports: Vec::new(),
+        },
+    }
 }
 
 /// Checks an already-parsed program: SSA → constraint generation →
@@ -392,27 +395,11 @@ pub fn check_program(src: &str, opts: CheckerOptions) -> CheckResult {
 /// merged programs whose items were α-renamed in memory (so no source
 /// text for the qualified program exists).
 pub fn check_program_ast(prog: &rsc_syntax::Program, opts: CheckerOptions) -> CheckResult {
-    let ir = match rsc_ssa::transform_program(prog) {
-        Ok(i) => i,
-        Err(e) => {
-            return CheckResult {
-                diagnostics: vec![Diagnostic::error(e.message, e.span)],
-                lints: Vec::new(),
-                stats: CheckStats::default(),
-                bundle_reports: Vec::new(),
-            };
-        }
-    };
-    check_ir(&ir, opts)
-}
-
-/// Checks an already-SSA-translated program.
-pub fn check_ir(ir: &IrProgram, opts: CheckerOptions) -> CheckResult {
     let cache = VcCache::shared_with_capacity(opts.cache_capacity);
-    solve_artifacts(generate_artifacts(ir, opts, cache), &mut |_| None)
+    solve_artifacts(generate_artifacts(prog, opts, cache), &mut |_| None)
 }
 
-/// The generation half of the pipeline: class table, constraint
+/// The generation half of the pipeline: SSA, class table, constraint
 /// generation, and partitioning into per-function bundles — everything
 /// up to (but not including) the solve step. Incremental check sessions
 /// call this on every edit (generation is cheap and, with `cache`
@@ -420,14 +407,15 @@ pub fn check_ir(ir: &IrProgram, opts: CheckerOptions) -> CheckResult {
 /// artifacts to [`solve_artifacts`] with a retention hook so only
 /// changed bundles are re-solved.
 pub fn generate_artifacts(
-    ir: &IrProgram,
+    prog: &rsc_syntax::Program,
     opts: CheckerOptions,
     cache: Arc<VcCache>,
 ) -> CheckArtifacts {
+    let ir = rsc_ssa::transform_program(prog);
     let cache_before = cache.counters();
     let ct = {
         let _sp = rsc_obs::span!("class-table");
-        match ClassTable::build(&ir.aliases, &ir.enums, &ir.interfaces, &classes_of(ir)) {
+        match ClassTable::build(&ir.aliases, &ir.enums, &ir.interfaces, &classes_of(&ir)) {
             Ok(t) => t,
             Err(e) => {
                 let diags = vec![Diagnostic::error(e.0, Span::dummy())];
@@ -440,10 +428,10 @@ pub fn generate_artifacts(
         Arc::make_mut(&mut cs.quals).clear();
     }
     ct.register_sorts(Arc::make_mut(&mut cs.sort_env));
-    let mut art = Checker::new(ct, cs, opts, cache).generate(ir, cache_before);
+    let mut art = Checker::new(ct, cs, opts, cache).generate(&ir, cache_before);
     if opts.lints {
         let _sp = rsc_obs::span!("absint");
-        art.lints = rsc_absint::lint_program(ir)
+        art.lints = rsc_absint::lint_program(&ir)
             .into_iter()
             .map(|l| Diagnostic::warning(l.code, l.message, l.span))
             .collect();
@@ -459,6 +447,8 @@ pub struct CheckArtifacts {
     /// constraint carries its own [`Blame`] (span, obligation kind,
     /// refinement renderings) — there is no side table of spans.
     pub bundles: Vec<ConstraintBundle>,
+    /// The units of each bundle, parallel to `bundles`.
+    pub bundle_units: Vec<Vec<Unit>>,
     /// Diagnostics produced during generation (parse-independent resolve
     /// errors etc.), merged ahead of solve failures.
     pub gen_diags: Vec<Diagnostic>,
@@ -493,6 +483,7 @@ impl CheckArtifacts {
     ) -> CheckArtifacts {
         CheckArtifacts {
             bundles: Vec::new(),
+            bundle_units: Vec::new(),
             gen_diags,
             lints: Vec::new(),
             kvars: 0,
@@ -511,10 +502,11 @@ impl CheckArtifacts {
 /// [`CheckResult`] in deterministic source order.
 ///
 /// Passing `&mut |_| None` for `reuse` is a cold check — exactly the
-/// behavior of [`check_ir`]. Incremental sessions pass a lookup into the
-/// previous run's fingerprint-keyed [`RetainedBundle`]s; because every
-/// verdict is a pure function of the canonical bundle problem (and, with
-/// a cache attached, of canonical VC fingerprints), the merged output is
+/// behavior of [`check_program_ast`]. Incremental sessions pass a lookup
+/// into their fingerprint-keyed [`RetainedBundle`]s: a memo of verdicts
+/// from their recent runs, then the disk tier. Because every verdict is
+/// a pure function of the canonical bundle problem (and, with a cache
+/// attached, of canonical VC fingerprints), the merged output is
 /// byte-identical to the cold check either way.
 pub fn solve_artifacts(
     art: CheckArtifacts,
@@ -523,6 +515,7 @@ pub fn solve_artifacts(
     let _sp_solve = rsc_obs::span!("solve");
     let CheckArtifacts {
         bundles,
+        bundle_units,
         gen_diags: mut diags,
         lints,
         kvars: total_kvars,
@@ -605,7 +598,7 @@ pub fn solve_artifacts(
     let mut model_refuted = 0u64;
     let mut bundles_reused = 0usize;
     let mut bundle_reports = Vec::with_capacity(bundles.len());
-    for (i, b) in bundles.iter().enumerate() {
+    for ((i, b), units) in bundles.iter().enumerate().zip(bundle_units) {
         let report = match (&retained[i], &solved[i]) {
             (Some(r), _) => {
                 bundles_reused += 1;
@@ -624,6 +617,7 @@ pub fn solve_artifacts(
                     })
                     .collect();
                 BundleReport {
+                    units,
                     constraints: b.cs.subs.len(),
                     kvars: b.cs.num_kvars(),
                     smt: r.smt,
@@ -636,6 +630,7 @@ pub fn solve_artifacts(
                 }
             }
             (None, Some((result, smt, solve_ns))) => BundleReport {
+                units,
                 constraints: b.cs.subs.len(),
                 kvars: b.cs.num_kvars(),
                 smt: *smt,
@@ -715,7 +710,7 @@ impl Checker {
             next_tmp: 0,
             units: Vec::new(),
             current_unit: 0,
-            next_unit: 1,
+            unit_names: Vec::new(),
             vc_cache: cache,
         }
     }
@@ -757,14 +752,14 @@ impl Checker {
             if f.sigs.is_empty() {
                 self.deferred.insert(f.name, (f.clone(), Env::new()));
             } else {
-                self.begin_unit();
+                self.begin_unit(format!("fun:{}", f.name), f.span.lo);
                 self.check_fun(f, &Env::new());
             }
         }
         for c in &ir.classes {
             self.check_class(c);
         }
-        self.begin_unit();
+        self.begin_unit("top".to_string(), u32::MAX);
         let mut env = Env::new();
         env.ret = RType::trivial(Base::Union(vec![])); // top-level return: anything
         self.check_body(&ir.top, &mut env);
@@ -779,9 +774,21 @@ impl Checker {
         let cs = std::mem::replace(&mut self.cs, ConstraintSet::new());
         let global_fp = global_fingerprint(&cs.quals, &cs.sort_env);
         let bundles = partition(cs, &units);
+        let bundle_units = bundles
+            .iter()
+            .map(|b| {
+                let mut ids: Vec<usize> = b.members.iter().map(|&ci| units[ci]).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                ids.iter()
+                    .filter_map(|&u| self.unit_names.get(u.checked_sub(1)?).cloned())
+                    .collect()
+            })
+            .collect();
 
         CheckArtifacts {
             bundles,
+            bundle_units,
             gen_diags: self.diags,
             lints: Vec::new(),
             kvars: total_kvars,
@@ -793,14 +800,15 @@ impl Checker {
         }
     }
 
-    /// Opens a fresh constraint-generation unit; constraints pushed until
-    /// the next call are partitioned (and solved) together. The temporary
-    /// counter restarts per unit (temps are named `$u<unit>t<n>`), so an
-    /// edit that adds or removes temps in one function cannot shift the
-    /// names — and hence the bundle fingerprints — of any other unit.
-    pub(crate) fn begin_unit(&mut self) {
-        self.current_unit = self.next_unit;
-        self.next_unit += 1;
+    /// Opens a fresh constraint-generation unit named `name`, declared
+    /// at byte `offset`; constraints pushed until the next call are
+    /// partitioned (and solved) together. The temporary counter restarts
+    /// per unit (temps are named `$u<unit>t<n>`), so an edit that adds or
+    /// removes temps in one function cannot shift the names — and hence
+    /// the bundle fingerprints — of any other unit.
+    pub(crate) fn begin_unit(&mut self, name: String, offset: u32) {
+        self.unit_names.push(Unit { name, offset });
+        self.current_unit = self.unit_names.len();
         self.next_tmp = 0;
     }
 
@@ -1663,5 +1671,39 @@ mod tests {
                 .all(|(a, b)| Arc::ptr_eq(a, b)));
         }
         assert_eq!(ck.cs.subs[2].env.binds.len(), 3);
+    }
+
+    /// Each bundle report names the units whose constraints it holds,
+    /// with the offsets of their declarations; the top level sits at
+    /// `u32::MAX`. An unannotated function has no unit of its own.
+    #[test]
+    fn bundle_reports_name_their_units() {
+        let src = "type nat = {v: number | 0 <= v};\n\
+                   function f(h: (x: nat) => nat, x: nat): nat { return h(x); }\n\
+                   function g(x) { return x; }\n\
+                   class C {\n\
+                       immutable n : nat;\n\
+                       constructor(n: nat) { this.n = n; }\n\
+                       get(): nat { return this.n; }\n\
+                   }\n\
+                   var y : nat = f(g, 1);\n";
+        let r = check_program(src, CheckerOptions::default());
+        assert!(r.ok(), "{:?}", r.diagnostics);
+        let units: Vec<(&str, u32)> = r
+            .bundle_reports
+            .iter()
+            .flat_map(|b| &b.units)
+            .map(|u| (u.name.as_str(), u.offset))
+            .collect();
+        let at = |decl: &str| src.find(decl).expect("declared") as u32;
+        assert_eq!(
+            units,
+            [
+                ("fun:f", at("function f")),
+                ("ctor:C", at("constructor")),
+                ("method:C.get", at("get()")),
+                ("top", u32::MAX),
+            ]
+        );
     }
 }

@@ -39,8 +39,8 @@ mod synth;
 mod table;
 
 pub use checker::{
-    check_ir, check_program, check_program_ast, generate_artifacts, solve_artifacts, BundleReport,
-    CheckArtifacts, CheckResult, CheckStats, Checker, CheckerOptions, Env, RetainedBundle,
+    check_program, check_program_ast, generate_artifacts, solve_artifacts, BundleReport,
+    CheckArtifacts, CheckResult, CheckStats, Checker, CheckerOptions, Env, RetainedBundle, Unit,
 };
 pub use diag::{Diagnostic, Severity};
 pub use rsc_liquid::{Blame, ObligationKind};

@@ -113,7 +113,7 @@ impl Checker {
         let tp: std::collections::HashSet<Sym> = c.decl.tparams.iter().cloned().collect();
         if let Some(ctor) = &c.ctor {
             // Each constructor and method is its own parallel-solve unit.
-            self.begin_unit();
+            self.begin_unit(format!("ctor:{cname}"), ctor.span.lo);
             let mut env = Env::new();
             env.tparams = tp.clone();
             env.in_ctor_of = Some(cname);
@@ -136,7 +136,7 @@ impl Checker {
                 Some(mi) => mi.clone(),
                 None => continue,
             };
-            self.begin_unit();
+            self.begin_unit(format!("method:{cname}.{}", m.name), m.span.lo);
             let mut env = Env::new();
             env.tparams = tp.clone();
             let targs: Vec<RType> = c

@@ -42,7 +42,7 @@ pub fn soundness(src: &str) -> Result<(), String> {
         ));
     }
     let prog = rsc_syntax::parse_program(src).map_err(|e| format!("parse failed: {e:?}"))?;
-    let ir = rsc_ssa::transform_program(&prog).map_err(|e| format!("SSA failed: {e:?}"))?;
+    let ir = rsc_ssa::transform_program(&prog);
     let a = run_frsc(&prog, FUEL);
     let b = run_irsc(&ir, FUEL);
     if a != b {

@@ -32,14 +32,12 @@
 
 #![warn(missing_docs)]
 
-pub mod graph;
 pub mod json;
 pub mod persist;
 pub mod serve;
 mod session;
 pub mod workspace;
 
-pub use graph::DepGraph;
 pub use json::Json;
 pub use persist::BundleStore;
 pub use serve::Serve;

@@ -2,7 +2,7 @@
 //! only what changed.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hasher;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -10,11 +10,10 @@ use std::time::Instant;
 
 use rsc_core::{
     generate_artifacts, solve_artifacts, BundleReport, CheckResult, CheckStats, CheckerOptions,
-    Diagnostic, RetainedBundle,
+    Diagnostic, RetainedBundle, Unit,
 };
 use rsc_smt::{cache::ENCODER_VERSION, DiskCache, VcCache};
 
-use crate::graph::DepGraph;
 use crate::persist::BundleStore;
 
 /// Incremental bookkeeping for one [`CheckSession::check`] call.
@@ -26,9 +25,12 @@ pub struct IncrStats {
     pub reused: usize,
     /// Bundles actually re-solved.
     pub solved: usize,
-    /// Names of units the dependency graph flagged dirty (empty on the
-    /// first check of a session).
-    pub dirty_units: Vec<String>,
+    /// The units of every bundle whose fingerprint the previous run did
+    /// not have, in bundle order (empty on the first check of a session
+    /// and on the fast path). A unit is reported with its whole bundle,
+    /// an unannotated function through its callers (whose bundles hold
+    /// its constraints), and a unit without constraints never.
+    pub dirty_units: Vec<Unit>,
     /// True when the whole-program hash matched and the previous result
     /// was returned without re-generating anything.
     pub fast_path: bool,
@@ -56,7 +58,6 @@ pub struct SessionOutcome {
 struct State {
     /// The fast-path key of the snapshot the run checked.
     source_key: u64,
-    graph: DepGraph,
     last: SessionOutcome,
 }
 
@@ -229,12 +230,6 @@ impl CheckSession {
         self.memo.entries.len()
     }
 
-    /// The dependency graph of the last successfully generated snapshot
-    /// (used by the workspace layer to attribute dirty units to files).
-    pub fn graph(&self) -> Option<&DepGraph> {
-        self.state.as_ref().map(|s| &s.graph)
-    }
-
     /// Opens (or re-opens, when the run-global fingerprint changed) the
     /// persistent tiers for this run's cache version, seeding the
     /// in-memory VC cache with every proof on disk. No-op without a
@@ -297,7 +292,7 @@ impl CheckSession {
         }
         let prog = match rsc_syntax::parse_program(src) {
             Ok(p) => p,
-            Err(e) => return self.front_error(e.message, e.span, start),
+            Err(e) => return self.parse_error(e, start),
         };
         self.check_prog(&prog, key, start)
     }
@@ -343,19 +338,7 @@ impl CheckSession {
         start: Instant,
     ) -> SessionOutcome {
         let _sp = rsc_obs::span!("check");
-        let ir = match rsc_ssa::transform_program(prog) {
-            Ok(i) => i,
-            Err(e) => return self.front_error(e.message, e.span, start),
-        };
-        let graph = DepGraph::build(&ir);
-
-        let dirty_units = self
-            .state
-            .take()
-            .map(|s| graph.dirty_against(&s.graph))
-            .unwrap_or_default();
-
-        let artifacts = generate_artifacts(&ir, self.opts, Arc::clone(&self.cache));
+        let artifacts = generate_artifacts(prog, self.opts, Arc::clone(&self.cache));
         self.open_disk(artifacts.global_fp);
         let disk = self.disk.as_ref();
         let memo = &self.memo;
@@ -367,6 +350,24 @@ impl CheckSession {
 
         self.memo.record(&result.bundle_reports);
         self.flush_disk(&result.bundle_reports);
+        let dirty_units = match self.state.take() {
+            Some(prev) => {
+                let seen: HashSet<u128> = prev
+                    .last
+                    .result
+                    .bundle_reports
+                    .iter()
+                    .map(|r| r.fingerprint)
+                    .collect();
+                result
+                    .bundle_reports
+                    .iter()
+                    .filter(|r| !seen.contains(&r.fingerprint))
+                    .flat_map(|r| r.units.iter().cloned())
+                    .collect()
+            }
+            None => Vec::new(),
+        };
         let incr = IncrStats {
             bundles: result.bundle_reports.len(),
             reused: result.stats.bundles_reused,
@@ -379,7 +380,6 @@ impl CheckSession {
         let outcome = SessionOutcome { result, incr };
         self.state = Some(State {
             source_key,
-            graph,
             last: outcome.clone(),
         });
         outcome
@@ -398,18 +398,13 @@ impl CheckSession {
         steps.into_iter().map(|s| self.check(s)).collect()
     }
 
-    /// A parse/SSA front-end error: reported like a cold check would
-    /// (one diagnostic, no stats); the previous state and the verdict
-    /// memo are kept for the next parseable snapshot.
-    fn front_error(
-        &mut self,
-        message: String,
-        span: rsc_syntax::Span,
-        start: Instant,
-    ) -> SessionOutcome {
+    /// A parse error: reported like a cold check would (one diagnostic,
+    /// no stats); the previous state and the verdict memo are kept for
+    /// the next parseable snapshot.
+    fn parse_error(&self, e: rsc_syntax::ParseError, start: Instant) -> SessionOutcome {
         SessionOutcome {
             result: CheckResult {
-                diagnostics: vec![Diagnostic::error(message, span)],
+                diagnostics: vec![Diagnostic::error(e.message, e.span)],
                 lints: Vec::new(),
                 stats: CheckStats::default(),
                 bundle_reports: Vec::new(),
@@ -466,7 +461,8 @@ mod tests {
             second.incr
         );
         assert!(second.incr.solved < second.incr.bundles);
-        assert!(second.incr.dirty_units.contains(&"fun:abs".to_string()));
+        let dirty: Vec<&str> = second.incr.dirty_units.iter().map(|u| &*u.name).collect();
+        assert_eq!(dirty, ["fun:abs"]);
 
         // Edit back: every verdict of the first run is still in the
         // memo, so nothing re-solves.

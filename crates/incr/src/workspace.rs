@@ -79,18 +79,17 @@ use std::time::Instant;
 
 use rsc_core::{CheckResult, CheckStats, CheckerOptions, Diagnostic};
 use rsc_smt::VcCache;
-use rsc_syntax::ast::Program;
+use rsc_syntax::ast::{Item, Program};
 use rsc_syntax::qualify::{self, ModuleEnv};
 use rsc_syntax::{module_id, Span};
 
-use crate::graph::DepGraph;
 use crate::session::{text_hash, CheckSession, IncrStats, SessionOutcome};
 
 // ------------------------------------------------------------ resolution ---
 
 /// An error raised while resolving a document's import closure: a
 /// missing module, an import cycle, a name the target does not export,
-/// or a parse/SSA failure inside a dependency. The span is local to
+/// or a parse error inside a closure file. The span is local to
 /// `file`'s own text.
 #[derive(Clone, Debug)]
 pub struct WorkspaceError {
@@ -124,8 +123,7 @@ pub struct ModuleFile {
     /// Resolved imports, in declaration order (parallel to
     /// `program.imports`).
     pub imports: Vec<ResolvedImport>,
-    /// The file's export surface fingerprint
-    /// ([`DepGraph::export_surface`] of the file checked alone).
+    /// The file's export surface fingerprint (see [`export_surface`]).
     pub surface: u64,
     /// The names the file exports.
     pub exports: BTreeSet<String>,
@@ -178,11 +176,44 @@ fn candidates(importer: &str, spec: &str) -> Vec<String> {
     }
 }
 
+/// A fingerprint of a file's *export surface*: everything another file
+/// can observe of it through `import`. It covers the export list, every
+/// global declaration (type aliases, qualifiers, enums, interfaces,
+/// ambient declares and classes, which all feed the merged program's
+/// class table and qualifier mining whether exported or not), and each
+/// exported function's name and signatures, plus its parameters and
+/// body when it has no signature (an unannotated function is checked
+/// inline at its call sites). Spans hash to nothing, so a comment-only
+/// edit leaves the surface alone.
+///
+/// The workspace keys its cross-file dependency edges on this value:
+/// an importer is re-checked exactly when a dependency's surface (or
+/// import list) changed, so a non-exported body edit never re-checks
+/// importers while an exported-signature edit re-checks them all.
+pub fn export_surface(prog: &Program) -> u64 {
+    let mut h = DefaultHasher::new();
+    prog.exports.hash(&mut h);
+    for item in &prog.items {
+        match item {
+            Item::Fun(f) => {
+                if prog.exports.iter().any(|(n, _)| *n == f.name) {
+                    (&f.name, &f.sigs).hash(&mut h);
+                    if f.sigs.is_empty() {
+                        (&f.params, &f.body).hash(&mut h);
+                    }
+                }
+            }
+            Item::Stmt(_) => {}
+            global => global.hash(&mut h),
+        }
+    }
+    h.finish()
+}
+
 /// What resolution needs from one parsed file: its export surface,
 /// export list, and import declarations. Memoized per file name keyed
 /// by the text hash it was computed from, so unchanged closure files
-/// are not re-parsed (or SSA-transformed, or graph-built) on every
-/// keystroke of every document.
+/// are not re-parsed on every keystroke of every document.
 #[derive(Clone, Debug)]
 struct FileFacts {
     surface: u64,
@@ -249,9 +280,8 @@ impl Resolver<'_> {
             Some((h, f)) if *h == hash => f.clone(),
             _ => {
                 let prog = rsc_syntax::parse_program(&text).map_err(|e| err(e.span, e.message))?;
-                let ir = rsc_ssa::transform_program(&prog).map_err(|e| err(e.span, e.message))?;
                 let f = FileFacts {
-                    surface: DepGraph::build(&ir).export_surface(),
+                    surface: export_surface(&prog),
                     exports: prog.exports.iter().map(|(n, _)| n.to_string()).collect(),
                     program: Arc::new(prog),
                 };
@@ -662,7 +692,7 @@ pub struct Workspace {
     opts: CheckerOptions,
     cache: Arc<VcCache>,
     docs: BTreeMap<String, Doc>,
-    /// Per-file parse/SSA/graph facts memo for closure resolution.
+    /// Per-file parse and export-surface memo for closure resolution.
     facts: FactsCache,
     /// Directory of the persistent VC/bundle disk tier (`--vc-cache`),
     /// threaded into every document session.
@@ -961,21 +991,13 @@ impl Workspace {
                         deps_changed.push(f.name.clone());
                     }
                 }
-                let dirty_own = match doc.session.graph() {
-                    Some(g) => outcome
-                        .incr
-                        .dirty_units
-                        .iter()
-                        .filter(|name| {
-                            g.units
-                                .iter()
-                                .find(|u| u.name == **name)
-                                .is_some_and(|u| merged.owner(u.span_lo) == merged.root)
-                        })
-                        .map(|name| merged.demangle(name))
-                        .collect(),
-                    None => Vec::new(),
-                };
+                let dirty_own = outcome
+                    .incr
+                    .dirty_units
+                    .iter()
+                    .filter(|u| merged.owner(u.offset) == merged.root)
+                    .map(|u| merged.demangle(&u.name))
+                    .collect();
                 doc.closure = files
                     .iter()
                     .filter(|f| f.name != uri)
@@ -1041,6 +1063,33 @@ mod tests {
             .map(|d| d.to_string())
             .collect::<Vec<_>>()
             .join("\n")
+    }
+
+    fn surface(src: &str) -> u64 {
+        export_surface(&rsc_syntax::parse_program(src).expect("parses"))
+    }
+
+    /// Editing a non-exported body, or an exported body behind its
+    /// signature, leaves the surface alone; an exported-signature edit
+    /// moves it.
+    #[test]
+    fn export_surface_ignores_private_bodies() {
+        let base = surface(LIB);
+        assert_eq!(base, surface(&LIB.replace("return y;", "return y + 1;")));
+        assert_eq!(base, surface(&LIB.replace("x + 1", "x + 2")));
+        let sig_edit = LIB.replace(
+            "export function step(x: number): nat",
+            "export function step(x: number): {v: number | 0 <= v && x < v}",
+        );
+        assert_ne!(base, surface(&sig_edit));
+    }
+
+    /// An exported *unannotated* function's body is inlined at its call
+    /// sites, so it is part of the surface.
+    #[test]
+    fn export_surface_sees_unannotated_export_bodies() {
+        let src = "export function f(x) { return x + 1; }";
+        assert_ne!(surface(src), surface(&src.replace("x + 1", "x + 2")));
     }
 
     #[test]

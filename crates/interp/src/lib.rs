@@ -19,7 +19,7 @@
 //!            if (x > 2) { y = x * 2; } else { y = 0; }
 //!            return y;";
 //! let prog = rsc_syntax::parse_program(src).unwrap();
-//! let ir = rsc_ssa::transform_program(&prog).unwrap();
+//! let ir = rsc_ssa::transform_program(&prog);
 //! let a = run_frsc(&prog, 10_000).unwrap();
 //! let b = run_irsc(&ir, 10_000).unwrap();
 //! assert_eq!(a, Value::Num(6));

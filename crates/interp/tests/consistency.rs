@@ -11,7 +11,7 @@ const FUEL: u64 = 2_000_000;
 
 fn both(src: &str) -> (Result<Value, RuntimeError>, Result<Value, RuntimeError>) {
     let prog = rsc_syntax::parse_program(src).expect("parse");
-    let ir = rsc_ssa::transform_program(&prog).expect("ssa");
+    let ir = rsc_ssa::transform_program(&prog);
     (run_frsc(&prog, FUEL), run_irsc(&ir, FUEL))
 }
 
@@ -305,7 +305,7 @@ proptest! {
     fn ssa_consistency_random_programs(stmts in prop::collection::vec(arb_gstmt(), 1..6)) {
         let src = program_of(&stmts);
         let prog = rsc_syntax::parse_program(&src).expect("generated program parses");
-        let ir = rsc_ssa::transform_program(&prog).expect("ssa");
+        let ir = rsc_ssa::transform_program(&prog);
         let a = run_frsc(&prog, FUEL);
         let b = run_irsc(&ir, FUEL);
         prop_assert_eq!(a, b, "disagreement on:\n{}", src);

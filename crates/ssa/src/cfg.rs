@@ -281,7 +281,7 @@ mod tests {
 
     fn cfg_of(src: &str) -> (crate::ir::IrProgram, ()) {
         let prog = rsc_syntax::parse_program(src).unwrap();
-        (crate::transform_program(&prog).unwrap(), ())
+        (crate::transform_program(&prog), ())
     }
 
     /// The blocks with an out-edge into `to`.

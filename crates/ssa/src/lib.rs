@@ -20,7 +20,7 @@
 //!          return x;
 //!      }",
 //! ).unwrap();
-//! let ir = rsc_ssa::transform_program(&prog).unwrap();
+//! let ir = rsc_ssa::transform_program(&prog);
 //! assert_eq!(ir.funs.len(), 1);
 //! ```
 
@@ -32,4 +32,4 @@ pub mod transform;
 
 pub use cfg::{Block, BlockId, Cfg, Edge, Stmt, Terminator};
 pub use ir::{Body, IrClass, IrCtor, IrExpr, IrFun, IrMethod, IrProgram, LoopPhi, Phi};
-pub use transform::{transform_program, Ssa, SsaEnv, SsaError};
+pub use transform::{transform_program, Ssa, SsaEnv};

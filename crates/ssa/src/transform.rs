@@ -60,25 +60,8 @@ pub struct Ssa {
     pub origins: HashMap<Sym, Sym>,
 }
 
-/// Errors the transformation can raise (currently only internal limits).
-#[derive(Clone, Debug)]
-pub struct SsaError {
-    /// Message.
-    pub message: String,
-    /// Location.
-    pub span: Span,
-}
-
-impl std::fmt::Display for SsaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ssa error at {}: {}", self.span, self.message)
-    }
-}
-
-impl std::error::Error for SsaError {}
-
 /// Translates a parsed program into SSA form.
-pub fn transform_program(p: &Program) -> Result<IrProgram, SsaError> {
+pub fn transform_program(p: &Program) -> IrProgram {
     let _sp = rsc_obs::span!("ssa");
     let mut ssa = Ssa::default();
     let mut out = IrProgram::default();
@@ -90,18 +73,17 @@ pub fn transform_program(p: &Program) -> Result<IrProgram, SsaError> {
             Item::Enum(e) => out.enums.push(e.clone()),
             Item::Interface(i) => out.interfaces.push(i.clone()),
             Item::Declare(d) => out.declares.push(d.clone()),
-            Item::Fun(f) => out.funs.push(ssa.fun(f)?),
-            Item::Class(c) => out.classes.push(ssa.class(c)?),
+            Item::Fun(f) => out.funs.push(ssa.fun(f)),
+            Item::Class(c) => out.classes.push(ssa.class(c)),
             Item::Stmt(s) => top_stmts.push(s.clone()),
         }
     }
     let mut delta = SsaEnv::new();
     let top_end = top_stmts.last().map(|s| s.span()).unwrap_or_default();
     out.top = ssa
-        .stmts(&top_stmts, &mut delta, JoinKind::Return, top_end)?
+        .stmts(&top_stmts, &mut delta, JoinKind::Return, top_end)
         .body;
-    out.exports = p.exports.iter().map(|(n, _)| *n).collect();
-    Ok(out)
+    out
 }
 
 /// What a falling-off-the-end statement sequence should produce.
@@ -129,23 +111,23 @@ impl Ssa {
     }
 
     /// Translates a function declaration.
-    pub fn fun(&mut self, f: &FunDecl) -> Result<IrFun, SsaError> {
+    pub fn fun(&mut self, f: &FunDecl) -> IrFun {
         let mut delta = SsaEnv::new();
         for p in &f.params {
             delta.bind(*p, *p);
         }
         delta.bind(Sym::from("arguments"), Sym::from("arguments"));
-        let body = self.stmts(&f.body.stmts, &mut delta, JoinKind::Return, f.span)?;
-        Ok(IrFun {
+        let body = self.stmts(&f.body.stmts, &mut delta, JoinKind::Return, f.span);
+        IrFun {
             name: f.name,
             sigs: f.sigs.clone(),
             params: f.params.clone(),
             body: body.body,
             span: f.span,
-        })
+        }
     }
 
-    fn class(&mut self, c: &ClassDecl) -> Result<IrClass, SsaError> {
+    fn class(&mut self, c: &ClassDecl) -> IrClass {
         let ctor = match &c.ctor {
             Some(ct) => {
                 let mut delta = SsaEnv::new();
@@ -153,7 +135,7 @@ impl Ssa {
                     delta.bind(*p, *p);
                 }
                 delta.bind(Sym::from("this"), Sym::from("this"));
-                let b = self.stmts(&ct.body.stmts, &mut delta, JoinKind::Return, ct.span)?;
+                let b = self.stmts(&ct.body.stmts, &mut delta, JoinKind::Return, ct.span);
                 Some(IrCtor {
                     params: ct.params.clone(),
                     body: b.body,
@@ -172,7 +154,7 @@ impl Ssa {
                     }
                     delta.bind(Sym::from("this"), Sym::from("this"));
                     Some(
-                        self.stmts(&b.stmts, &mut delta, JoinKind::Return, m.span)?
+                        self.stmts(&b.stmts, &mut delta, JoinKind::Return, m.span)
                             .body,
                     )
                 }
@@ -186,11 +168,11 @@ impl Ssa {
                 span: m.span,
             });
         }
-        Ok(IrClass {
+        IrClass {
             decl: c.clone(),
             ctor,
             methods,
-        })
+        }
     }
 
     /// `end` is the span blamed for the implicit terminator when the
@@ -203,16 +185,16 @@ impl Ssa {
         delta: &mut SsaEnv,
         join: JoinKind,
         end_span: Span,
-    ) -> Result<Translated, SsaError> {
+    ) -> Translated {
         let Some((first, rest)) = stmts.split_first() else {
             let end = match join {
                 JoinKind::Return => Body::Ret(None, end_span),
                 JoinKind::Branch => Body::EndBranch(end_span),
             };
-            return Ok(Translated {
+            return Translated {
                 body: end,
                 falls: true,
-            });
+            };
         };
         match first {
             Stmt::Skip(_) => self.stmts(rest, delta, join, end_span),
@@ -231,8 +213,8 @@ impl Ssa {
                 let rhs = self.expr(init, delta);
                 let x = self.fresh(name);
                 delta.bind(*name, x);
-                let k = self.stmts(rest, delta, join, end_span)?;
-                Ok(Translated {
+                let k = self.stmts(rest, delta, join, end_span);
+                Translated {
                     body: Body::Let {
                         x,
                         ann: ann.clone(),
@@ -241,7 +223,7 @@ impl Ssa {
                         span: *span,
                     },
                     falls: k.falls,
-                })
+                }
             }
             Stmt::Assign {
                 target,
@@ -252,8 +234,8 @@ impl Ssa {
                     let rhs = self.expr(value, delta);
                     let x = self.fresh(name);
                     delta.bind(*name, x);
-                    let k = self.stmts(rest, delta, join, end_span)?;
-                    Ok(Translated {
+                    let k = self.stmts(rest, delta, join, end_span);
+                    Translated {
                         body: Body::Let {
                             x,
                             ann: None,
@@ -262,58 +244,58 @@ impl Ssa {
                             span: *span,
                         },
                         falls: k.falls,
-                    })
+                    }
                 }
                 LValue::Field(obj, f, _) => {
                     let o = self.expr(obj, delta);
                     let v = self.expr(value, delta);
                     let e = IrExpr::FieldAssign(Box::new(o), *f, Box::new(v), *span);
-                    let k = self.stmts(rest, delta, join, end_span)?;
-                    Ok(Translated {
+                    let k = self.stmts(rest, delta, join, end_span);
+                    Translated {
                         body: Body::Effect {
                             e,
                             rest: Box::new(k.body),
                             span: *span,
                         },
                         falls: k.falls,
-                    })
+                    }
                 }
                 LValue::Index(arr, idx, _) => {
                     let a = self.expr(arr, delta);
                     let i = self.expr(idx, delta);
                     let v = self.expr(value, delta);
                     let e = IrExpr::IndexAssign(Box::new(a), Box::new(i), Box::new(v), *span);
-                    let k = self.stmts(rest, delta, join, end_span)?;
-                    Ok(Translated {
+                    let k = self.stmts(rest, delta, join, end_span);
+                    Translated {
                         body: Body::Effect {
                             e,
                             rest: Box::new(k.body),
                             span: *span,
                         },
                         falls: k.falls,
-                    })
+                    }
                 }
             },
             Stmt::ExprStmt { expr, span } => {
                 let e = self.expr(expr, delta);
-                let k = self.stmts(rest, delta, join, end_span)?;
-                Ok(Translated {
+                let k = self.stmts(rest, delta, join, end_span);
+                Translated {
                     body: Body::Effect {
                         e,
                         rest: Box::new(k.body),
                         span: *span,
                     },
                     falls: k.falls,
-                })
+                }
             }
             Stmt::Return { value, span } => {
                 // Anything after a return is dead; drop it (the paper's
                 // formal core has a single trailing return).
                 let e = value.as_ref().map(|v| self.expr(v, delta));
-                Ok(Translated {
+                Translated {
                     body: Body::Ret(e, *span),
                     falls: false,
-                })
+                }
             }
             Stmt::Fun(f) => {
                 // Nested function: capture the current δ so free variables
@@ -323,7 +305,7 @@ impl Ssa {
                     inner.bind(*p, *p);
                 }
                 inner.bind(Sym::from("arguments"), Sym::from("arguments"));
-                let b = self.stmts(&f.body.stmts, &mut inner, JoinKind::Return, f.span)?;
+                let b = self.stmts(&f.body.stmts, &mut inner, JoinKind::Return, f.span);
                 let fun = IrFun {
                     name: f.name,
                     sigs: f.sigs.clone(),
@@ -331,15 +313,15 @@ impl Ssa {
                     body: b.body,
                     span: f.span,
                 };
-                let k = self.stmts(rest, delta, join, end_span)?;
-                Ok(Translated {
+                let k = self.stmts(rest, delta, join, end_span);
+                Translated {
                     body: Body::LetFun {
                         fun: Box::new(fun),
                         rest: Box::new(k.body),
                         span: f.span,
                     },
                     falls: k.falls,
-                })
+                }
             }
             Stmt::If {
                 cond,
@@ -349,9 +331,9 @@ impl Ssa {
             } => {
                 let c = self.expr(cond, delta);
                 let mut d1 = delta.clone();
-                let t1 = self.stmts(&then_blk.stmts, &mut d1, JoinKind::Branch, *span)?;
+                let t1 = self.stmts(&then_blk.stmts, &mut d1, JoinKind::Branch, *span);
                 let mut d2 = delta.clone();
-                let t2 = self.stmts(&else_blk.stmts, &mut d2, JoinKind::Branch, *span)?;
+                let t2 = self.stmts(&else_blk.stmts, &mut d2, JoinKind::Branch, *span);
                 let (phis, d_next) = match (t1.falls, t2.falls) {
                     (true, true) => {
                         let mut phis = Vec::new();
@@ -373,8 +355,8 @@ impl Ssa {
                     (false, false) => (Vec::new(), delta.clone()),
                 };
                 *delta = d_next;
-                let k = self.stmts(rest, delta, join, end_span)?;
-                Ok(Translated {
+                let k = self.stmts(rest, delta, join, end_span);
+                Translated {
                     body: Body::If {
                         cond: c,
                         phis,
@@ -386,7 +368,7 @@ impl Ssa {
                         span: *span,
                     },
                     falls: k.falls && (t1.falls || t2.falls),
-                })
+                }
             }
             Stmt::While { cond, body, span } => {
                 // Φ-variables: every in-scope variable assigned in the body.
@@ -404,7 +386,7 @@ impl Ssa {
                 }
                 let c = self.expr(cond, &mut d_loop);
                 let mut d_body = d_loop.clone();
-                let tb = self.stmts(&body.stmts, &mut d_body, JoinKind::Branch, *span)?;
+                let tb = self.stmts(&body.stmts, &mut d_body, JoinKind::Branch, *span);
                 let phis: Vec<LoopPhi> = proto_phis
                     .into_iter()
                     .map(|(source, new, init_src)| LoopPhi {
@@ -422,8 +404,8 @@ impl Ssa {
                 for p in &phis {
                     delta.bind(p.source, p.new);
                 }
-                let k = self.stmts(rest, delta, join, end_span)?;
-                Ok(Translated {
+                let k = self.stmts(rest, delta, join, end_span);
+                Translated {
                     body: Body::Loop {
                         phis,
                         cond: c,
@@ -432,7 +414,7 @@ impl Ssa {
                         span: *span,
                     },
                     falls: k.falls,
-                })
+                }
             }
         }
     }
@@ -540,7 +522,7 @@ mod tests {
     use rsc_syntax::parse_program;
 
     fn ssa_of(src: &str) -> IrProgram {
-        transform_program(&parse_program(src).unwrap()).unwrap()
+        transform_program(&parse_program(src).unwrap())
     }
 
     #[test]

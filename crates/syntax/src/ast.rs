@@ -44,7 +44,7 @@ pub struct ImportDecl {
 }
 
 /// A top-level item.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub enum Item {
     /// `type name<params> = T;`
     TypeAlias(TypeAlias),

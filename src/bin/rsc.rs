@@ -37,6 +37,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
+use std::time::Duration;
 
 use rsc_core::{CheckerOptions, LineIndex};
 use rsc_gen::FuzzConfig;
@@ -246,45 +247,21 @@ fn main() {
         } else {
             rsc_obs::Profile::default()
         };
-        let result = &report.outcome.result;
-        let closure = report.merged.files.len();
+        let ok = report.outcome.result.ok();
+        failed |= !ok;
         if stats_json {
             json_files.push(stats_json_entry(file, &report, &profile, elapsed));
-            if !result.ok() {
-                failed = true;
+            if !ok {
                 // Keep stdout machine-readable; humans read stderr.
                 eprint!("{}", rendered(&report));
             }
             eprint!("{}", lints.render(file, lint_sites(&report)));
-        } else if result.ok() {
-            if !quiet {
-                let files_note = if closure > 1 {
-                    format!(", {closure} files")
-                } else {
-                    String::new()
-                };
-                println!(
-                    "{file}: SAFE ({} constraints, {} κ-vars, {} SMT queries, \
-                     {} bundles{files_note}, {:.0}% VC-cache hits, {:.0?})",
-                    result.stats.constraints,
-                    result.stats.kvars,
-                    result.stats.smt_queries,
-                    result.stats.bundles,
-                    100.0 * result.stats.cache_hit_rate(),
-                    elapsed
-                );
-            }
         } else {
-            failed = true;
-            println!(
-                "{file}: UNSAFE ({} errors, {:.0?})",
-                result.diagnostics.len(),
-                elapsed
+            print!(
+                "{}{}",
+                verdict_text(file, &report, elapsed, quiet),
+                lints.render(file, lint_sites(&report))
             );
-            print_rendered(&report);
-        }
-        if !stats_json {
-            print!("{}", lints.render(file, lint_sites(&report)));
         }
         if profile_path.is_some() {
             all_spans.extend(profile.spans);
@@ -388,13 +365,41 @@ fn phase_summary(acc: &BTreeMap<&'static str, (u64, u64)>) -> String {
         .join(", ")
 }
 
+/// What the batch modes print for one root before its lints: the
+/// `SAFE (…)` line (nothing under `--quiet`), or the `UNSAFE (…)` line
+/// and the rendered diagnostics.
+fn verdict_text(file: &str, report: &DocReport, elapsed: Duration, quiet: bool) -> String {
+    let result = &report.outcome.result;
+    if !result.ok() {
+        return format!(
+            "{file}: UNSAFE ({} errors, {elapsed:.0?})\n{}",
+            result.diagnostics.len(),
+            rendered(report)
+        );
+    }
+    if quiet {
+        return String::new();
+    }
+    let closure = report.merged.files.len();
+    let files_note = if closure > 1 {
+        format!(", {closure} files")
+    } else {
+        String::new()
+    };
+    format!(
+        "{file}: SAFE ({} constraints, {} κ-vars, {} SMT queries, \
+         {} bundles{files_note}, {:.0}% VC-cache hits, {elapsed:.0?})\n",
+        result.stats.constraints,
+        result.stats.kvars,
+        result.stats.smt_queries,
+        result.stats.bundles,
+        100.0 * result.stats.cache_hit_rate(),
+    )
+}
+
 /// Renders every diagnostic of a report against its owning file's own
 /// text (a closure diagnostic may live in an imported file, not the
 /// root).
-fn print_rendered(report: &DocReport) {
-    print!("{}", rendered(report));
-}
-
 fn rendered(report: &DocReport) -> String {
     let idxs: Vec<LineIndex> = report
         .merged
@@ -524,38 +529,8 @@ fn run_recursive(
                     ws = ws.persisting_to(dir);
                 }
                 let report = ws.check_one(&file, src);
-                let elapsed = t.elapsed();
-                let result = &report.outcome.result;
-                let closure = report.merged.files.len();
-                if result.ok() {
-                    let mut out = String::new();
-                    if !quiet {
-                        let files_note = if closure > 1 {
-                            format!(", {closure} files")
-                        } else {
-                            String::new()
-                        };
-                        out = format!(
-                            "{file}: SAFE ({} constraints, {} κ-vars, {} SMT queries, \
-                             {} bundles{files_note}, {:.0}% VC-cache hits, {:.0?})\n",
-                            result.stats.constraints,
-                            result.stats.kvars,
-                            result.stats.smt_queries,
-                            result.stats.bundles,
-                            100.0 * result.stats.cache_hit_rate(),
-                            elapsed
-                        );
-                    }
-                    (out, lint_sites(&report), true, false)
-                } else {
-                    let mut out = format!(
-                        "{file}: UNSAFE ({} errors, {:.0?})\n",
-                        result.diagnostics.len(),
-                        elapsed
-                    );
-                    out.push_str(&rendered(&report));
-                    (out, lint_sites(&report), false, false)
-                }
+                let out = verdict_text(&file, &report, t.elapsed(), quiet);
+                (out, lint_sites(&report), report.outcome.result.ok(), false)
             }
         })
         .collect();
@@ -767,8 +742,9 @@ fn collect_sources(dir: &std::path::Path, out: &mut Vec<String>) {
     }
 }
 
-/// Prints one watch-loop check: verdict, incremental reuse, timing.
-fn report_watch(report: &DocReport, quiet: bool) {
+/// Prints one watch-loop check: verdict, incremental reuse, timing, and
+/// the lints `lints` lets this report print.
+fn report_watch(report: &DocReport, quiet: bool, lints: &mut LintsOnce) {
     let incr = &report.outcome.incr;
     let file = &report.uri;
     let reuse = if incr.fast_path {
@@ -800,18 +776,23 @@ fn report_watch(report: &DocReport, quiet: bool) {
         }
     }
     let multi = report.merged.files.len() > 1;
-    for d in &report.outcome.result.lints {
+    let sites = report.outcome.result.lints.iter().map(|d| {
         let (fi, local) = report.merged.localize(d);
-        if multi {
-            println!("  [{}] {local}", report.merged.files[fi].name);
+        let name = &report.merged.files[fi].name;
+        let text = if multi {
+            format!("  [{name}] {local}\n")
         } else {
-            println!("  {local}");
-        }
-    }
+            format!("  {local}\n")
+        };
+        (name.clone(), text)
+    });
+    print!("{}", lints.render(file, sites.collect()));
 }
 
 /// Re-checks the watched roots through one persistent workspace
-/// whenever any file in their import closures changes on disk. Polling
+/// whenever any file in their import closures changes on disk. Each
+/// round of checks (the initial one, then each poll's) prints a lint
+/// once, as the batch modes do (see [`LintsOnce`]). Polling
 /// interval: `RSC_WATCH_POLL_MS` (default 150). For scripted runs,
 /// `RSC_WATCH_MAX_CHECKS` bounds the number of document checks before
 /// exiting (the exit code then reflects each document's last check).
@@ -870,6 +851,7 @@ fn run_watch(
         });
     };
 
+    let mut lints = LintsOnce::new(files);
     for file in files {
         let src = match std::fs::read_to_string(file) {
             Ok(s) => s,
@@ -880,7 +862,7 @@ fn run_watch(
         };
         for report in ws.update(file, src) {
             verdicts.insert(report.uri.clone(), report.outcome.result.ok());
-            report_watch(&report, quiet);
+            report_watch(&report, quiet, &mut lints);
             checks += 1;
         }
         take_profile(&mut timing, &mut spans);
@@ -916,6 +898,7 @@ fn run_watch(
             seen.insert(f.clone(), now);
         }
         seen.retain(|k, _| watched.contains(k));
+        let mut lints = LintsOnce::new(files);
         for f in &changed {
             let reports = if ws.contains(f) {
                 match std::fs::read_to_string(f) {
@@ -935,7 +918,7 @@ fn run_watch(
             };
             for report in reports {
                 verdicts.insert(report.uri.clone(), report.outcome.result.ok());
-                report_watch(&report, quiet);
+                report_watch(&report, quiet, &mut lints);
                 checks += 1;
             }
             take_profile(&mut timing, &mut spans);

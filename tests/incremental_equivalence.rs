@@ -155,10 +155,9 @@ fn fingerprints_match_golden() {
     for &name in rsc_bench::benchmark_names() {
         let src = load_benchmark(name).expect("benchmark file");
         let prog = rsc_syntax::parse_program(&src).expect("corpus parses");
-        let ir = rsc_ssa::transform_program(&prog).expect("corpus lowers");
         let opts = CheckerOptions::default();
         let art = rsc_core::generate_artifacts(
-            &ir,
+            &prog,
             opts,
             rsc_smt::VcCache::shared_with_capacity(opts.cache_capacity),
         );

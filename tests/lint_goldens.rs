@@ -202,8 +202,7 @@ fn lints_on_generated_workspace() {
         let src = std::fs::read_to_string(dir.join(name)).expect("read a workspace file");
         let prog =
             rsc_syntax::parse_program(&src).unwrap_or_else(|e| panic!("{name}: parse error {e:?}"));
-        let ir =
-            rsc_ssa::transform_program(&prog).unwrap_or_else(|e| panic!("{name}: SSA error {e:?}"));
+        let ir = rsc_ssa::transform_program(&prog);
         let index = LineIndex::new(&src);
         for l in rsc_absint::lint_program(&ir) {
             let at = index.line_col(&src, l.span.lo);
@@ -283,4 +282,43 @@ fn batch_cli_prints_each_lint_once() {
         assert_eq!(sites, golden, "{args:?}: lint sites printed");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `rsc --watch` prints each lint once per round of checks, as the batch
+/// modes do. `app.rsc` imports `lib.rsc`, whose one L0001 comes back in
+/// `app.rsc`'s closure: the warning is printed under `lib.rsc` only. The
+/// closing timing line counts one SSA run per check.
+#[test]
+fn watch_prints_each_lint_once() {
+    let dir = std::env::temp_dir().join(format!("rsc-watch-lints-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the directory");
+    let lib = "export function f(x: number): number {\n\
+               \x20   var y = 3;\n\
+               \x20   if (y < 1) { return 0 - 1; }\n\
+               \x20   return x;\n\
+               }\n";
+    let app = "import {f} from \"./lib.rsc\";\n\
+               function g(k: number): number { return f(k); }\n";
+    std::fs::write(dir.join("lib.rsc"), lib).expect("write lib.rsc");
+    std::fs::write(dir.join("app.rsc"), app).expect("write app.rsc");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rsc"))
+        .args(["--watch", "lib.rsc", "app.rsc"])
+        .current_dir(&dir)
+        .env("RSC_WATCH_MAX_CHECKS", "2")
+        .output()
+        .expect("run rsc --watch");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    assert_eq!(stdout.matches("warning[L0001]").count(), 1, "{stdout}");
+    let warning = stdout.find("warning[L0001]").expect("the warning");
+    let app_line = stdout.find("[watch] app.rsc: SAFE").expect("app's verdict");
+    assert!(warning < app_line, "printed under app.rsc:\n{stdout}");
+    let ssa = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("[watch] timing: "))
+        .and_then(|t| t.split(", ").find(|p| p.starts_with("ssa ")))
+        .expect("an ssa phase in the timing line");
+    assert!(ssa.ends_with("\u{d7}2"), "{ssa}");
 }

@@ -21,7 +21,7 @@ fn verified_and_safe(src: &str) -> Value {
             .collect::<Vec<_>>()
     );
     let prog = rsc_syntax::parse_program(src).unwrap();
-    let ir = rsc_ssa::transform_program(&prog).unwrap();
+    let ir = rsc_ssa::transform_program(&prog);
     let a = run_frsc(&prog, FUEL);
     let b = run_irsc(&ir, FUEL);
     assert_eq!(a, b, "semantics disagree");
@@ -154,7 +154,7 @@ fn corpus_demos_run_safely() {
     ] {
         let src = format!("{}\n{call}", rsc_bench::load_benchmark(name).unwrap());
         let prog = rsc_syntax::parse_program(&src).unwrap();
-        let ir = rsc_ssa::transform_program(&prog).unwrap();
+        let ir = rsc_ssa::transform_program(&prog);
         let a = run_frsc(&prog, FUEL);
         let b = run_irsc(&ir, FUEL);
         assert_eq!(a, b, "{name}: semantics disagree");
