@@ -30,7 +30,9 @@
 //! URI. Each notification also carries a non-standard top-level `rsc`
 //! object with the incremental counters of the check that produced it,
 //! plus `deps_changed` (dependencies whose export surface changed) and
-//! `dirty_own` (dirty units in the published document itself).
+//! `dirty_own`: the units declared in the published document itself
+//! (`fun:f`, `ctor:C`, `method:C.m`, `top`) whose constraint bundles the
+//! document's previous check did not have.
 //!
 //! The custom `rsc/metrics` request answers with the server-wide view:
 //!

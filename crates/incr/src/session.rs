@@ -1,5 +1,13 @@
 //! Persistent check sessions: re-check an evolving program, re-solving
 //! only what changed.
+//!
+//! A check runs the front end once: [`CheckSession::check`] parses, and
+//! [`CheckSession::check_ast`] takes the workspace's parse, then
+//! `rsc_core::generate_artifacts` runs SSA and generation. Which
+//! bundles re-solve, and which units the check reports dirty, both
+//! follow from bundle fingerprints: a bundle whose fingerprint the memo
+//! or the disk tier holds is reused, and the units of every bundle the
+//! previous run did not have are dirty.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -292,7 +300,7 @@ impl CheckSession {
         }
         let prog = match rsc_syntax::parse_program(src) {
             Ok(p) => p,
-            Err(e) => return self.parse_error(e, start),
+            Err(e) => return parse_error(e, start),
         };
         self.check_prog(&prog, key, start)
     }
@@ -397,23 +405,23 @@ impl CheckSession {
     ) -> Vec<SessionOutcome> {
         steps.into_iter().map(|s| self.check(s)).collect()
     }
+}
 
-    /// A parse error: reported like a cold check would (one diagnostic,
-    /// no stats); the previous state and the verdict memo are kept for
-    /// the next parseable snapshot.
-    fn parse_error(&self, e: rsc_syntax::ParseError, start: Instant) -> SessionOutcome {
-        SessionOutcome {
-            result: CheckResult {
-                diagnostics: vec![Diagnostic::error(e.message, e.span)],
-                lints: Vec::new(),
-                stats: CheckStats::default(),
-                bundle_reports: Vec::new(),
-            },
-            incr: IncrStats {
-                total_micros: start.elapsed().as_micros() as u64,
-                ..IncrStats::default()
-            },
-        }
+/// A parse error: reported like a cold check would (one diagnostic, no
+/// stats); the session's previous state and verdict memo are kept for
+/// the next parseable snapshot.
+fn parse_error(e: rsc_syntax::ParseError, start: Instant) -> SessionOutcome {
+    SessionOutcome {
+        result: CheckResult {
+            diagnostics: vec![Diagnostic::error(e.message, e.span)],
+            lints: Vec::new(),
+            stats: CheckStats::default(),
+            bundle_reports: Vec::new(),
+        },
+        incr: IncrStats {
+            total_micros: start.elapsed().as_micros() as u64,
+            ..IncrStats::default()
+        },
     }
 }
 

@@ -58,18 +58,18 @@
 //!
 //! # Cross-file dependency edges
 //!
-//! Each closure file is fingerprinted by its
-//! [`DepGraph::export_surface`] — the interface hashes of its exported
-//! units plus its global declarations. The workspace records, per
-//! document, the surface of every dependency at its last check; when a
-//! dependency's surface changes the importer is reported in
-//! `deps_changed` and its own dirty units (callers of the changed
-//! export) in `dirty_own`. A non-exported body edit in `a.ts` leaves
-//! `a`'s surface untouched, so [`Workspace::update`] *skips* the
-//! importer re-check entirely (reported as `importers_skipped` in the
-//! edited document's [`IncrStats`]) — safe because nothing an importer
-//! can observe changed; an exported-signature edit dirties exactly the
-//! importing units and re-checks them.
+//! Each closure file is fingerprinted by its export surface, hashed off
+//! the AST the resolver parsed (no file is lowered to SSA here): its
+//! export list, global declarations and exported function signatures.
+//! The workspace records, per document, the surface of every dependency
+//! at its last check; when a dependency's surface changes the importer
+//! is reported in `deps_changed` and its own dirty units (callers of the
+//! changed export, whose bundles changed) in `dirty_own`. A non-exported
+//! body edit in `a.ts` leaves `a`'s surface untouched, so
+//! [`Workspace::update`] *skips* the importer re-check entirely
+//! (reported as `importers_skipped` in the edited document's
+//! [`IncrStats`]) — safe because nothing an importer can observe
+//! changed; an exported-signature edit re-checks the importers.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -123,7 +123,9 @@ pub struct ModuleFile {
     /// Resolved imports, in declaration order (parallel to
     /// `program.imports`).
     pub imports: Vec<ResolvedImport>,
-    /// The file's export surface fingerprint (see [`export_surface`]).
+    /// The file's export surface fingerprint: a structural hash of what
+    /// an importer can observe (export list, global declarations,
+    /// exported function signatures, unannotated exported bodies).
     pub surface: u64,
     /// The names the file exports.
     pub exports: BTreeSet<String>,
@@ -190,7 +192,7 @@ fn candidates(importer: &str, spec: &str) -> Vec<String> {
 /// an importer is re-checked exactly when a dependency's surface (or
 /// import list) changed, so a non-exported body edit never re-checks
 /// importers while an exported-signature edit re-checks them all.
-pub fn export_surface(prog: &Program) -> u64 {
+pub(crate) fn export_surface(prog: &Program) -> u64 {
     let mut h = DefaultHasher::new();
     prog.exports.hash(&mut h);
     for item in &prog.items {

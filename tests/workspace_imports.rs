@@ -555,3 +555,22 @@ fn span_lookalike_literals_hash_apart_in_the_surface() {
         surface("Span { lo: 4, hi: 5, line: 6 }")
     );
 }
+
+/// Dropping `export` from a declaration an importer imports changes the
+/// export list, so the importer re-checks and reports the missing
+/// export, as a cold check of its closure does.
+#[test]
+fn unexporting_an_imported_alias_rechecks_the_importer() {
+    let lib = "export type T = number;\n\
+               export function f(x: number): number { return x; }\n";
+    let app = "import {T, f} from \"./lib.rsc\";\n\
+               function g(k: T): number { return f(k); }\n";
+    let mut ws = Workspace::new(CheckerOptions::default());
+    ws.update("lib.rsc", lib.to_string());
+    assert!(ws.update("app.rsc", app.to_string())[0].outcome.result.ok());
+    let reports = ws.update("lib.rsc", lib.replace("export type", "type"));
+    assert_eq!(reports[0].outcome.incr.importers_skipped, 0);
+    let checked = ws.last("app.rsc").expect("app was checked");
+    let msg = render(&checked.outcome.result.diagnostics);
+    assert!(msg.contains("does not export `T`"), "{msg}");
+}
